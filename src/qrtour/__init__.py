@@ -39,7 +39,6 @@ from .errors import (
     InternalInvariantError,
     ParseError,
     ResourceLimitError,
-    SpectralNonConvergence,
 )
 from .exactcount import (
     BoundCheckResult,
@@ -56,7 +55,6 @@ from .exactcount import (
 )
 from .spectral import (
     CertificateReport,
-    GramMatrix,
     SpectralSummary,
     full_spectrum,
     gram,
@@ -73,12 +71,10 @@ __all__ = [
     "CycleCountReport",
     "DiscrepancyReport",
     "GeneratorSpec",
-    "GramMatrix",
     "InternalInvariantError",
     "ParseError",
     "ResourceLimitError",
     "SignMatrix",
-    "SpectralNonConvergence",
     "SpectralSummary",
     "Tournament",
     "brute_force_count",

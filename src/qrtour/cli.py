@@ -25,7 +25,9 @@ from .core import (
     decode,
     encode,
     generate,
+    paley_tournament,
     random_tournament,
+    rotational_tournament,
 )
 from .discrepancy import (
     DiscrepancyReport,
@@ -141,10 +143,8 @@ def _load_tournament(path: str) -> tuple[Tournament, str]:
 def _summary_fields(s: SpectralSummary, n: int) -> dict:
     fields = {
         "lambda1_abs": s.lambda1_abs,
+        "lambda1_upper": s.lambda1_upper,
         "ratio": s.lambda1_abs / n,
-        "iterations": s.iterations,
-        "residual": s.residual,
-        "converged": s.converged,
     }
     if s.singular_values is not None:
         fields["singular_values"] = list(s.singular_values)
@@ -241,18 +241,16 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
     t0 = time.perf_counter()
     t, digest = _load_tournament(args.file)
     load_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
-    summary = full_spectrum(t, tol=args.tol) if args.full else lambda1(t, tol=args.tol)
+    summary = full_spectrum(t) if args.full else lambda1(t)
     solve_ms = (time.perf_counter() - t1) * 1000.0
     report = _run_report(
         "spectrum",
         digest,
-        {"file": args.file, "full": args.full, "tol": args.tol},
+        {"file": args.file, "full": args.full},
         _summary_fields(summary, t.n),
         {"load": load_ms, "solve": solve_ms},
     )
@@ -355,7 +353,8 @@ def _verify_bounds(trials: int, nmax: int, seed: int) -> list[dict]:
 
 
 def _verify_crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Trace counts vs enumeration at small n, and exact-vs-spectral moments."""
+    """Trace counts vs enumeration at small n, and exact-vs-spectral moments
+    on random draws plus the circulant and Paley families."""
     rng = _RawStream(seed)
     fail = ""
     for n in range(3, 9):
@@ -369,15 +368,19 @@ def _verify_crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
                 if even + odd != total_cycles(n, k):
                     fail = fail or f"enumeration total mismatch at n={n}, k={k}"
     checks = [_check("trace_vs_enumeration", not fail, fail)]
-    mfail = ""
+    tournaments = []
     for _ in range(min(trials, 10)):
         n = 4 + rng.below(max(min(nmax, 60) - 3, 1))
-        t = random_tournament(n, rng.seed64())
+        tournaments.append(random_tournament(n, rng.seed64()))
+    tournaments += [rotational_tournament(n) for n in (9, 15, 21, 33)]
+    tournaments += [paley_tournament(p) for p in (7, 11, 19)]
+    mfail = ""
+    for t in tournaments:
         summary = full_spectrum(t)
         for k in (2, 4, 6, 8, 10):
             err = moment_crosscheck(t, k, summary=summary)
             if err > 1e-8:
-                mfail = mfail or f"moment gap {err:.2e} at n={n}, k={k}"
+                mfail = mfail or f"moment gap {err:.2e} at n={t.n}, k={k}"
     checks.append(_check("exact_vs_spectral_moments", not mfail, mfail))
     return checks
 
@@ -529,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="largest eigenvalue modulus, or all of them")
     p.add_argument("file")
     p.add_argument("--full", action="store_true", help="compute every singular value")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 

@@ -17,11 +17,10 @@ from typing import Iterable
 import numpy as np
 
 from .core import CoinStream, Tournament, sign_array
-from .errors import InternalInvariantError, ResourceLimitError, SpectralNonConvergence
+from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
 
 DEFAULT_EXHAUSTIVE_GUARD = 24
-_BOUND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class DiscrepancyReport:
     best_Y: tuple[int, ...]
     value: int
     normalized: Fraction  # value / n^2
-    spectral_bound: float  # n * |lambda1|
+    spectral_bound: float  # n * lambda1_upper, an upper bound on n * |lambda1|
     witness_signs: tuple[int, ...]  # sign of d+(v, best_Y) - d-(v, best_Y) per v
 
 
@@ -74,16 +73,9 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
     return x, int(np.abs(d).sum())
 
 
-def spectral_upper_bound(
-    t: Tournament, tol: float = 1e-10, max_iter: int | None = None
-) -> float:
-    """n * |lambda1(A)|, an upper bound for every disc_given(X, Y)."""
-    summary = lambda1(t, tol=tol, max_iter=max_iter)
-    if not summary.converged:
-        raise SpectralNonConvergence(
-            f"power iteration stopped at residual {summary.residual:.3e}"
-        )
-    return t.n * summary.lambda1_abs
+def spectral_upper_bound(t: Tournament) -> float:
+    """n * |lambda1(A)|, rounded up: an upper bound for every disc_given(X, Y)."""
+    return t.n * lambda1(t).lambda1_upper
 
 
 def _build_report(
@@ -97,7 +89,7 @@ def _build_report(
     if value > t.n * (t.n - 1):
         raise InternalInvariantError(f"discrepancy {value} exceeds n(n-1)")
     bound = spectral_upper_bound(t)
-    if value > bound + _BOUND_SLACK:
+    if value > bound:
         raise InternalInvariantError(
             f"discrepancy {value} exceeds the spectral bound {bound}"
         )

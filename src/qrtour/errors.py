@@ -20,7 +20,3 @@ class ResourceLimitError(RuntimeError):
 
 class InternalInvariantError(RuntimeError):
     """A mathematically guaranteed identity failed: an implementation bug."""
-
-
-class SpectralNonConvergence(RuntimeError):
-    """An iterative eigenvalue routine did not reach its tolerance."""

@@ -3,8 +3,9 @@
 A is skew-symmetric, so its eigenvalues are purely imaginary and come in
 conjugate pairs +-i*sigma; all spectral quantities used here depend only on
 the moduli sigma.  Those are obtained from the Gram matrix -A^2 = A^T A,
-which is real symmetric positive semidefinite with eigenvalues sigma^2, so a
-real symmetric solver suffices and no complex arithmetic is needed.
+which is real symmetric positive semidefinite with eigenvalues sigma^2, so
+one dense symmetric eigensolve (LAPACK, via ``numpy.linalg.eigvalsh``)
+yields every modulus and no complex arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -15,192 +16,80 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tournament, sign_array
-from .errors import InternalInvariantError, ResourceLimitError
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_SWEEPS = 30
-DEFAULT_SPECTRUM_GUARD = 512
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """-A^2 for a tournament sign matrix A, as exact-integer-valued floats."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+from .errors import InternalInvariantError
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
     """Result of a spectral computation.
 
-    ``lambda1_abs`` is the largest eigenvalue modulus of A.  When the full
-    spectrum was computed, ``singular_values`` lists all n moduli in
-    descending order.  ``residual`` is the convergence measure of the method
-    that produced the result; ``converged`` is False when the iteration
-    budget ran out, in which case the values are best estimates.
+    ``lambda1_abs`` is the largest eigenvalue modulus of A as computed, and
+    ``lambda1_upper`` an upper bound on the true value that covers the
+    solver's rounding error (see ``_moduli``).  When the full spectrum was
+    requested, ``singular_values`` lists all n moduli in descending order.
     """
 
     lambda1_abs: float
+    lambda1_upper: float
     singular_values: tuple[float, ...] | None
-    iterations: int
-    residual: float
-    converged: bool
 
 
-def gram(t: Tournament) -> GramMatrix:
-    """Gram matrix -A^2, computed exactly in integers and converted once.
+def gram(t: Tournament) -> np.ndarray:
+    """Gram matrix -A^2 = A^T A as a read-only float64 array.
 
-    Entries have magnitude at most n-1, so the float conversion is exact.
-    The diagonal is constantly n-1 (each vertex meets every other vertex).
+    One BLAS product.  Every partial sum is an integer of magnitude at most
+    n, so the float result is exact.  The diagonal is constantly n-1 (each
+    vertex meets every other vertex).
     """
-    a = sign_array(t)
-    prod = a @ a  # entries bounded by n: int64 is always safe here
-    g = (-prod).astype(np.float64)
+    a = sign_array(t).astype(np.float64)
+    g = a.T @ a
     n = t.n
     if not np.array_equal(g, g.T):
         raise InternalInvariantError("Gram matrix is not symmetric")
     if not np.all(np.diag(g) == n - 1):
         raise InternalInvariantError("Gram diagonal must equal n-1")
-    return GramMatrix(n=n, entries=g)
+    g.setflags(write=False)
+    return g
 
 
-def _start_vector(n: int) -> np.ndarray:
-    # fixed deterministic start: v_i = 1 + (i mod 3), normalized
-    v = 1.0 + (np.arange(n) % 3)
-    return v / np.linalg.norm(v)
+def _moduli(t: Tournament, keep_all: bool) -> SpectralSummary:
+    """Eigenvalue moduli of A from one ``eigvalsh`` call on the Gram matrix.
 
-
-def lambda1(
-    t: Tournament,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-    gram_matrix: GramMatrix | None = None,
-) -> SpectralSummary:
-    """|lambda_1(A)| via power iteration on the Gram matrix.
-
-    Iterates x <- Sx / ||Sx|| from the fixed start vector and stops when the
-    Rayleigh-quotient residual ||Sx - theta*x|| / theta drops to ``tol``;
-    the result is sqrt(theta).  Convergence is measured on the eigenvalue
-    only, so repeated dominant eigenvalues (e.g. regular tournaments) are
-    unproblematic.  Exhausting ``max_iter`` yields converged=False with the
-    best estimate, not an exception.
+    LAPACK's symmetric eigensolver is backward stable: its eigenvalues are
+    exact for G + E with ||E||_2 <= p(n) * eps * ||G||_2, p a modest
+    polynomial.  Taking p(n) = n and ||G||_2 <= tr(G) = n(n-1) (G is PSD),
+    Weyl's inequality puts the true top eigenvalue below the computed one
+    plus n * eps * n(n-1); ``lambda1_upper`` is the square root of that sum.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     n = t.n
-    if max_iter is None:
-        max_iter = 10 * n + 1000
-    if max_iter < 1:
-        raise ValueError(f"iteration budget must be at least 1, got {max_iter}")
-    s = (gram_matrix or gram(t)).entries
-    x = _start_vector(n)
-    theta = 0.0
-    residual = math.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        y = s @ x
-        theta = float(x @ y)
-        norm_y = float(np.linalg.norm(y))
-        if theta <= 0.0:
-            # PSD: a vanishing quadratic form means x is (numerically) in the
-            # kernel, and the dominant value along this orbit is 0
-            theta = 0.0
-            residual = norm_y
-            converged = norm_y <= tol
-            break
-        residual = float(np.linalg.norm(y - theta * x)) / theta
-        if residual <= tol:
-            converged = True
-            break
-        x = y / norm_y
-    lam = math.sqrt(theta)
-    if lam > n + 1e-9:
+    eigs = np.linalg.eigvalsh(gram(t))  # ascending
+    top = float(eigs[-1])
+    margin = n * np.finfo(np.float64).eps * n * (n - 1)
+    lam = math.sqrt(top)
+    if lam > n:
         raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
+    svals = None
+    if keep_all:
+        svals = tuple(float(v) for v in np.sqrt(np.clip(eigs[::-1], 0.0, None)))
     return SpectralSummary(
         lambda1_abs=lam,
-        singular_values=None,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
+        lambda1_upper=math.sqrt(top + margin),
+        singular_values=svals,
     )
 
 
-def _offdiag_norm(s: np.ndarray) -> float:
-    off = s - np.diag(np.diag(s))
-    return float(np.linalg.norm(off))
+def lambda1(t: Tournament) -> SpectralSummary:
+    """|lambda_1(A)|, with its upper bound, from the Gram eigenvalues."""
+    return _moduli(t, keep_all=False)
 
 
-def _jacobi_sweep(s: np.ndarray) -> None:
-    """One cyclic sweep of two-sided Jacobi rotations, in place."""
-    n = s.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = s[p, q]
-            if apq == 0.0:
-                continue
-            theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-            tval = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(tval * tval + 1.0)
-            sn = tval * c
-            tau = sn / (1.0 + c)
-            h = tval * apq
-            s[p, p] -= h
-            s[q, q] += h
-            s[p, q] = s[q, p] = 0.0
-            mask = np.ones(n, dtype=bool)
-            mask[p] = mask[q] = False
-            rp = s[mask, p].copy()
-            rq = s[mask, q].copy()
-            new_p = rp - sn * (rq + tau * rp)
-            new_q = rq + sn * (rp - tau * rq)
-            s[mask, p] = new_p
-            s[p, mask] = new_p
-            s[mask, q] = new_q
-            s[q, mask] = new_q
+def full_spectrum(t: Tournament) -> SpectralSummary:
+    """All n eigenvalue moduli of A in descending order, plus |lambda_1|.
 
-
-def full_spectrum(
-    t: Tournament,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    guard: int = DEFAULT_SPECTRUM_GUARD,
-) -> SpectralSummary:
-    """All n eigenvalue moduli of A via cyclic Jacobi on the Gram matrix.
-
-    Sweeps until the off-diagonal Frobenius norm falls to ``tol`` (at most
-    ``max_sweeps`` sweeps); eigenvalues are the converged diagonal, clamped
-    at zero before the square root.  Guarded to n <= ``guard`` because the
-    sweep cost is cubic per pass.
+    Eigenvalues of the Gram matrix are clamped at zero before the square
+    root, so rounding cannot produce a NaN modulus.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    n = t.n
-    if n > guard:
-        raise ResourceLimitError(f"full spectrum is guarded to n <= {guard}, got {n}")
-    s = gram(t).entries.copy()
-    sweeps = 0
-    off = _offdiag_norm(s)
-    while off > tol and sweeps < max_sweeps:
-        _jacobi_sweep(s)
-        sweeps += 1
-        off = _offdiag_norm(s)
-    eigs = np.clip(np.diag(s), 0.0, None)
-    svals = np.sqrt(np.sort(eigs)[::-1])
-    lam = float(svals[0])
-    if lam > n + 1e-9:
-        raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
-    return SpectralSummary(
-        lambda1_abs=lam,
-        singular_values=tuple(float(v) for v in svals),
-        iterations=sweeps,
-        residual=off,
-        converged=off <= tol,
-    )
+    return _moduli(t, keep_all=True)
 
 
 def moment_crosscheck(
@@ -232,34 +121,27 @@ def moment_crosscheck(
 class CertificateReport:
     """Spectral quasi-randomness verdict for one tournament."""
 
-    status: str  # "certified", "refused", or "indeterminate"
+    status: str  # "certified" or "refused"
     ratio: float  # |lambda1| / n; small ratios are the quasi-random regime
     threshold: float
     summary: SpectralSummary
 
 
-def quasirandom_certificate(
-    t: Tournament,
-    threshold: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> CertificateReport:
+def quasirandom_certificate(t: Tournament, threshold: float) -> CertificateReport:
     """Certify |lambda1|/n <= threshold, or refuse with the measured ratio.
 
-    The threshold is caller policy; the report always carries the ratio so
-    other thresholds can be applied after the fact.  A non-converged power
-    iteration yields status "indeterminate".
+    The verdict compares ``lambda1_upper / n`` with the threshold, so a
+    certificate never rests on an underestimate.  The threshold is caller
+    policy; the report always carries the ratio and the summary, so other
+    thresholds can be applied after the fact.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold}")
-    summary = lambda1(t, tol=tol, max_iter=max_iter)
-    ratio = summary.lambda1_abs / t.n
-    if not summary.converged:
-        status = "indeterminate"
-    elif ratio <= threshold:
-        status = "certified"
-    else:
-        status = "refused"
+    summary = lambda1(t)
+    certified = summary.lambda1_upper / t.n <= threshold
     return CertificateReport(
-        status=status, ratio=ratio, threshold=threshold, summary=summary
+        status="certified" if certified else "refused",
+        ratio=summary.lambda1_abs / t.n,
+        threshold=threshold,
+        summary=summary,
     )

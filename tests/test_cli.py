@@ -127,7 +127,10 @@ class TestSpectrum:
         run(capsys, "gen", "--type", "paley", "--p", "7", "--out", str(path))
         code, report = run_json(capsys, "spectrum", str(path))
         assert code == 0
-        assert abs(report["results"]["lambda1_abs"] - math.sqrt(7)) < 1e-7
+        res = report["results"]
+        assert set(res) == {"lambda1_abs", "lambda1_upper", "ratio"}
+        assert abs(res["lambda1_abs"] - math.sqrt(7)) < 1e-7
+        assert res["lambda1_abs"] <= res["lambda1_upper"]
 
     def test_full_lists_all_values(self, c3_file, capsys):
         code, report = run_json(capsys, "spectrum", c3_file, "--full")
@@ -135,10 +138,6 @@ class TestSpectrum:
         values = report["results"]["singular_values"]
         assert len(values) == 3
         assert abs(values[0] - math.sqrt(3)) < 1e-9
-
-    def test_bad_tol(self, c3_file, capsys):
-        code, _ = run(capsys, "spectrum", c3_file, "--tol", "-1")
-        assert code == 2
 
 
 class TestDisc:
@@ -148,6 +147,16 @@ class TestDisc:
         res = report["results"]
         assert res["value"] == 2
         assert abs(res["spectral_bound"] - 3 * math.sqrt(3)) < 1e-8
+
+    def test_exhaustive_rotational_15(self, tmp_path, capsys):
+        # valid input never ends in exit 5: the bound must cover the true maximum
+        path = tmp_path / "r15.trn"
+        run(capsys, "gen", "--type", "rotational", "--n", "15", "--out", str(path))
+        code, report = run_json(capsys, "disc", str(path))
+        assert code == 0
+        res = report["results"]
+        assert res["value"] <= res["spectral_bound"]
+        assert res["spectral_bound"] >= 15 * 9.514364454222585
 
     def test_local_search_tt4(self, tmp_path, capsys):
         path = tmp_path / "tt4.trn"

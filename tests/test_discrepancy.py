@@ -228,6 +228,16 @@ class TestSpectralBound:
             assert ratio < prev
             prev = ratio
 
+    @pytest.mark.parametrize(
+        "t", [random_tournament(2, 0), transitive_tournament(2)], ids=["random", "transitive"]
+    )
+    def test_n2_bound_is_tight(self, t):
+        # the maximum 2 equals n * |lambda1| exactly: only a true upper bound
+        # keeps the report's invariant check from firing
+        rep = disc_exhaustive(t)
+        assert rep.value == 2
+        assert 2 <= rep.spectral_bound < 2 + 1e-12
+
     def test_caps_exhaustive_everywhere(self):
         for seed in SEEDS:
             t = random_tournament(12, seed)
