@@ -1,6 +1,6 @@
 """Quasi-randomness analysis for tournaments.
 
-Exact even/odd cycle counting through integer powers of the skew-symmetric
+Exact even/odd cycle counting through traces of powers of the skew-symmetric
 sign matrix, spectral certificates from its Gram matrix, and subset
 discrepancy search, with brute-force oracles validating the identities at
 small scale.
@@ -43,14 +43,11 @@ from .errors import (
 from .exactcount import (
     BoundCheckResult,
     CycleCountReport,
-    SignMatrix,
     brute_force_count,
     cycle_parity,
     ec_bound_check,
     even_cycles_trace,
-    mat_pow,
-    mat_pow_trace,
-    sign_matrix,
+    power_trace,
     total_cycles,
 )
 from .spectral import (
@@ -74,7 +71,6 @@ __all__ = [
     "InternalInvariantError",
     "ParseError",
     "ResourceLimitError",
-    "SignMatrix",
     "SpectralSummary",
     "Tournament",
     "brute_force_count",
@@ -95,16 +91,14 @@ __all__ = [
     "generate",
     "gram",
     "lambda1",
-    "mat_pow",
-    "mat_pow_trace",
     "moment_crosscheck",
     "paley_tournament",
+    "power_trace",
     "quasirandom_certificate",
     "random_tournament",
     "relabel",
     "reverse",
     "rotational_tournament",
-    "sign_matrix",
     "spectral_upper_bound",
     "total_cycles",
     "transitive_tournament",

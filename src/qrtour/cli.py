@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    CoinStream,
     GeneratorSpec,
     Tournament,
     decode,
@@ -40,8 +41,7 @@ from .exactcount import (
     brute_force_count,
     ec_bound_check,
     even_cycles_trace,
-    mat_pow_trace,
-    sign_matrix,
+    power_trace,
     total_cycles,
 )
 from .spectral import SpectralSummary, full_spectrum, lambda1, moment_crosscheck
@@ -289,19 +289,6 @@ def _cmd_disc(args) -> int:
 # --- verification suites ------------------------------------------------
 
 
-class _RawStream:
-    """Deterministic unbounded integer draws from the PCG64 raw stream."""
-
-    def __init__(self, seed: int):
-        self._bitgen = np.random.PCG64(seed)
-
-    def below(self, bound: int) -> int:
-        return int(self._bitgen.random_raw() % bound)
-
-    def seed64(self) -> int:
-        return int(self._bitgen.random_raw())
-
-
 def _check(name: str, ok: bool, detail: str = "") -> dict:
     entry = {"check": name, "pass": bool(ok)}
     if detail:
@@ -311,20 +298,19 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 
 def _verify_claims(trials: int, nmax: int, seed: int) -> list[dict]:
     """Trace structure on random tournaments: zero for odd k, signed for even k."""
-    rng = _RawStream(seed)
+    rng = CoinStream(seed)
     odd_fail = sign_fail = ""
     for _ in range(trials):
         n = 2 + rng.below(max(nmax - 1, 1))
         t = random_tournament(n, rng.seed64())
-        m = sign_matrix(t)
         for k in (3, 5, 7):
-            if mat_pow_trace(m, k) != 0:
+            if power_trace(t, k) != 0:
                 odd_fail = odd_fail or f"tr(A^{k}) != 0 at n={n}"
         for k in (4, 6, 8, 12):
-            tr = mat_pow_trace(m, k)
+            tr = power_trace(t, k)
             if (k % 4 == 0 and tr < 0) or (k % 4 == 2 and tr > 0):
                 sign_fail = sign_fail or f"tr(A^{k}) = {tr} has the wrong sign at n={n}"
-        if mat_pow_trace(m, 2) != -n * (n - 1):
+        if power_trace(t, 2) != -n * (n - 1):
             sign_fail = sign_fail or f"tr(A^2) != -n(n-1) at n={n}"
     return [
         _check("odd_power_trace_zero", not odd_fail, odd_fail),
@@ -334,7 +320,7 @@ def _verify_claims(trials: int, nmax: int, seed: int) -> list[dict]:
 
 def _verify_bounds(trials: int, nmax: int, seed: int) -> list[dict]:
     """Even-count bound on random draws plus the named families."""
-    rng = _RawStream(seed)
+    rng = CoinStream(seed)
     tournaments = []
     for _ in range(trials):
         n = 2 + rng.below(max(nmax - 1, 1))
@@ -355,7 +341,7 @@ def _verify_bounds(trials: int, nmax: int, seed: int) -> list[dict]:
 def _verify_crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
     """Trace counts vs enumeration at small n, and exact-vs-spectral moments
     on random draws plus the circulant and Paley families."""
-    rng = _RawStream(seed)
+    rng = CoinStream(seed)
     fail = ""
     for n in range(3, 9):
         for _ in range(2):

@@ -21,10 +21,11 @@ _SEED_MAX = 2**64
 
 
 class CoinStream:
-    """Deterministic fair-coin source: the top bit of each 64-bit PCG64 output.
+    """Deterministic draws from the 64-bit PCG64 raw output stream: fair coins
+    (the top bit of each output), bounded integers and fresh seeds.
 
     PCG64's raw output stream is fixed by the generator's definition, so the
-    coins drawn for a given seed are identical on every platform and library
+    values drawn for a given seed are identical on every platform and library
     version.
     """
 
@@ -39,6 +40,14 @@ class CoinStream:
             return np.zeros(0, dtype=np.uint8)
         raw = self._bitgen.random_raw(count)
         return (raw >> 63).astype(np.uint8)
+
+    def below(self, bound: int) -> int:
+        """One integer in [0, bound): the next raw output modulo ``bound``."""
+        return int(self._bitgen.random_raw() % bound)
+
+    def seed64(self) -> int:
+        """The next raw output, as an unsigned 64-bit seed."""
+        return int(self._bitgen.random_raw())
 
 
 def pair_index(n: int, u: int, v: int) -> int:

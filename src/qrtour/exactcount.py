@@ -1,4 +1,4 @@
-"""Exact even/odd cycle counting via integer powers of the sign matrix.
+"""Exact even/odd cycle counting via traces of powers of the sign matrix.
 
 A k-cycle is a vertex sequence (v1..vk) with no vertex repeated immediately,
 cyclically (so v1 != v2, ..., vk != v1); repeated non-adjacent vertices are
@@ -13,109 +13,92 @@ oracle for it.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Tournament, edge_sign, sign_array
+from .core import Tournament, _is_prime, edge_sign, sign_array
 from .errors import InternalInvariantError, ResourceLimitError
-
-# int64 matrix products are used only when n * max|a| * max|b| stays below
-# this bound, which makes every intermediate sum representable; otherwise the
-# multiply falls back to Python integers (numpy object dtype), which never
-# overflow.
-_INT64_SAFE_BOUND = 2**62
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
 
 
-class SignMatrix:
-    """Dense square matrix of exact integers.
+@functools.lru_cache(maxsize=None)
+def _prime(bits: int, index: int) -> int:
+    """The (index+1)-th largest prime p with m * (p/2 + 2)**2 < 2**53, where
+    m = 2**bits - 1 is the largest n of that bit length.
 
-    Multiplication is exact at any magnitude: a provably-safe int64 fast
-    path, with arbitrary-precision Python integers beyond it.
+    Signed residues mod p are at most p/2 + 1 in magnitude (see ``_mod``), so
+    every dot product of two length-n residue vectors, and every partial sum
+    a BLAS kernel forms on the way, is an integer below 2**53: float64
+    products of residue matrices are exact.
     """
-
-    __slots__ = ("n", "_a")
-
-    def __init__(self, array: np.ndarray):
-        a = np.asarray(array)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"square matrix required, got shape {a.shape}")
-        if a.dtype != object:
-            a = a.astype(np.int64)
-        self.n = a.shape[0]
-        self._a = a
-
-    @classmethod
-    def from_rows(cls, rows) -> "SignMatrix":
-        return cls(np.array([[int(x) for x in row] for row in rows], dtype=object))
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
-    def rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
-
-    def trace(self) -> int:
-        return sum(int(self._a[i, i]) for i in range(self.n))
-
-    def max_abs(self) -> int:
-        if self.n == 0:
-            return 0
-        return int(np.max(np.abs(self._a)))
-
-    def __matmul__(self, other: "SignMatrix") -> "SignMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        a, b = self._a, other._a
-        if a.dtype != object and b.dtype != object:
-            bound = self.n * self.max_abs() * other.max_abs()
-            if bound < _INT64_SAFE_BOUND:
-                return SignMatrix(a @ b)
-        return SignMatrix(a.astype(object) @ b.astype(object))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignMatrix)
-            and self.n == other.n
-            and bool(np.array_equal(self._a, other._a))
-        )
-
-    def __repr__(self) -> str:
-        return f"SignMatrix({self.rows()!r})"
+    if index:
+        p = _prime(bits, index - 1) - 1
+    else:
+        p = math.isqrt((2**55 - 1) // (2**bits - 1)) - 4
+    while not _is_prime(p):
+        p -= 1
+    return p
 
 
-def sign_matrix(t: Tournament) -> SignMatrix:
-    """Exact sign adjacency matrix of a tournament (skew-symmetric, +-1)."""
-    return SignMatrix(sign_array(t))
+def _mod(src: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Signed residues of the exact integers in ``src`` into ``out``.
+
+    The float quotient src/p may round so that rint lands one step off the
+    nearest integer; the residue then still lies within p/2 + 1 of zero, and
+    both q*p and the difference are exact integers below 2**53.
+    """
+    np.divide(src, p, out=out)
+    np.rint(out, out=out)
+    out *= p
+    return np.subtract(src, out, out=out)
 
 
-def mat_pow(m: SignMatrix, k: int) -> SignMatrix:
-    """m**k by binary exponentiation; exact at any size."""
+def power_trace(t: Tournament, k: int) -> int:
+    """tr(A^k) as an exact integer, for the sign matrix A of ``t``.
+
+    Splits k = lo + hi with lo = k // 2, computes X = A^lo and Y = A^hi
+    (Y = X, or X*A for odd k) with float64 BLAS products of signed residues
+    modulo each of a few primes, takes tr(X Y) = sum_ij X_ij Y_ji mod p row
+    by row, and joins the residues by the Chinese remainder theorem.  Enough
+    primes are used for their product to exceed 2 n (n-1)**(k-1), twice the
+    largest possible |tr(A^k)| (a walk of k steps has n-1 choices at each of
+    its first k-1 steps).
+    """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"exponent must be a positive integer, got {k!r}")
-    result = None
-    base = m
-    while True:
-        if k & 1:
-            result = base if result is None else result @ base
-        k >>= 1
-        if not k:
-            return result
-        base = base @ base
-
-
-def mat_pow_trace(m: SignMatrix, k: int) -> int:
-    """tr(m**k) as an exact integer."""
-    p = mat_pow(m, k)
-    if m.max_abs() <= 1 and p.max_abs() > m.n ** max(k - 1, 0):
-        # entries of the k-th power of a +-1 matrix are bounded by n**(k-1)
+    n = t.n
+    bound = n * (n - 1) ** (k - 1)
+    a = sign_array(t).astype(np.float64)
+    lo = k // 2
+    x = np.empty_like(a)
+    buf = np.empty_like(a)
+    y = np.empty_like(a) if k % 2 else x
+    residue, modulus, index = 0, 1, 0
+    while modulus <= 2 * bound:
+        p = _prime(n.bit_length(), index)
+        index += 1
+        np.copyto(x, a if lo else np.eye(n))
+        for bit in bin(lo)[3:]:
+            _mod(np.matmul(x, x, out=buf), p, x)
+            if bit == "1":
+                _mod(np.matmul(x, a, out=buf), p, x)
+        if k % 2:
+            _mod(np.matmul(x, a, out=buf), p, y)
+        rows = np.multiply(x, y.T, out=buf).sum(axis=1)
+        r = int(_mod(rows, p, np.empty_like(rows)).sum()) % p
+        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+    trace = residue - modulus if 2 * residue > modulus else residue
+    if abs(trace) > bound:
         raise InternalInvariantError(
-            f"power entries exceed the n**(k-1) growth bound (n={m.n}, k={k})"
+            f"|tr(A^{k})| exceeds the n*(n-1)**(k-1) growth bound (n={n})"
         )
-    return p.trace()
+    return trace
 
 
 def total_cycles(n: int, k: int) -> int:
@@ -159,7 +142,7 @@ def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     n = t.n
-    trace = mat_pow_trace(sign_matrix(t), k)
+    trace = power_trace(t, k)
     total = total_cycles(n, k)
     if k % 2 == 0:
         if (trace + total) % 2 != 0:

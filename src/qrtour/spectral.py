@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Tournament, sign_array
 from .errors import InternalInvariantError
+from .exactcount import power_trace
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,9 @@ def moment_crosscheck(
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"moment comparison needs even k >= 2, got {k}")
-    from .exactcount import mat_pow_trace, sign_matrix
-
     if summary is None or summary.singular_values is None:
         summary = full_spectrum(t)
-    exact = mat_pow_trace(sign_matrix(t), k)
+    exact = power_trace(t, k)
     sign = -1.0 if (k // 2) % 2 else 1.0
     approx = sign * float(np.sum(np.asarray(summary.singular_values) ** k))
     return abs(exact - approx) / max(1, abs(exact))

@@ -1,8 +1,10 @@
 """Tests for the tournament model, generators, and .trn serialization."""
 
+import numpy as np
 import pytest
 
 from qrtour import (
+    CoinStream,
     GeneratorSpec,
     ParseError,
     Tournament,
@@ -146,6 +148,15 @@ class TestGenerators:
             random_tournament(5, -1)
         with pytest.raises(ValueError):
             random_tournament(5, 2**64)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_coin_stream_draws_share_one_raw_stream(self, seed):
+        raw = [int(x) for x in np.random.PCG64(seed).random_raw(6)]
+        seeds = CoinStream(seed)
+        assert [seeds.seed64() for _ in range(6)] == raw
+        bounded = CoinStream(seed)
+        assert [bounded.below(1000) for _ in range(6)] == [x % 1000 for x in raw]
+        assert CoinStream(seed).take(6).tolist() == [x >> 63 for x in raw]
 
     def test_generate_dispatch(self):
         assert generate(GeneratorSpec("transitive", 4)) == transitive_tournament(4)

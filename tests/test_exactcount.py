@@ -1,11 +1,12 @@
-"""Tests for exact matrix powering and even/odd cycle counting.
+"""Tests for exact matrix-power traces and even/odd cycle counting.
 
 All frozen expected values were derived by independent means: hand
 multiplication of the 3x3 circulant, eigenvalue arithmetic (the cyclic
-triangle has eigenvalue moduli {sqrt(3), sqrt(3), 0}), and the enumeration
-oracle itself.
+triangle has eigenvalue moduli {sqrt(3), sqrt(3), 0}), a plain
+Python-integer matrix power written here, and the enumeration oracle itself.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,21 +15,19 @@ import qrtour.exactcount as exactcount
 from qrtour import (
     InternalInvariantError,
     ResourceLimitError,
-    SignMatrix,
     brute_force_count,
     cycle_parity,
     ec_bound_check,
     even_cycles_trace,
-    mat_pow,
-    mat_pow_trace,
+    power_trace,
     random_tournament,
     relabel,
     reverse,
     rotational_tournament,
-    sign_matrix,
     total_cycles,
     transitive_tournament,
 )
+from qrtour.core import sign_array
 
 SEEDS = [0, 1, 7, 42, 99]
 
@@ -36,82 +35,111 @@ C3 = rotational_tournament(3)
 TT3 = transitive_tournament(3)
 
 
+def reference_trace(t, k):
+    """tr(A^k) by k-1 schoolbook products of Python-integer lists, with A
+    read straight from the orientation bits (lexicographic pair order)."""
+    n = t.n
+    bits = iter(t.bits)
+    a = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            a[u][v] = 1 if next(bits) else -1
+            a[v][u] = -a[u][v]
+    m = a
+    for _ in range(k - 1):
+        m = [[sum(row[w] * a[w][j] for w in range(n)) for j in range(n)] for row in m]
+    return sum(m[i][i] for i in range(n))
+
+
 class TestSignMatrix:
+    """Entries of ``core.sign_array``, the matrix whose powers are traced."""
+
     def test_c3_entries(self):
-        assert sign_matrix(C3).rows() == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+        assert sign_array(C3).tolist() == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
     def test_tt3_entries(self):
-        assert sign_matrix(TT3).rows() == [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+        assert sign_array(TT3).tolist() == [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
 
     def test_single_vertex(self):
-        assert sign_matrix(transitive_tournament(1)).rows() == [[0]]
+        assert sign_array(transitive_tournament(1)).tolist() == [[0]]
 
     def test_skew_symmetry(self):
         for seed in SEEDS:
-            m = sign_matrix(random_tournament(10, seed))
-            rows = m.rows()
+            rows = sign_array(random_tournament(10, seed)).tolist()
             for u in range(10):
                 assert rows[u][u] == 0
                 for v in range(10):
                     assert rows[u][v] == -rows[v][u]
 
-    def test_from_rows_and_equality(self):
-        m = SignMatrix.from_rows([[0, 1], [-1, 0]])
-        assert m == sign_matrix(transitive_tournament(2))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            SignMatrix.from_rows([[0, 1, 1], [-1, 0, 1]])
-
-    def test_matmul(self):
-        m = sign_matrix(C3)
-        assert (m @ m).rows() == [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
-
 
 class TestMatPowTrace:
+    """tr(A^k) through ``power_trace``."""
+
     def test_square_trace_is_minus_n_pairs(self):
         # every off-diagonal pair contributes A_uv * A_vu = -1
         for t in [C3, TT3, transitive_tournament(7), random_tournament(13, 5)]:
-            assert mat_pow_trace(sign_matrix(t), 2) == -t.n * (t.n - 1)
+            assert power_trace(t, 2) == -t.n * (t.n - 1)
 
     def test_c3_fourth_power(self):
-        assert mat_pow_trace(sign_matrix(C3), 4) == 18
+        assert power_trace(C3, 4) == 18
 
     def test_c3_sixth_power(self):
-        assert mat_pow_trace(sign_matrix(C3), 6) == -54
+        assert power_trace(C3, 6) == -54
 
     def test_rejects_zero_exponent(self):
         with pytest.raises(ValueError):
-            mat_pow_trace(sign_matrix(C3), 0)
+            power_trace(C3, 0)
 
     def test_first_power(self):
-        assert mat_pow_trace(sign_matrix(TT3), 1) == 0
-        assert mat_pow(sign_matrix(TT3), 1) == sign_matrix(TT3)
+        assert power_trace(TT3, 1) == 0
 
     def test_odd_powers_vanish(self):
         for seed in SEEDS:
-            m = sign_matrix(random_tournament(9, seed))
+            t = random_tournament(9, seed)
             for k in (3, 5, 7, 9):
-                assert mat_pow_trace(m, k) == 0
+                assert power_trace(t, k) == 0
 
     def test_large_power_exceeds_int64(self):
         # C3 eigenvalue moduli are {sqrt(3), sqrt(3), 0}, so
         # tr(A^k) = +-2 * 3**(k/2) for even k; at k >= 82 this passes 2**63
-        m = sign_matrix(C3)
-        assert mat_pow_trace(m, 100) == 2 * 3**50
-        assert mat_pow_trace(m, 102) == -2 * 3**51
-
-    def test_object_path_matches_int64_path(self, monkeypatch):
-        expected = {k: mat_pow_trace(sign_matrix(C3), k) for k in (2, 4, 5, 6)}
-        monkeypatch.setattr(exactcount, "_INT64_SAFE_BOUND", 0)
-        for k, value in expected.items():
-            assert mat_pow_trace(sign_matrix(C3), k) == value
+        assert power_trace(C3, 100) == 2 * 3**50
+        assert power_trace(C3, 102) == -2 * 3**51
 
     def test_two_vertex_powers(self):
         # A^2 = -I, so traces alternate between +-2 with period 4
-        m = sign_matrix(transitive_tournament(2))
-        assert mat_pow_trace(m, 200) == 2
-        assert mat_pow_trace(m, 202) == -2
+        t = transitive_tournament(2)
+        assert power_trace(t, 200) == 2
+        assert power_trace(t, 202) == -2
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 9, 16, 24])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 25, 40])
+    def test_matches_python_integer_reference(self, n, k):
+        t = random_tournament(n, 1000 + n)
+        assert power_trace(t, k) == reference_trace(t, k)
+
+    def test_reference_cases_span_several_primes(self):
+        # n=40, k=24 needs six primes, so the reference cases exercise the
+        # CRT join; each prime keeps products exact for every n < 64
+        primes = [exactcount._prime(6, i) for i in range(6)]
+        assert math.prod(primes[:5]) <= 2 * 40 * 39**23 < math.prod(primes)
+        assert all(63 * (p + 4) ** 2 < 2**55 for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
+
+    def test_residue_error_trips_growth_bound(self, monkeypatch):
+        # one wrong residue reconstructs to a value far outside [-bound, bound]
+        real = exactcount._mod
+        primes = []
+
+        def off_by_one(src, p, out):
+            real(src, p, out)
+            if src.ndim == 1 and not primes:
+                primes.append(p)
+                out[0] += 1
+            return out
+
+        monkeypatch.setattr(exactcount, "_mod", off_by_one)
+        with pytest.raises(InternalInvariantError):
+            power_trace(random_tournament(12, 3), 16)
 
 
 class TestTotalCycles:
@@ -280,11 +308,11 @@ class TestBoundCheck:
 
 def test_trace_sign_structure():
     for seed in SEEDS:
-        m = sign_matrix(random_tournament(20, seed))
+        t = random_tournament(20, seed)
         for k in (4, 8, 12):
-            assert mat_pow_trace(m, k) >= 0
+            assert power_trace(t, k) >= 0
         for k in (2, 6, 10):
-            assert mat_pow_trace(m, k) <= 0
+            assert power_trace(t, k) <= 0
 
 
 def test_report_invariant_validation():
