@@ -28,6 +28,7 @@ from .core import (
     generate,
     paley_tournament,
     random_tournament,
+    relabel,
     rotational_tournament,
 )
 from .discrepancy import (
@@ -419,30 +420,23 @@ def _cmd_bench(args) -> int:
     t0 = time.perf_counter()
     for n in ns:
         t = random_tournament(n, 0)
-        count_ms = []
-        spectrum_ms = []
+        perm = range(n - 1, -1, -1)
+        steps = {
+            "count_ms": lambda: even_cycles_trace(t, args.k),
+            "spectrum_ms": lambda: lambda1(t),
+            "codec_ms": lambda: decode(encode(t)),
+            "relabel_ms": lambda: relabel(t, perm),
+        }
+        times = {name: [] for name in steps}
         for _ in range(args.repeat):
-            t1 = time.perf_counter()
-            even_cycles_trace(t, args.k)
-            count_ms.append((time.perf_counter() - t1) * 1000.0)
-            t1 = time.perf_counter()
-            lambda1(t)
-            spectrum_ms.append((time.perf_counter() - t1) * 1000.0)
-        rows.append(
-            {
-                "n": n,
-                "count_ms": {
-                    "min": min(count_ms),
-                    "median": statistics.median(count_ms),
-                    "max": max(count_ms),
-                },
-                "spectrum_ms": {
-                    "min": min(spectrum_ms),
-                    "median": statistics.median(spectrum_ms),
-                    "max": max(spectrum_ms),
-                },
-            }
-        )
+            for name, step in steps.items():
+                t1 = time.perf_counter()
+                step()
+                times[name].append((time.perf_counter() - t1) * 1000.0)
+        row = {"n": n}
+        for name, ms in times.items():
+            row[name] = {"min": min(ms), "median": statistics.median(ms), "max": max(ms)}
+        rows.append(row)
     # informational scaling estimate: log-log slope of median count time
     exponent = None
     if len(rows) >= 2 and rows[0]["count_ms"]["median"] > 0:
@@ -541,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="time counting and spectral runs across sizes")
+    p = sub.add_parser(
+        "bench", help="time counting, spectral, codec and relabel runs across sizes"
+    )
     p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--repeat", type=int, default=1)

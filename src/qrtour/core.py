@@ -66,14 +66,17 @@ class Tournament:
     bits: bytes
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        if not isinstance(self.bits, bytes):
+            # a mutable buffer would make the value unhashable (and mutable)
+            object.__setattr__(self, "bits", memoryview(self.bits).tobytes())
         expected = self.n * (self.n - 1) // 2
         if len(self.bits) != expected:
             raise ValueError(
                 f"need {expected} orientation bits for n={self.n}, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if np.frombuffer(self.bits, dtype=np.uint8).max(initial=0) > 1:
             raise ValueError("orientation bits must be 0 or 1")
 
 
@@ -128,21 +131,23 @@ def d_minus(t: Tournament, v: int, ys: Iterable[int]) -> int:
     return sum(1 for y in s if y != v and edge_sign(t, v, y) < 0)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def sign_array(t: Tournament) -> np.ndarray:
-    """The n x n sign adjacency matrix as a read-only int64 array.
+    """The n x n sign adjacency matrix as a read-only int8 array.
 
     Entry (u, v) is +1 if u -> v, -1 if v -> u, 0 on the diagonal; the
     matrix is skew-symmetric.  Derived on demand from the orientation bits,
-    cached because tournaments are immutable.
+    cached because tournaments are immutable.  Consumers widen it (float64
+    products, int64 sums) before any arithmetic that could overflow int8.
     """
     n = t.n
-    a = np.zeros((n, n), dtype=np.int64)
-    if n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        b = np.frombuffer(t.bits, dtype=np.uint8).astype(np.int64)
-        a[iu, ju] = 2 * b - 1
-        a[ju, iu] = 1 - 2 * b
+    signs = np.frombuffer(t.bits, dtype=np.int8) * 2 - 1
+    upper = np.zeros((n, n), dtype=np.int8)
+    start = 0
+    for u in range(n - 1):  # row u holds the pairs (u, v), v > u
+        upper[u, u + 1 :] = signs[start : start + n - 1 - u]
+        start += n - 1 - u
+    a = upper - upper.T
     a.setflags(write=False)
     return a
 
@@ -168,16 +173,18 @@ def transitive_tournament(n: int) -> Tournament:
     return Tournament(n, b"\x01" * (n * (n - 1) // 2))
 
 
+def _circulant(n: int, arc: np.ndarray) -> Tournament:
+    """Tournament with u -> v (u < v) iff arc[v - u] is 1: row u of the bit
+    string is arc[1 : n - u]."""
+    view = memoryview(arc.astype(np.uint8).tobytes())
+    return Tournament(n, b"".join(view[1 : n - u] for u in range(n)))
+
+
 def rotational_tournament(n: int) -> Tournament:
     """Circulant tournament on odd n: i -> j iff (j - i) mod n in 1..(n-1)/2."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"rotational family needs odd n >= 3, got {n}")
-    half = (n - 1) // 2
-    bits = bytearray()
-    for u in range(n):
-        for v in range(u + 1, n):
-            bits.append(1 if (v - u) % n <= half else 0)
-    return Tournament(n, bytes(bits))
+    return _circulant(n, np.arange(n) <= (n - 1) // 2)
 
 
 def _is_prime(p: int) -> bool:
@@ -204,12 +211,10 @@ def paley_tournament(p: int) -> Tournament:
     """
     if not _is_prime(p) or p % 4 != 3:
         raise ValueError(f"paley family needs a prime p with p % 4 == 3, got {p}")
-    residues = {pow(x, 2, p) for x in range(1, p)}
-    bits = bytearray()
-    for u in range(p):
-        for v in range(u + 1, p):
-            bits.append(1 if (v - u) % p in residues else 0)
-    return Tournament(p, bytes(bits))
+    residue = np.zeros(p, dtype=bool)
+    x = np.arange(1, p, dtype=np.int64)
+    residue[x * x % p] = True
+    return _circulant(p, residue)
 
 
 def generate(spec: GeneratorSpec) -> Tournament:
@@ -232,25 +237,22 @@ def generate(spec: GeneratorSpec) -> Tournament:
 
 def reverse(t: Tournament) -> Tournament:
     """Flip the orientation of every edge."""
-    return Tournament(t.n, bytes(1 - b for b in t.bits))
+    return Tournament(t.n, (np.frombuffer(t.bits, dtype=np.uint8) ^ 1).tobytes())
 
 
 def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
     """Rename vertex i to perm[i]; the edge set is carried along."""
     n = t.n
-    p = [int(x) for x in perm]
-    if sorted(p) != list(range(n)):
+    p = np.asarray(list(perm))
+    if p.size and p.dtype.kind not in "iu":
+        raise ValueError(f"perm entries must be integers, got dtype {p.dtype}")
+    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}")
-    inv = [0] * n
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    bits = bytearray(n * (n - 1) // 2)
-    idx = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            bits[idx] = 1 if edge_sign(t, inv[a], inv[b]) > 0 else 0
-            idx += 1
-    return Tournament(n, bytes(bits))
+    inv = np.empty(n, dtype=np.intp)
+    inv[p] = np.arange(n)
+    # new u beats new v iff old inv[u] beats old inv[v]; keep the upper triangle
+    won = sign_array(t).take(inv, 0).take(inv, 1) > 0
+    return Tournament(n, b"".join(won[u, u + 1 :].tobytes() for u in range(n)))
 
 
 # --- .trn serialization -------------------------------------------------
@@ -262,8 +264,8 @@ def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
 
 def encode(t: Tournament) -> bytes:
     """Serialize to the .trn text format."""
-    bits = bytes(0x30 + b for b in t.bits)
-    return b"%s %d\n%s\n" % (_TRN_MAGIC, t.n, bits)
+    text = (np.frombuffer(t.bits, dtype=np.uint8) + 0x30).tobytes()
+    return b"%s %d\n%s\n" % (_TRN_MAGIC, t.n, text)
 
 
 def decode(data: bytes) -> Tournament:
@@ -293,9 +295,11 @@ def decode(data: bytes) -> Tournament:
             f"expected {expected} orientation bits, found {end - body_start}",
             body_start,
         )
-    for i in range(body_start, end):
-        if data[i] not in (0x30, 0x31):
-            raise ParseError(f"illegal character {chr(data[i])!r} in bit string", i)
+    # '0'/'1' become 0/1; every other byte wraps to a value above 1
+    bits = np.frombuffer(data, dtype=np.uint8, count=expected, offset=body_start) - 0x30
+    if bits.max(initial=0) > 1:
+        i = body_start + int(np.argmax(bits > 1))
+        raise ParseError(f"illegal character {chr(data[i])!r} in bit string", i)
     if end + 1 != len(data):
         raise ParseError("trailing data after final newline", end + 1)
-    return Tournament(n, bytes(b - 0x30 for b in data[body_start:end]))
+    return Tournament(n, bits.tobytes())

@@ -123,7 +123,8 @@ def disc_exhaustive(
             f"exhaustive sweep is guarded to n <= {guard}, got {n}; "
             "use the local-search method instead"
         )
-    cols = np.ascontiguousarray(sign_array(t).T)
+    # int64 rows, so each step adds like to like instead of casting int8
+    cols = np.ascontiguousarray(sign_array(t).T, dtype=np.int64)
     diff = np.zeros(n, dtype=np.int64)
     best_value = 0
     best_mask = 0
@@ -175,7 +176,7 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     n = t.n
-    cols = np.ascontiguousarray(sign_array(t).T)
+    cols = np.ascontiguousarray(sign_array(t).T, dtype=np.int64)  # as in disc_exhaustive
     coins = CoinStream(seed)
     best_value = -1
     best_member = None

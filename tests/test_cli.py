@@ -221,8 +221,10 @@ class TestBench:
     def test_repeat_statistics(self, capsys):
         code, report = run_json(capsys, "bench", "--sizes", "10", "--k", "4", "--repeat", "3")
         assert code == 0
-        stats = report["results"]["rows"][0]["count_ms"]
-        assert stats["min"] <= stats["median"] <= stats["max"]
+        row = report["results"]["rows"][0]
+        for name in ("count_ms", "spectrum_ms", "codec_ms", "relabel_ms"):
+            stats = row[name]
+            assert stats["min"] <= stats["median"] <= stats["max"]
 
     def test_empty_sizes(self, capsys):
         code, _ = run(capsys, "bench", "--sizes", "")

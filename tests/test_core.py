@@ -21,6 +21,7 @@ from qrtour import (
     rotational_tournament,
     transitive_tournament,
 )
+from qrtour.core import sign_array
 
 SEEDS = [0, 1, 7, 42, 1234567, 2**63 + 11]
 
@@ -58,6 +59,38 @@ class TestTournamentModel:
     def test_bad_bit_values(self):
         with pytest.raises(ValueError):
             Tournament(2, b"\x02")
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            bytearray(b"\x01\x00\x01"),
+            memoryview(b"\x01\x00\x01"),
+            np.array([1, 0, 1], dtype=np.uint8),
+        ],
+        ids=["bytearray", "memoryview", "uint8-array"],
+    )
+    def test_bytes_like_bits_stored_as_bytes(self, bits):
+        t = Tournament(3, bits)
+        assert type(t.bits) is bytes
+        assert t == c3() and hash(t) == hash(c3())
+        assert sign_array(t).tolist() == sign_array(c3()).tolist()
+
+    def test_stored_bits_do_not_alias_the_input(self):
+        buf = bytearray(b"\x01\x00\x01")
+        t = Tournament(3, buf)
+        buf[0] = 0
+        assert t == c3()
+
+    def test_non_buffer_bits_rejected(self):
+        with pytest.raises(TypeError):
+            Tournament(3, [1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "n, bits", [(True, b""), (False, b""), (2.0, b"\x01"), (np.int64(2), b"\x01")]
+    )
+    def test_vertex_count_must_be_int(self, n, bits):
+        with pytest.raises(ValueError):
+            Tournament(n, bits)
 
     def test_degrees_on_c3(self):
         t = c3()
@@ -208,6 +241,21 @@ class TestSymmetries:
         with pytest.raises(ValueError):
             relabel(t, [0, 1])
 
+    @pytest.mark.parametrize(
+        "perm", [[0.0, 1.9, 2.2], [2.0, 0.0, 1.0], ["0", "1", "2"]]
+    )
+    def test_relabel_rejects_non_integer_entries(self, perm):
+        with pytest.raises(ValueError):
+            relabel(transitive_tournament(3), perm)
+
+    def test_relabel_accepts_numpy_integers(self):
+        t = random_tournament(5, 3)
+        perm = [2, 4, 0, 1, 3]
+        expected = relabel(t, perm)
+        assert relabel(t, np.array(perm, dtype=np.int32)) == expected
+        assert relabel(t, np.array(perm, dtype=np.uint64)) == expected
+        assert relabel(t, [np.int64(x) for x in perm]) == expected
+
 
 class TestTrnFormat:
     def test_encode_c3(self):
@@ -273,3 +321,84 @@ class TestTrnFormat:
     )
     def test_roundtrip_families(self, t):
         assert decode(encode(t)) == t
+
+
+# --- the vectorized core against per-pair definitions ------------------
+#
+# The references below walk every pair in Python, the way the definitions
+# read; they share no code with the array operations in qrtour.core.
+
+
+def _relabel_reference(t, perm):
+    inv = [0] * t.n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return bytes(
+        1 if edge_sign(t, inv[a], inv[b]) > 0 else 0
+        for a in range(t.n)
+        for b in range(a + 1, t.n)
+    )
+
+
+def _circulant_reference(n, arcs):
+    return bytes(1 if (v - u) % n in arcs else 0 for u in range(n) for v in range(u + 1, n))
+
+
+class TestVectorizedCore:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_relabel_matches_pair_loop(self, n):
+        t = random_tournament(n, n)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(n).tolist()
+            assert relabel(t, perm).bits == _relabel_reference(t, perm)
+
+    @pytest.mark.parametrize("n", [3, 7, 11, 43, 103])
+    def test_rotational_matches_pair_loop(self, n):
+        arcs = set(range(1, (n - 1) // 2 + 1))
+        assert rotational_tournament(n).bits == _circulant_reference(n, arcs)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 43, 103])
+    def test_paley_matches_pair_loop(self, p):
+        residues = {x * x % p for x in range(1, p)}
+        assert paley_tournament(p).bits == _circulant_reference(p, residues)
+
+    @pytest.mark.parametrize(
+        "t",
+        [random_tournament(300, 5), paley_tournament(307), rotational_tournament(301)],
+        ids=["random", "paley", "rotational"],
+    )
+    def test_reverse_twice_is_identity(self, t):
+        once = reverse(t)
+        assert once.bits == bytes(1 - b for b in t.bits)
+        assert reverse(once) == t
+
+    def test_codec_roundtrip_n300(self):
+        t = random_tournament(300, 17)
+        data = encode(t)
+        assert data == b"TRN1 300\n" + bytes(48 + b for b in t.bits) + b"\n"
+        assert decode(data) == t
+
+    def test_decode_reports_first_of_several_illegal_bytes(self):
+        body = bytearray(b"01" * 14)  # n = 8: 28 bits
+        body[5] = ord("x")
+        body[9] = ord("/")  # just below '0'
+        body[20] = ord("2")  # just above '1'
+        with pytest.raises(ParseError) as exc:
+            decode(b"TRN1 8\n" + bytes(body) + b"\n")
+        assert exc.value.position == len(b"TRN1 8\n") + 5
+        assert "'x'" in str(exc.value)
+        body[5] = ord("1")
+        with pytest.raises(ParseError) as exc:
+            decode(b"TRN1 8\n" + bytes(body) + b"\n")
+        assert exc.value.position == len(b"TRN1 8\n") + 9
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_sign_array_int8_readonly_skew(self, n):
+        t = random_tournament(n, n)
+        a = sign_array(t)
+        assert a.dtype == np.int8 and a.shape == (n, n)
+        assert not a.flags.writeable
+        assert (a == -a.T).all()
+        for u in range(n):
+            for v in range(n):
+                assert a[u, v] == edge_sign(t, u, v)
