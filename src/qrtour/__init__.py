@@ -59,6 +59,7 @@ from .spectral import (
     moment_crosscheck,
     quasirandom_certificate,
 )
+from . import verify
 
 __all__ = [
     "__version__",
@@ -102,5 +103,6 @@ __all__ = [
     "spectral_upper_bound",
     "total_cycles",
     "transitive_tournament",
+    "verify",
     "witness_vectors",
 ]

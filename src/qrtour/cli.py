@@ -9,6 +9,7 @@ Exit codes are a stable contract for scripting:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import statistics
@@ -18,18 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .core import (
-    CoinStream,
     GeneratorSpec,
     Tournament,
     decode,
     encode,
     generate,
-    paley_tournament,
     random_tournament,
     relabel,
-    rotational_tournament,
 )
 from .discrepancy import (
     DiscrepancyReport,
@@ -37,15 +35,9 @@ from .discrepancy import (
     disc_localsearch,
     disc_sample,
 )
-from .errors import InternalInvariantError, ParseError, ResourceLimitError
-from .exactcount import (
-    brute_force_count,
-    ec_bound_check,
-    even_cycles_trace,
-    power_trace,
-    total_cycles,
-)
-from .spectral import SpectralSummary, full_spectrum, lambda1, moment_crosscheck
+from .errors import InternalInvariantError, ResourceLimitError
+from .exactcount import brute_force_count, even_cycles_trace
+from .spectral import SpectralSummary, full_spectrum, lambda1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,50 +47,17 @@ EXIT_RESOURCE = 4
 EXIT_INVARIANT = 5
 
 
-# --- JSON rendering -----------------------------------------------------
-# Floats are printed with 17 significant digits so every double round-trips
-# exactly; the stock json module prints shortest-repr instead.
-
-
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{inner}"{k}": {_render(v, indent + 1)}' for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def render_json(value) -> str:
-    return _render(value, 0)
+    """Indented JSON; floats in shortest round-trip form, NaN and inf refused."""
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+@contextlib.contextmanager
+def _timed(timings: dict, phase: str):
+    """Record the wall time of the block, in milliseconds, as ``timings[phase]``."""
+    start = time.perf_counter()
+    yield
+    timings[phase] = (time.perf_counter() - start) * 1000.0
 
 
 def _digest(data: bytes) -> str:
@@ -135,10 +94,12 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_tournament(path: str) -> tuple[Tournament, str]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return decode(data), _digest(data)
+def _load_tournament(path: str, timings: dict) -> tuple[Tournament, str]:
+    with _timed(timings, "load"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        t, digest = decode(data), _digest(data)
+    return t, digest
 
 
 def _summary_fields(s: SpectralSummary, n: int) -> dict:
@@ -171,20 +132,18 @@ def _cmd_gen(args) -> int:
     if size is None:
         raise ValueError("--p is required for paley, --n for every other family")
     spec = GeneratorSpec(kind=args.type, n=size, seed=args.seed)
-    t0 = time.perf_counter()
-    t = generate(spec)
-    data = encode(t)
-    build_ms = (time.perf_counter() - t0) * 1000.0
-    t1 = time.perf_counter()
-    with open(args.out, "wb") as fh:
+    timings: dict = {}
+    with _timed(timings, "build"):
+        t = generate(spec)
+        data = encode(t)
+    with _timed(timings, "write"), open(args.out, "wb") as fh:
         fh.write(data)
-    write_ms = (time.perf_counter() - t1) * 1000.0
     report = _run_report(
         "gen",
         None,
         {"type": args.type, "n": t.n, "seed": args.seed, "out": args.out},
         {"path": args.out, "n": t.n, "digest": _digest(data)},
-        {"build": build_ms, "write": write_ms},
+        timings,
     )
     _emit(report, None)
     return EXIT_OK
@@ -193,15 +152,12 @@ def _cmd_gen(args) -> int:
 def _cmd_count(args) -> int:
     if args.k < 2:
         raise ValueError(f"--k must be at least 2, got {args.k}")
-    t0 = time.perf_counter()
-    t, digest = _load_tournament(args.file)
-    load_ms = (time.perf_counter() - t0) * 1000.0
+    timings: dict = {}
+    t, digest = _load_tournament(args.file, timings)
     results: dict = {"k": args.k, "method": args.method, "n": t.n}
-    timings = {"load": load_ms}
     if args.method in ("trace", "both"):
-        t1 = time.perf_counter()
-        rep = even_cycles_trace(t, args.k)
-        timings["trace"] = (time.perf_counter() - t1) * 1000.0
+        with _timed(timings, "trace"):
+            rep = even_cycles_trace(t, args.k)
         results.update(
             total=rep.total,
             even=rep.even,
@@ -210,9 +166,8 @@ def _cmd_count(args) -> int:
             even_fraction=_fraction_fields(rep.even_fraction),
         )
     if args.method in ("brute", "both"):
-        t1 = time.perf_counter()
-        even, odd = brute_force_count(t, args.k, limit=args.limit)
-        timings["brute"] = (time.perf_counter() - t1) * 1000.0
+        with _timed(timings, "brute"):
+            even, odd = brute_force_count(t, args.k, limit=args.limit)
         if args.method == "both":
             if (even, odd) != (results["even"], results["odd"]):
                 raise InternalInvariantError(
@@ -242,35 +197,31 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
-    t, digest = _load_tournament(args.file)
-    load_ms = (time.perf_counter() - t0) * 1000.0
-    t1 = time.perf_counter()
-    summary = full_spectrum(t) if args.full else lambda1(t)
-    solve_ms = (time.perf_counter() - t1) * 1000.0
+    timings: dict = {}
+    t, digest = _load_tournament(args.file, timings)
+    with _timed(timings, "solve"):
+        summary = full_spectrum(t) if args.full else lambda1(t)
     report = _run_report(
         "spectrum",
         digest,
         {"file": args.file, "full": args.full},
         _summary_fields(summary, t.n),
-        {"load": load_ms, "solve": solve_ms},
+        timings,
     )
     _emit(report, args.out)
     return EXIT_OK
 
 
 def _cmd_disc(args) -> int:
-    t0 = time.perf_counter()
-    t, digest = _load_tournament(args.file)
-    load_ms = (time.perf_counter() - t0) * 1000.0
-    t1 = time.perf_counter()
-    if args.method == "exhaustive":
-        rep = disc_exhaustive(t)
-    elif args.method == "local":
-        rep = disc_localsearch(t, restarts=args.restarts, seed=args.seed)
-    else:
-        rep = disc_sample(t, samples=args.restarts, seed=args.seed)
-    search_ms = (time.perf_counter() - t1) * 1000.0
+    timings: dict = {}
+    t, digest = _load_tournament(args.file, timings)
+    with _timed(timings, "search"):
+        if args.method == "exhaustive":
+            rep = disc_exhaustive(t)
+        elif args.method == "local":
+            rep = disc_localsearch(t, restarts=args.restarts, seed=args.seed)
+        else:
+            rep = disc_sample(t, samples=args.restarts, seed=args.seed)
     report = _run_report(
         "disc",
         digest,
@@ -281,113 +232,16 @@ def _cmd_disc(args) -> int:
             "seed": args.seed,
         },
         _disc_fields(rep),
-        {"load": load_ms, "search": search_ms},
+        timings,
     )
     _emit(report, args.out)
     return EXIT_OK
 
 
-# --- verification suites ------------------------------------------------
-
-
-def _check(name: str, ok: bool, detail: str = "") -> dict:
-    entry = {"check": name, "pass": bool(ok)}
-    if detail:
-        entry["detail"] = detail
-    return entry
-
-
-def _verify_claims(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Trace structure on random tournaments: zero for odd k, signed for even k."""
-    rng = CoinStream(seed)
-    odd_fail = sign_fail = ""
-    for _ in range(trials):
-        n = 2 + rng.below(max(nmax - 1, 1))
-        t = random_tournament(n, rng.seed64())
-        for k in (3, 5, 7):
-            if power_trace(t, k) != 0:
-                odd_fail = odd_fail or f"tr(A^{k}) != 0 at n={n}"
-        for k in (4, 6, 8, 12):
-            tr = power_trace(t, k)
-            if (k % 4 == 0 and tr < 0) or (k % 4 == 2 and tr > 0):
-                sign_fail = sign_fail or f"tr(A^{k}) = {tr} has the wrong sign at n={n}"
-        if power_trace(t, 2) != -n * (n - 1):
-            sign_fail = sign_fail or f"tr(A^2) != -n(n-1) at n={n}"
-    return [
-        _check("odd_power_trace_zero", not odd_fail, odd_fail),
-        _check("even_power_trace_sign", not sign_fail, sign_fail),
-    ]
-
-
-def _verify_bounds(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Even-count bound on random draws plus the named families."""
-    rng = CoinStream(seed)
-    tournaments = []
-    for _ in range(trials):
-        n = 2 + rng.below(max(nmax - 1, 1))
-        tournaments.append(random_tournament(n, rng.seed64()))
-    tournaments.append(generate(GeneratorSpec("transitive", max(nmax, 3))))
-    odd_n = max(nmax, 3) | 1
-    tournaments.append(generate(GeneratorSpec("rotational", odd_n)))
-    tournaments.append(generate(GeneratorSpec("paley", 19)))
-    fail = ""
-    for t in tournaments:
-        for k in (4, 6, 8, 12):
-            res = ec_bound_check(t, k)
-            if not res.satisfied:
-                fail = fail or f"bound violated at n={t.n}, k={k}"
-    return [_check("even_count_bound", not fail, fail)]
-
-
-def _verify_crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Trace counts vs enumeration at small n, and exact-vs-spectral moments
-    on random draws plus the circulant and Paley families."""
-    rng = CoinStream(seed)
-    fail = ""
-    for n in range(3, 9):
-        for _ in range(2):
-            t = random_tournament(n, rng.seed64())
-            for k in range(2, 7):
-                rep = even_cycles_trace(t, k)
-                even, odd = brute_force_count(t, k)
-                if (rep.even, rep.odd) != (even, odd):
-                    fail = fail or f"trace vs enumeration mismatch at n={n}, k={k}"
-                if even + odd != total_cycles(n, k):
-                    fail = fail or f"enumeration total mismatch at n={n}, k={k}"
-    checks = [_check("trace_vs_enumeration", not fail, fail)]
-    tournaments = []
-    for _ in range(min(trials, 10)):
-        n = 4 + rng.below(max(min(nmax, 60) - 3, 1))
-        tournaments.append(random_tournament(n, rng.seed64()))
-    tournaments += [rotational_tournament(n) for n in (9, 15, 21, 33)]
-    tournaments += [paley_tournament(p) for p in (7, 11, 19)]
-    mfail = ""
-    for t in tournaments:
-        summary = full_spectrum(t)
-        for k in (2, 4, 6, 8, 10):
-            err = moment_crosscheck(t, k, summary=summary)
-            if err > 1e-8:
-                mfail = mfail or f"moment gap {err:.2e} at n={t.n}, k={k}"
-    checks.append(_check("exact_vs_spectral_moments", not mfail, mfail))
-    return checks
-
-
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.nmax < 2:
-        raise ValueError(f"--nmax must be at least 2, got {args.nmax}")
-    suites = {
-        "claims": _verify_claims,
-        "bounds": _verify_bounds,
-        "crosscheck": _verify_crosscheck,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    checks = []
-    t0 = time.perf_counter()
-    for name in names:
-        checks.extend(suites[name](args.trials, args.nmax, args.seed))
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    timings: dict = {}
+    with _timed(timings, "verify"):
+        checks = verify.run(args.suite, args.trials, args.nmax, args.seed)
     all_passed = all(c["pass"] for c in checks)
     report = _run_report(
         "verify",
@@ -399,7 +253,7 @@ def _cmd_verify(args) -> int:
             "seed": args.seed,
         },
         {"checks": checks, "all_passed": all_passed},
-        {"verify": elapsed},
+        timings,
     )
     _emit(report, args.out)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
@@ -417,26 +271,31 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     rows = []
-    t0 = time.perf_counter()
-    for n in ns:
-        t = random_tournament(n, 0)
-        perm = range(n - 1, -1, -1)
-        steps = {
-            "count_ms": lambda: even_cycles_trace(t, args.k),
-            "spectrum_ms": lambda: lambda1(t),
-            "codec_ms": lambda: decode(encode(t)),
-            "relabel_ms": lambda: relabel(t, perm),
-        }
-        times = {name: [] for name in steps}
-        for _ in range(args.repeat):
-            for name, step in steps.items():
-                t1 = time.perf_counter()
-                step()
-                times[name].append((time.perf_counter() - t1) * 1000.0)
-        row = {"n": n}
-        for name, ms in times.items():
-            row[name] = {"min": min(ms), "median": statistics.median(ms), "max": max(ms)}
-        rows.append(row)
+    timings: dict = {}
+    with _timed(timings, "bench"):
+        for n in ns:
+            t = random_tournament(n, 0)
+            perm = range(n - 1, -1, -1)
+            steps = {
+                "count_ms": lambda: even_cycles_trace(t, args.k),
+                "spectrum_ms": lambda: lambda1(t),
+                "codec_ms": lambda: decode(encode(t)),
+                "relabel_ms": lambda: relabel(t, perm),
+            }
+            laps = []
+            for _ in range(args.repeat):
+                lap: dict = {}
+                for name, step in steps.items():
+                    with _timed(lap, name):
+                        step()
+                laps.append(lap)
+            row = {"n": n}
+            for name in steps:
+                ms = [lap[name] for lap in laps]
+                row[name] = {
+                    "min": min(ms), "median": statistics.median(ms), "max": max(ms)
+                }
+            rows.append(row)
     # informational scaling estimate: log-log slope of median count time
     exponent = None
     if len(rows) >= 2 and rows[0]["count_ms"]["median"] > 0:
@@ -449,15 +308,14 @@ def _cmd_bench(args) -> int:
     csv_lines = ["n,count_ms_median,spectrum_ms_median"]
     for row in rows:
         csv_lines.append(
-            f"{row['n']},{_format_float(row['count_ms']['median'])},"
-            f"{_format_float(row['spectrum_ms']['median'])}"
+            f"{row['n']},{row['count_ms']['median']!r},{row['spectrum_ms']['median']!r}"
         )
     report = _run_report(
         "bench",
         None,
         {"sizes": ns, "k": args.k, "repeat": args.repeat},
         {"rows": rows, "scaling_exponent": exponent, "csv": "\n".join(csv_lines)},
-        {"bench": (time.perf_counter() - t0) * 1000.0},
+        timings,
     )
     _emit(report, args.out)
     return EXIT_OK
@@ -527,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property-check suites")
     p.add_argument(
-        "--suite", choices=["claims", "bounds", "crosscheck", "all"], default="all"
+        "--suite", choices=[*verify.SUITES, "all"], default="all"
     )
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--nmax", type=int, default=30)
@@ -554,9 +412,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

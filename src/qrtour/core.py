@@ -110,11 +110,14 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
     return -1 if t.bits[pair_index(t.n, v, u)] else 1
 
 
-def _check_subset(n: int, ys: Iterable[int]) -> frozenset:
-    s = frozenset(int(y) for y in ys)
-    for y in s:
+def _check_subset(n: int, ys: Iterable[int]) -> tuple[int, ...]:
+    """The distinct vertices of ``ys`` in increasing order."""
+    s = sorted(set(ys))
+    # sorted, so the two ends bound the range; one entry per type checks the rest
+    per_type = {type(y): y for y in s}
+    for y in (*s[:1], *s[-1:], *per_type.values()):
         _check_vertex(n, y, "subset vertex")
-    return s
+    return tuple(s)
 
 
 def d_plus(t: Tournament, v: int, ys: Iterable[int]) -> int:

@@ -16,11 +16,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CoinStream, Tournament, sign_array
+from .core import CoinStream, Tournament, _check_subset, sign_array
 from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
 
-DEFAULT_EXHAUSTIVE_GUARD = 24
+EXHAUSTIVE_MAX_N = 24  # the Gray-code sweep is 2^n * n work
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,15 @@ class DiscrepancyReport:
     witness_signs: tuple[int, ...]  # sign of d+(v, best_Y) - d-(v, best_Y) per v
 
 
-def _validated_subset(n: int, ys: Iterable[int]) -> tuple[int, ...]:
-    s = sorted({int(y) for y in ys})
-    if s and (s[0] < 0 or s[-1] >= n):
-        bad = s[0] if s[0] < 0 else s[-1]
-        raise ValueError(f"subset vertex {bad} out of range for n={n}")
-    return tuple(s)
-
-
-def _diff_vector(a: np.ndarray, ys: tuple[int, ...]) -> np.ndarray:
-    # d+(v, Y) - d-(v, Y) = sum over y in Y of A[v, y]
-    if not ys:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    return a[:, list(ys)].sum(axis=1, dtype=np.int64)
+def _diff_vector(a: np.ndarray, ys: tuple[int, ...] | np.ndarray) -> np.ndarray:
+    # d+(v, Y) - d-(v, Y) = sum over y in Y of A[v, y]; zeros for an empty Y
+    return a[:, ys].sum(axis=1, dtype=np.int64)
 
 
 def disc_given(t: Tournament, xs: Iterable[int], ys: Iterable[int]) -> int:
     """Exact discrepancy of the pair (X, Y)."""
-    xset = _validated_subset(t.n, xs)
-    yset = _validated_subset(t.n, ys)
+    xset = _check_subset(t.n, xs)
+    yset = _check_subset(t.n, ys)
     if not xset or not yset:
         return 0
     d = _diff_vector(sign_array(t), yset)
@@ -67,7 +57,7 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
     nothing, so the realized value is unchanged and the witness is canonical
     and reversal-symmetric).  The value equals x^T A y = disc_given(V, Y).
     """
-    yset = _validated_subset(t.n, ys)
+    yset = _check_subset(t.n, ys)
     d = _diff_vector(sign_array(t), yset)
     x = tuple(int(v) for v in np.sign(d))
     return x, int(np.abs(d).sum())
@@ -105,22 +95,20 @@ def _build_report(
 
 def disc_given_report(t: Tournament, ys: Iterable[int]) -> DiscrepancyReport:
     """Full report for a caller-chosen Y (method "given")."""
-    return _build_report(t, "given", _validated_subset(t.n, ys))
+    return _build_report(t, "given", _check_subset(t.n, ys))
 
 
-def disc_exhaustive(
-    t: Tournament, guard: int = DEFAULT_EXHAUSTIVE_GUARD
-) -> DiscrepancyReport:
+def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
     """Exact maximum of disc_given(V, Y) over all 2^n subsets Y.
 
     Visits subsets in Gray-code order, so each step flips one vertex and the
     difference counters update in O(n); ties keep the lowest Gray index.
-    Guarded because the sweep is 2^n * n work.
+    Refuses n > EXHAUSTIVE_MAX_N.
     """
     n = t.n
-    if n > guard:
+    if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(
-            f"exhaustive sweep is guarded to n <= {guard}, got {n}; "
+            f"exhaustive sweep is guarded to n <= {EXHAUSTIVE_MAX_N}, got {n}; "
             "use the local-search method instead"
         )
     # int64 rows, so each step adds like to like instead of casting int8
@@ -148,9 +136,7 @@ def disc_exhaustive(
 def _hill_climb(cols: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, int]:
     """First-improvement single-flip ascent with fixed scan order 0..n-1."""
     n = member.shape[0]
-    diff = cols[member].sum(axis=0, dtype=np.int64) if member.any() else np.zeros(
-        n, dtype=np.int64
-    )
+    diff = cols[member].sum(axis=0, dtype=np.int64)
     value = int(np.abs(diff).sum())
     improved = True
     while improved:
@@ -198,15 +184,11 @@ def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
     a = sign_array(t)
     coins = CoinStream(seed)
     best_value = -1
-    best_member = None
+    best_ys = None
     for _ in range(samples):
-        member = coins.take(n).astype(bool)
-        d = a[:, member].sum(axis=1, dtype=np.int64) if member.any() else np.zeros(
-            n, dtype=np.int64
-        )
-        value = int(np.abs(d).sum())
+        ys = np.flatnonzero(coins.take(n))
+        value = int(np.abs(_diff_vector(a, ys)).sum())
         if value > best_value:
             best_value = value
-            best_member = member
-    ys = tuple(int(v) for v in np.flatnonzero(best_member))
-    return _build_report(t, "sample", ys, best_value)
+            best_ys = ys
+    return _build_report(t, "sample", tuple(int(v) for v in best_ys), best_value)

@@ -1,0 +1,129 @@
+"""Property-check suites over seeded tournaments.
+
+``claims`` checks the trace structure (tr(A^k) is 0 for odd k and has the
+sign of (-1)^(k/2) for even k), ``bounds`` the even-cycle count bound, and
+``crosscheck`` trace counts against enumeration and exact moments against
+the spectrum.  Every draw comes from one CoinStream, so the checks are a pure
+function of (suite, trials, nmax, seed).
+"""
+
+from __future__ import annotations
+
+from .core import (
+    CoinStream,
+    GeneratorSpec,
+    generate,
+    paley_tournament,
+    random_tournament,
+    rotational_tournament,
+)
+from .exactcount import (
+    brute_force_count,
+    ec_bound_check,
+    even_cycles_trace,
+    power_trace,
+    total_cycles,
+)
+from .spectral import full_spectrum, moment_crosscheck
+
+
+def _check(name: str, ok: bool, detail: str = "") -> dict:
+    entry = {"check": name, "pass": bool(ok)}
+    if detail:
+        entry["detail"] = detail
+    return entry
+
+
+def _claims(trials: int, nmax: int, seed: int) -> list[dict]:
+    """Trace structure on random tournaments: zero for odd k, signed for even k."""
+    rng = CoinStream(seed)
+    odd_fail = sign_fail = ""
+    for _ in range(trials):
+        n = 2 + rng.below(max(nmax - 1, 1))
+        t = random_tournament(n, rng.seed64())
+        for k in (3, 5, 7):
+            if power_trace(t, k) != 0:
+                odd_fail = odd_fail or f"tr(A^{k}) != 0 at n={n}"
+        for k in (4, 6, 8, 12):
+            tr = power_trace(t, k)
+            if (k % 4 == 0 and tr < 0) or (k % 4 == 2 and tr > 0):
+                sign_fail = sign_fail or f"tr(A^{k}) = {tr} has the wrong sign at n={n}"
+        if power_trace(t, 2) != -n * (n - 1):
+            sign_fail = sign_fail or f"tr(A^2) != -n(n-1) at n={n}"
+    return [
+        _check("odd_power_trace_zero", not odd_fail, odd_fail),
+        _check("even_power_trace_sign", not sign_fail, sign_fail),
+    ]
+
+
+def _bounds(trials: int, nmax: int, seed: int) -> list[dict]:
+    """Even-count bound on random draws plus the named families."""
+    rng = CoinStream(seed)
+    tournaments = []
+    for _ in range(trials):
+        n = 2 + rng.below(max(nmax - 1, 1))
+        tournaments.append(random_tournament(n, rng.seed64()))
+    tournaments.append(generate(GeneratorSpec("transitive", max(nmax, 3))))
+    odd_n = max(nmax, 3) | 1
+    tournaments.append(generate(GeneratorSpec("rotational", odd_n)))
+    tournaments.append(generate(GeneratorSpec("paley", 19)))
+    fail = ""
+    for t in tournaments:
+        for k in (4, 6, 8, 12):
+            res = ec_bound_check(t, k)
+            if not res.satisfied:
+                fail = fail or f"bound violated at n={t.n}, k={k}"
+    return [_check("even_count_bound", not fail, fail)]
+
+
+def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
+    """Trace counts vs enumeration at small n, and exact-vs-spectral moments
+    on random draws plus the circulant and Paley families."""
+    rng = CoinStream(seed)
+    fail = ""
+    for n in range(3, 9):
+        for _ in range(2):
+            t = random_tournament(n, rng.seed64())
+            for k in range(2, 7):
+                rep = even_cycles_trace(t, k)
+                even, odd = brute_force_count(t, k)
+                if (rep.even, rep.odd) != (even, odd):
+                    fail = fail or f"trace vs enumeration mismatch at n={n}, k={k}"
+                if even + odd != total_cycles(n, k):
+                    fail = fail or f"enumeration total mismatch at n={n}, k={k}"
+    checks = [_check("trace_vs_enumeration", not fail, fail)]
+    tournaments = []
+    for _ in range(min(trials, 10)):
+        n = 4 + rng.below(max(min(nmax, 60) - 3, 1))
+        tournaments.append(random_tournament(n, rng.seed64()))
+    tournaments += [rotational_tournament(n) for n in (9, 15, 21, 33)]
+    tournaments += [paley_tournament(p) for p in (7, 11, 19)]
+    mfail = ""
+    for t in tournaments:
+        summary = full_spectrum(t)
+        for k in (2, 4, 6, 8, 10):
+            err = moment_crosscheck(t, k, summary=summary)
+            if err > 1e-8:
+                mfail = mfail or f"moment gap {err:.2e} at n={t.n}, k={k}"
+    checks.append(_check("exact_vs_spectral_moments", not mfail, mfail))
+    return checks
+
+
+SUITES = {"claims": _claims, "bounds": _bounds, "crosscheck": _crosscheck}
+
+
+def run(suite: str, trials: int, nmax: int, seed: int) -> list[dict]:
+    """Run one suite, or every suite in turn for ``suite="all"``.
+
+    Returns one entry per check: ``{"check": name, "pass": bool}``, plus a
+    ``"detail"`` string naming the first failure.  ``trials`` and ``nmax``
+    set the number and the largest size of the random draws.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if nmax < 2:
+        raise ValueError(f"nmax must be at least 2, got {nmax}")
+    names = list(SUITES) if suite == "all" else [suite]
+    return [check for name in names for check in SUITES[name](trials, nmax, seed)]

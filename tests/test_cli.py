@@ -249,6 +249,9 @@ class TestReportContract:
         for x in values:
             assert json.loads(render_json(x)) == x
 
+    def test_float_rendering_is_shortest_round_trip(self):
+        assert render_json(0.1) == "0.1"
+
     def test_float_rendering_keeps_float_type(self):
         assert isinstance(json.loads(render_json(3.0)), float)
 
