@@ -378,7 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=["exhaustive", "local", "sample"], default="exhaustive"
     )
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument(
+        "--restarts", type=int, default=8,
+        help="local-search restarts; with --method sample, the number of "
+        "subsets drawn (exhaustive ignores it)",
+    )
     p.add_argument("--seed", type=_seed_type, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_disc)

@@ -21,6 +21,7 @@ from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
 
 EXHAUSTIVE_MAX_N = 24  # the Gray-code sweep is 2^n * n work
+_BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,15 @@ def disc_given_report(t: Tournament, ys: Iterable[int]) -> DiscrepancyReport:
 def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
     """Exact maximum of disc_given(V, Y) over all 2^n subsets Y.
 
-    Visits subsets in Gray-code order, so each step flips one vertex and the
-    difference counters update in O(n); ties keep the lowest Gray index.
+    Visits subsets in Gray-code order, one block of 2^b at a time, where the
+    low b = min(n, _BLOCK_BITS) vertices vary inside a block and the high
+    vertices stay fixed.  A table holds the difference vectors of the 2^b
+    low subsets in Gray order; each block adds the high vertices' vector to
+    every column and scores the block with one numpy reduction, and between
+    blocks one high vertex flips, an O(n) update.  The reflected Gray code
+    walks the low half backwards in odd blocks, so those read the table
+    reversed.  Ties keep the lowest Gray index: the first maximum inside a
+    block, and a later block only on a strictly larger value.
     Refuses n > EXHAUSTIVE_MAX_N.
     """
     n = t.n
@@ -111,24 +119,34 @@ def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
             f"exhaustive sweep is guarded to n <= {EXHAUSTIVE_MAX_N}, got {n}; "
             "use the local-search method instead"
         )
-    # int64 rows, so each step adds like to like instead of casting int8
-    cols = np.ascontiguousarray(sign_array(t).T, dtype=np.int64)
-    diff = np.zeros(n, dtype=np.int64)
-    best_value = 0
-    best_mask = 0
-    prev_code = 0
-    for i in range(1, 1 << n):
-        code = i ^ (i >> 1)
-        flipped = (code ^ prev_code).bit_length() - 1
-        if code >> flipped & 1:
-            diff += cols[flipped]
-        else:
-            diff -= cols[flipped]
-        value = int(np.abs(diff).sum())
-        if value > best_value:
-            best_value = value
-            best_mask = code
-        prev_code = code
+    # int8 is exact: every difference is a sum of at most n-1 signs
+    a = sign_array(t)
+    b = min(n, _BLOCK_BITS)
+    # column j is the difference vector of the j-th low subset in Gray
+    # order.  The reflected code on k+1 bits is the code on k bits followed
+    # by its reverse with vertex k added, so each doubling appends that.
+    # Vertex-major (n x 2^b), so the reduction adds contiguous rows; the
+    # reversed table is copied for the same reason
+    table = np.zeros((n, 1), dtype=np.int8)
+    for k in range(b):
+        table = np.concatenate((table, table[:, ::-1] + a[:, k : k + 1]), axis=1)
+    reflected = np.ascontiguousarray(table[:, ::-1])
+    high = np.zeros((n, 1), dtype=np.int8)
+    best_value = -1
+    best_index = 0
+    for h in range(1 << (n - b)):
+        if h:
+            # step h of the Gray code flips the lowest set bit of h
+            flipped = (h & -h).bit_length() - 1
+            col = a[:, b + flipped : b + flipped + 1]
+            high += col if (h ^ (h >> 1)) >> flipped & 1 else -col
+        block = reflected if h & 1 else table
+        values = np.abs(block + high).sum(axis=0, dtype=np.int32)
+        j = int(values.argmax())
+        if values[j] > best_value:
+            best_value = int(values[j])
+            best_index = h << b | j
+    best_mask = best_index ^ (best_index >> 1)
     ys = tuple(v for v in range(n) if best_mask >> v & 1)
     return _build_report(t, "exhaustive", ys, best_value)
 
@@ -162,7 +180,8 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     n = t.n
-    cols = np.ascontiguousarray(sign_array(t).T, dtype=np.int64)  # as in disc_exhaustive
+    # int64 rows, so each step adds like to like instead of casting int8
+    cols = np.ascontiguousarray(sign_array(t).T, dtype=np.int64)
     coins = CoinStream(seed)
     best_value = -1
     best_member = None

@@ -16,6 +16,8 @@ from qrtour import (
     disc_given_report,
     disc_localsearch,
     disc_sample,
+    edge_sign,
+    paley_tournament,
     random_tournament,
     reverse,
     rotational_tournament,
@@ -23,6 +25,7 @@ from qrtour import (
     transitive_tournament,
     witness_vectors,
 )
+from qrtour import discrepancy
 
 SEEDS = [0, 2, 19, 71]
 
@@ -31,6 +34,30 @@ C3 = rotational_tournament(3)
 
 def disc_by_definition(t, xs, ys):
     return sum(abs(d_plus(t, v, ys) - d_minus(t, v, ys)) for v in xs)
+
+
+def gray_sweep_oracle(t):
+    """(value, best_Y) of the exhaustive sweep, by brute force.
+
+    Row i of the mask matrix M is the i-th subset in Gray order; every
+    subset's value comes from one product with the sign matrix, and the
+    first maximum (lowest Gray index) wins.
+    """
+    n = t.n
+    a = np.array([[edge_sign(t, u, v) for v in range(n)] for u in range(n)])
+    i = np.arange(1 << n)
+    m = ((i ^ (i >> 1))[:, None] >> np.arange(n)) & 1
+    values = np.abs(m @ a.T).sum(axis=1)
+    best = int(values.argmax())
+    return int(values[best]), tuple(int(v) for v in np.flatnonzero(m[best]))
+
+
+ORACLE_FAMILIES = {
+    "random": [random_tournament(n, s) for n in range(1, 15) for s in (0, 2, 19)],
+    "transitive": [transitive_tournament(n) for n in range(1, 15)],
+    "rotational": [rotational_tournament(n) for n in range(3, 15, 2)],
+    "paley": [paley_tournament(p) for p in (3, 7, 11)],
+}
 
 
 class TestDiscGiven:
@@ -166,6 +193,17 @@ class TestExhaustive:
                     best = max(best, disc_given(t, range(9), ys))
             assert disc_exhaustive(t).value == best
 
+    @pytest.mark.parametrize("block_bits", [None, 2, 3], ids=["default", "b2", "b3"])
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_matches_gray_oracle(self, family, block_bits, monkeypatch):
+        # small blocks put many block boundaries and reflected (odd) blocks
+        # into every n, so best_Y and the tie rule are checked across them
+        if block_bits is not None:
+            monkeypatch.setattr(discrepancy, "_BLOCK_BITS", block_bits)
+        for t in ORACLE_FAMILIES[family]:
+            rep = disc_exhaustive(t)
+            assert (rep.value, rep.best_Y) == gray_sweep_oracle(t), t.n
+
     def test_dominates_random_pairs(self):
         for seed in SEEDS:
             t = random_tournament(11, seed)
@@ -179,6 +217,18 @@ class TestExhaustive:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             disc_exhaustive(random_tournament(25, 0))
+
+    def test_guard_limit_is_accepted(self):
+        t = random_tournament(24, 3)
+        rep = disc_exhaustive(t)
+        assert rep.method == "exhaustive"
+        assert witness_vectors(t, rep.best_Y) == (rep.witness_signs, rep.value)
+
+    def test_n20_between_local_search_and_bound(self):
+        t = random_tournament(20, 5)
+        rep = disc_exhaustive(t)
+        assert disc_localsearch(t, restarts=4, seed=1).value <= rep.value
+        assert rep.value <= rep.spectral_bound
 
     def test_reverse_invariance(self):
         for seed in SEEDS:
@@ -255,8 +305,6 @@ class TestSpectralBound:
 
     def test_paley_normalized_bound_shrinks(self):
         # bound is p * sqrt(p), so the normalized value is 1/sqrt(p)
-        from qrtour import paley_tournament
-
         prev = 1.0
         for p in (7, 19, 43, 103):
             ratio = spectral_upper_bound(paley_tournament(p)) / p**2
