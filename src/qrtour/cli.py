@@ -281,6 +281,7 @@ def _cmd_bench(args) -> int:
                 "spectrum_ms": lambda: lambda1(t),
                 "codec_ms": lambda: decode(encode(t)),
                 "relabel_ms": lambda: relabel(t, perm),
+                "local_ms": lambda: disc_localsearch(t, restarts=8, seed=0),
             }
             laps = []
             for _ in range(args.repeat):
@@ -398,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "bench", help="time counting, spectral, codec and relabel runs across sizes"
+        "bench",
+        help="time counting, spectral, codec, relabel and local-search runs across sizes",
     )
     p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     p.add_argument("--k", type=int, default=4)

@@ -22,6 +22,8 @@ from .spectral import lambda1
 
 EXHAUSTIVE_MAX_N = 24  # the Gray-code sweep is 2^n * n work
 _BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
+_RESTART_CHUNK = 16  # local-search restarts climbed together, bounding their state
+_PRODUCT_ROWS = 64  # rows of the sign array per float32 product
 
 
 @dataclass(frozen=True)
@@ -151,24 +153,89 @@ def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
     return _build_report(t, "exhaustive", ys, best_value)
 
 
-def _hill_climb(cols: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, int]:
-    """First-improvement single-flip ascent with fixed scan order 0..n-1."""
-    n = member.shape[0]
-    diff = cols[member].sum(axis=0, dtype=np.int64)
-    value = int(np.abs(diff).sum())
-    improved = True
-    while improved:
-        improved = False
-        for u in range(n):
-            step = -1 if member[u] else 1
-            cand = diff + step * cols[u]
-            cand_value = int(np.abs(cand).sum())
-            if cand_value > value:
-                member[u] = not member[u]
-                diff = cand
-                value = cand_value
-                improved = True
-    return member, value
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _times_signs(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x @ a, for a float32 matrix x of small integers and the int8 sign array.
+
+    Works through _PRODUCT_ROWS rows of a at a time, so no float32 copy of
+    the whole n x n array is made and each product stays small.  Exact in
+    float32: every partial sum is an integer of magnitude at most 2n < 2^24.
+    """
+    out = x[:, :_PRODUCT_ROWS] @ a[:_PRODUCT_ROWS].astype(np.float32)
+    for lo in range(_PRODUCT_ROWS, a.shape[0], _PRODUCT_ROWS):
+        hi = lo + _PRODUCT_ROWS
+        out += x[:, lo:hi] @ a[lo:hi].astype(np.float32)
+    return out
+
+
+def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-improvement single-flip ascent from every row of ``member`` at once.
+
+    Each row climbs as a flip-by-flip search would: scan u = 0..n-1, flip u
+    whenever that strictly raises sum |d| (d is the row's difference
+    vector), and repeat until a full pass flips nothing.  A rejected
+    candidate leaves the state unchanged, so each step here takes the first
+    improving u cyclically from one past the row's last flip, and a row
+    stops when no u improves.  All n gains come from one identity that is
+    exact in integers: with s_u = -1 for u in Y (else +1) and
+    g = sign(d) @ A, flipping u changes sum |d| by
+    s_u g_u + #{i: d_i = 0} - [d_u = 0], since A[i, u] = +-1 for i != u.
+    After a flip, g changes only through the columns where some row's
+    sign(d) changed.
+
+    Returns the local maxima as a bool array and their values.
+    """
+    rows, n = member.shape
+    # d = member @ A^T, and A^T = -A; all state is float32, exact below 2^24
+    d = -_times_signs(member.astype(np.float32), a)
+    sgn = np.sign(d)
+    g = _times_signs(sgn, a)
+    s = np.where(member, np.float32(-1), np.float32(1))
+    start = np.zeros(rows, dtype=np.intp)
+    vertices = np.arange(n)
+    live = np.arange(rows)  # the original row of each row still climbing
+    values = np.zeros(rows, dtype=np.int64)
+    # each step raises sum |d| <= n(n-1) by at least 1 in every live row, or
+    # retires rows, so a correct sweep never takes more steps than this
+    steps_left = n * (n - 1) + rows
+    while live.size:
+        if not steps_left:
+            raise InternalInvariantError(
+                "local search outran its step bound: a flip did not raise the value"
+            )
+        steps_left -= 1
+        zero = d == 0
+        gain = s * g
+        gain += zero.sum(axis=1, keepdims=True, dtype=np.float32)
+        up = gain > zero
+        # argmax finds the first True: an improving u at or after start,
+        # else the first improving u of the next pass
+        scan = np.concatenate((up & (vertices >= start[:, None]), up), axis=1)
+        first = scan.argmax(axis=1)
+        at = np.arange(live.size)
+        stuck = ~scan[at, first]
+        if stuck.any():
+            member[live[stuck]] = s[stuck] < 0
+            values[live[stuck]] = np.abs(d[stuck]).sum(axis=1, dtype=np.int64)
+            keep = ~stuck
+            live, d, sgn, g, s, start = (
+                live[keep], d[keep], sgn[keep], g[keep], s[keep], start[keep]
+            )
+            continue
+        u = first % n
+        step = s[at, u]
+        d -= step[:, None] * a[u]  # d += step * A[:, u]
+        s[at, u] = -step
+        new = np.sign(d)
+        cols = np.flatnonzero((new != sgn).any(axis=0))
+        g += _times_signs(new[:, cols] - sgn[:, cols], a[cols])
+        sgn = new
+        start = u + 1
+    return member, values
 
 
 def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyReport:
@@ -176,29 +243,30 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
 
     Deterministic in (t, restarts, seed).  The result is a lower bound on
     the true maximum; ties across restarts keep the earliest restart.
+    Restarts climb together, _RESTART_CHUNK at a time, each from the next
+    n coins of the seed's stream.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    _check_count("restarts", restarts)
     n = t.n
-    # int64 rows, so each step adds like to like instead of casting int8
-    cols = np.ascontiguousarray(sign_array(t).T, dtype=np.int64)
+    a = sign_array(t)
     coins = CoinStream(seed)
     best_value = -1
     best_member = None
-    for _ in range(restarts):
-        member = coins.take(n).astype(bool)
-        member, value = _hill_climb(cols, member)
-        if value > best_value:
-            best_value = value
-            best_member = member.copy()
+    for done in range(0, restarts, _RESTART_CHUNK):
+        count = min(_RESTART_CHUNK, restarts - done)
+        member = coins.take(count * n).reshape(count, n).astype(bool)
+        member, values = _climb(a, member)
+        j = int(values.argmax())
+        if values[j] > best_value:
+            best_value = int(values[j])
+            best_member = member[j]
     ys = tuple(int(v) for v in np.flatnonzero(best_member))
     return _build_report(t, "local_search", ys, best_value)
 
 
 def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
     """Best of ``samples`` uniformly drawn subsets; a cheap lower bound."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_count("samples", samples)
     n = t.n
     a = sign_array(t)
     coins = CoinStream(seed)

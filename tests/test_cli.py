@@ -222,7 +222,7 @@ class TestBench:
         code, report = run_json(capsys, "bench", "--sizes", "10", "--k", "4", "--repeat", "3")
         assert code == 0
         row = report["results"]["rows"][0]
-        for name in ("count_ms", "spectrum_ms", "codec_ms", "relabel_ms"):
+        for name in ("count_ms", "spectrum_ms", "codec_ms", "relabel_ms", "local_ms"):
             stats = row[name]
             assert stats["min"] <= stats["median"] <= stats["max"]
 

@@ -1,5 +1,6 @@
 """Tests for subset discrepancy evaluation, search, and the spectral cap."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -50,6 +51,47 @@ def gray_sweep_oracle(t):
     values = np.abs(m @ a.T).sum(axis=1)
     best = int(values.argmax())
     return int(values[best]), tuple(int(v) for v in np.flatnonzero(m[best]))
+
+
+@functools.cache
+def flip_oracle_climbs(t, restarts, seed):
+    """(value, member, diff) of each restart's local maximum, one flip at a time.
+
+    Each restart draws n coins for its start Y, then scans u = 0..n-1,
+    repeating until a full pass takes no flip, and flips u whenever that
+    strictly raises sum |d|.
+    """
+    n = t.n
+    cols = [[edge_sign(t, v, u) for v in range(n)] for u in range(n)]
+    coins = CoinStream(seed)
+    climbs = []
+    for _ in range(restarts):
+        member = [bool(c) for c in coins.take(n)]
+        diff = [sum(cols[u][v] for u in range(n) if member[u]) for v in range(n)]
+        value = sum(abs(x) for x in diff)
+        improved = True
+        while improved:
+            improved = False
+            for u in range(n):
+                step = -1 if member[u] else 1
+                cand = [x + step * c for x, c in zip(diff, cols[u])]
+                cand_value = sum(abs(x) for x in cand)
+                if cand_value > value:
+                    member[u] = not member[u]
+                    diff, value = cand, cand_value
+                    improved = True
+        climbs.append((value, member, diff))
+    return climbs
+
+
+def best_climb(climbs):
+    """(value, best_Y, witness_signs) of the best climb; the earliest wins ties."""
+    best_value, best_member, best_diff = -1, None, None
+    for value, member, diff in climbs:
+        if value > best_value:
+            best_value, best_member, best_diff = value, member, diff
+    best_y = tuple(u for u, inside in enumerate(best_member) if inside)
+    return best_value, best_y, tuple((x > 0) - (x < 0) for x in best_diff)
 
 
 ORACLE_FAMILIES = {
@@ -249,7 +291,33 @@ class TestExhaustive:
             assert rep.normalized >= Fraction(2, 5)
 
 
+LOCAL_FAMILIES = {
+    "random": [random_tournament(n, s) for n in range(1, 41) for s in (0, 2, 19)],
+    "transitive": [transitive_tournament(n) for n in range(1, 31)],
+    "rotational": [rotational_tournament(n) for n in range(3, 42, 2)],
+    "paley": [paley_tournament(p) for p in (3, 7, 11, 19, 23, 31, 43)],
+}
+
+
 class TestLocalSearch:
+    @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["default", "chunk1", "chunk3"])
+    @pytest.mark.parametrize("family", LOCAL_FAMILIES)
+    def test_matches_flip_oracle(self, family, chunk, monkeypatch):
+        # chunks of 1 and 3 restarts put the earliest-restart tie rule
+        # across chunk boundaries; every fourth input keeps them quick
+        inputs = LOCAL_FAMILIES[family]
+        if chunk is not None:
+            monkeypatch.setattr(discrepancy, "_RESTART_CHUNK", chunk)
+            inputs = inputs[::4]
+        for t in inputs:
+            for restarts in (1, 2, 8, 9):
+                for seed in (0, 5):
+                    # restarts 1, 2 and 8 replay the first climbs of 9
+                    expected = best_climb(flip_oracle_climbs(t, 9, seed)[:restarts])
+                    rep = disc_localsearch(t, restarts=restarts, seed=seed)
+                    got = (rep.value, rep.best_Y, rep.witness_signs)
+                    assert got == expected, (t.n, restarts, seed)
+
     def test_c3_finds_optimum(self):
         for seed in (0, 1, 2, 3):
             assert disc_localsearch(C3, restarts=1, seed=seed).value == 2
@@ -276,6 +344,15 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             disc_localsearch(C3, restarts=0, seed=0)
 
+    @pytest.mark.parametrize("restarts", [True, False, 2.5, 2.0, "3", None])
+    def test_rejects_non_integer_restarts(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
+            disc_localsearch(C3, restarts=restarts, seed=0)
+
+    def test_numpy_integer_restarts(self):
+        t = random_tournament(12, 1)
+        assert disc_localsearch(t, np.int64(3), 4) == disc_localsearch(t, 3, 4)
+
     def test_single_vertex(self):
         assert disc_localsearch(transitive_tournament(1), restarts=2, seed=0).value == 0
 
@@ -292,6 +369,11 @@ class TestSample:
     def test_rejects_no_samples(self):
         with pytest.raises(ValueError):
             disc_sample(C3, samples=0, seed=0)
+
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 2.0, "3", None])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            disc_sample(C3, samples=samples, seed=0)
 
 
 class TestSpectralBound:

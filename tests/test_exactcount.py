@@ -9,6 +9,7 @@ Python-integer matrix power written here, and the enumeration oracle itself.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import qrtour.exactcount as exactcount
@@ -19,6 +20,8 @@ from qrtour import (
     cycle_parity,
     ec_bound_check,
     even_cycles_trace,
+    gram,
+    paley_tournament,
     power_trace,
     random_tournament,
     relabel,
@@ -110,6 +113,24 @@ class TestMatPowTrace:
         t = transitive_tournament(2)
         assert power_trace(t, 200) == 2
         assert power_trace(t, 202) == -2
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            random_tournament(60, 0),
+            random_tournament(200, 1),
+            paley_tournament(103),
+            rotational_tournament(101),
+            rotational_tournament(105),
+            transitive_tournament(50),
+        ],
+        ids=["random60", "random200", "paley103", "rotational101", "rotational105",
+             "transitive50"],
+    )
+    def test_fourth_power_is_gram_frobenius(self, t):
+        # A^2 = -G with G symmetric, so tr(A^4) = sum of G_ij^2: an oracle
+        # from the Gram matrix of the spectral layer, with no primes or CRT
+        assert power_trace(t, 4) == int((gram(t).astype(np.int64) ** 2).sum())
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6, 9, 16, 24])
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 25, 40])
