@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
+import os
+import platform
 import statistics
 import sys
 import time
@@ -259,6 +262,21 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
+def _environment() -> dict:
+    """The software and machine a bench ran on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _cmd_bench(args) -> int:
     sizes = [s for s in (p.strip() for p in args.sizes.split(",")) if s]
     if not sizes:
@@ -270,29 +288,35 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--k must be at least 2, got {args.k}")
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    rows = []
     timings: dict = {}
     with _timed(timings, "bench"):
+        cases = []
         for n in ns:
             t = random_tournament(n, 0)
             perm = range(n - 1, -1, -1)
-            steps = {
-                "count_ms": lambda: even_cycles_trace(t, args.k),
-                "spectrum_ms": lambda: lambda1(t),
-                "codec_ms": lambda: decode(encode(t)),
-                "relabel_ms": lambda: relabel(t, perm),
-                "local_ms": lambda: disc_localsearch(t, restarts=8, seed=0),
-            }
-            laps = []
-            for _ in range(args.repeat):
+            cases.append({
+                "count_ms": lambda t=t: even_cycles_trace(t, args.k),
+                "spectrum_ms": lambda t=t: lambda1(t),
+                "codec_ms": lambda t=t: decode(encode(t)),
+                "relabel_ms": lambda t=t, perm=perm: relabel(t, perm),
+                "local_ms": lambda t=t: disc_localsearch(t, restarts=8, seed=0),
+            })
+        # laps run round-robin over the sizes, so that a slow stretch of the
+        # process (BLAS start-up stalls) spreads over every row instead of
+        # landing on the first one
+        laps: list[list[dict]] = [[] for _ in ns]
+        for _ in range(args.repeat):
+            for steps, runs in zip(cases, laps):
                 lap: dict = {}
                 for name, step in steps.items():
                     with _timed(lap, name):
                         step()
-                laps.append(lap)
+                runs.append(lap)
+        rows = []
+        for n, runs in zip(ns, laps):
             row = {"n": n}
-            for name in steps:
-                ms = [lap[name] for lap in laps]
+            for name in runs[0]:
+                ms = [lap[name] for lap in runs]
                 row[name] = {
                     "min": min(ms), "median": statistics.median(ms), "max": max(ms)
                 }
@@ -315,7 +339,12 @@ def _cmd_bench(args) -> int:
         "bench",
         None,
         {"sizes": ns, "k": args.k, "repeat": args.repeat},
-        {"rows": rows, "scaling_exponent": exponent, "csv": "\n".join(csv_lines)},
+        {
+            "rows": rows,
+            "scaling_exponent": exponent,
+            "csv": "\n".join(csv_lines),
+            "environment": _environment(),
+        },
         timings,
     )
     _emit(report, args.out)
@@ -332,7 +361,9 @@ def _seed_type(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qrtour",
         description="Tournament analysis: exact even-cycle counts, spectral "

@@ -58,42 +58,126 @@ def _mod(src: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(src, out, out=out)
 
 
+# Rows of L and R reduced together per prime in ``_dot_mod``: about 2**16
+# entries, so the per-prime buffers stay small next to the n x n factors.
+_BLOCK_ENTRIES = 2**16
+
+
+def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
+    """sum_ij left_ij right_ij mod p, for exact integer arrays, in row blocks.
+
+    Both blocks are reduced to signed residues first, so every row sum of
+    their product is an exact integer below 2**53 (see ``_prime``).
+    """
+    n = left.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    lb = np.empty((min(step, n), n))
+    rb = np.empty_like(lb)
+    sums = np.empty(len(lb))
+    total = 0
+    for s in range(0, n, step):
+        x = _mod(left[s : s + step], p, lb[: min(step, n - s)])
+        if right is left:
+            np.square(x, out=x)
+        else:
+            x *= _mod(right[s : s + step], p, rb[: len(x)])
+        total += int(_mod(x.sum(axis=1), p, sums[: len(x)]).sum())
+    return total % p
+
+
+def _halving(j: int, memo: dict, product) -> np.ndarray:
+    """G^j = G^ceil(j/2) G^floor(j/2), recursively, from the powers in ``memo``."""
+    if j not in memo:
+        memo[j] = product(_halving((j + 1) // 2, memo, product),
+                          _halving(j // 2, memo, product))
+    return memo[j]
+
+
+def _frontier(j: int, e: int) -> set[int]:
+    """Exponents at most e where the halving recursion from G^j bottoms out."""
+    if j <= e:
+        return {j}
+    return _frontier((j + 1) // 2, e) | _frontier(j // 2, e)
+
+
+def _factors(k: int, powers: dict, product, a: np.ndarray):
+    """(L, R) with R = G^hi and L = G^lo, or G^lo A for odd k (see ``power_trace``)."""
+    m = k // 2
+    lo = m // 2
+    right = _halving(m - lo, powers, product)
+    if k % 2 == 0:
+        return _halving(lo, powers, product), right
+    return (product(_halving(lo, powers, product), a) if lo else a), right
+
+
+def _exact_exponent(n: int, hi: int, room: int) -> int:
+    """Largest j <= hi for which G^j is exact in float64.
+
+    A row of G = A^T A has absolute sum at most (n-1)**2 and entries at most
+    n-1 in magnitude, so every partial sum of a product forming G^j, by any
+    split of j, is at most (n-1)**(2j-1); that bound must stay below
+    ``room``.
+    """
+    e = min(hi, 1)
+    while e < hi and (n - 1) ** (2 * e + 1) < room:
+        e += 1
+    return e
+
+
 def power_trace(t: Tournament, k: int) -> int:
     """tr(A^k) as an exact integer, for the sign matrix A of ``t``.
 
-    Splits k = lo + hi with lo = k // 2, computes X = A^lo and Y = A^hi
-    (Y = X, or X*A for odd k) with float64 BLAS products of signed residues
-    modulo each of a few primes, takes tr(X Y) = sum_ij X_ij Y_ji mod p row
-    by row, and joins the residues by the Chinese remainder theorem.  Enough
-    primes are used for their product to exceed 2 n (n-1)**(k-1), twice the
-    largest possible |tr(A^k)| (a walk of k steps has n-1 choices at each of
-    its first k-1 steps).
+    With the Gram matrix G = A^T A = -A^2, m = k // 2, lo = m // 2 and
+    hi = m - lo: tr(A^k) = (-1)**m sum_ij L_ij R_ij, where R = G^hi and
+    L = G^lo (even k) or G^lo A (odd k); R is symmetric, so the trace of L R
+    is the entrywise sum.  G and its powers are formed once, in plain
+    float64, while every partial sum plus the largest prime p stays below
+    2**53 (so that ``_mod``'s q*p is exact as well); L and R are then
+    reduced modulo each of a few primes and summed there.  A factor too
+    large to be exact is finished per prime instead, by float64 BLAS
+    products of signed residues that start from the largest exact powers.
+    Enough primes are used for their product to exceed 2 n (n-1)**(k-1),
+    twice the largest possible |tr(A^k)| (a walk of k steps has n-1 choices
+    at each of its first k-1 steps), and the residues are joined by the
+    Chinese remainder theorem.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"exponent must be a positive integer, got {k!r}")
     n = t.n
     bound = n * (n - 1) ** (k - 1)
+    bits = n.bit_length()
+    room = 2**53 - _prime(bits, 0)
     a = sign_array(t).astype(np.float64)
-    lo = k // 2
-    x = np.empty_like(a)
-    buf = np.empty_like(a)
-    y = np.empty_like(a) if k % 2 else x
+    m = k // 2
+    lo, hi = m // 2, m - m // 2
+    e = _exact_exponent(n, hi, room)
+    powers = {1: a.T @ a}
+    if k <= 2:  # R = G^0 for k = 1, L = G^0 for k = 2
+        powers[0] = np.eye(n)
+    if hi <= e and (k % 2 == 0 or (n - 1) ** (2 * lo) < room):
+        factors, tail = _factors(k, powers, np.matmul, a), None
+    else:  # lo >= 1 here, since G^1 is always exact
+        need = _frontier(hi, e) | _frontier(lo, e)
+        tail = {j: _halving(j, powers, np.matmul) for j in need}
+    del powers  # free the intermediate powers
     residue, modulus, index = 0, 1, 0
     while modulus <= 2 * bound:
-        p = _prime(n.bit_length(), index)
+        p = _prime(bits, index)
         index += 1
-        np.copyto(x, a if lo else np.eye(n))
-        for bit in bin(lo)[3:]:
-            _mod(np.matmul(x, x, out=buf), p, x)
-            if bit == "1":
-                _mod(np.matmul(x, a, out=buf), p, x)
-        if k % 2:
-            _mod(np.matmul(x, a, out=buf), p, y)
-        rows = np.multiply(x, y.T, out=buf).sum(axis=1)
-        r = int(_mod(rows, p, np.empty_like(rows)).sum()) % p
+        if tail is None:
+            r = _dot_mod(*factors, p)
+        else:
+
+            def product(x, y):
+                return _mod(x @ y, p, np.empty_like(x))
+
+            residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
+            r = _dot_mod(*_factors(k, residues, product, a), p)
+            del residues
         residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-    trace = residue - modulus if 2 * residue > modulus else residue
+    total = residue - modulus if 2 * residue > modulus else residue
+    trace = -total if m % 2 else total
     if abs(trace) > bound:
         raise InternalInvariantError(
             f"|tr(A^{k})| exceeds the n*(n-1)**(k-1) growth bound (n={n})"

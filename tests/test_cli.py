@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
-from qrtour.cli import main, render_json
+import qrtour.cli as cli
+from qrtour.cli import build_parser, main, render_json
 
 
 def run(capsys, *argv):
@@ -230,10 +233,60 @@ class TestBench:
         code, _ = run(capsys, "bench", "--sizes", "")
         assert code == 2
 
+    def test_laps_interleave_sizes(self, capsys, monkeypatch):
+        seen = []
+        real = cli.even_cycles_trace
+
+        def record(t, k):
+            seen.append(t.n)
+            return real(t, k)
+
+        monkeypatch.setattr(cli, "even_cycles_trace", record)
+        code, report = run_json(capsys, "bench", "--sizes", "6,9,7", "--repeat", "3")
+        assert code == 0
+        assert seen == [6, 9, 7] * 3
+        assert [r["n"] for r in report["results"]["rows"]] == [6, 9, 7]
+
+    def test_repeated_size_keeps_its_rows(self, capsys):
+        code, report = run_json(capsys, "bench", "--sizes", "8,8", "--repeat", "2")
+        assert code == 0
+        assert [r["n"] for r in report["results"]["rows"]] == [8, 8]
+
+    def test_records_environment(self, capsys):
+        code, report = run_json(capsys, "bench", "--sizes", "8")
+        assert code == 0
+        env = report["results"]["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "cpu_count"}
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+
 
 class TestReportContract:
     def test_usage_error_on_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_keeps_reports(self, tmp_path, capsys):
+        # count, a usage error, disc, spectrum and count again through one
+        # parser give the reports of a fresh parser, timings aside
+        path = str(tmp_path / "r.trn")
+        run(capsys, "gen", "--type", "random", "--n", "12", "--seed", "4", "--out", path)
+        calls = [
+            ("count", path, "--k", "6"),
+            ("count", path, "--k", "many"),
+            ("disc", path, "--method", "local", "--restarts", "3"),
+            ("spectrum", path),
+            ("count", path, "--k", "6"),
+        ]
+        reused = [run_json(capsys, *argv) for argv in calls]
+        assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
+        assert strip_timings(reused[4][1]) == strip_timings(reused[0][1])
+        for (_, report), argv in zip(reused[2:4], calls[2:4]):
+            build_parser.cache_clear()
+            _, fresh = run_json(capsys, *argv)
+            assert strip_timings(report) == strip_timings(fresh)
 
     def test_reports_reproducible_modulo_timings(self, tmp_path, capsys):
         path = tmp_path / "r.trn"

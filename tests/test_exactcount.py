@@ -54,6 +54,26 @@ def reference_trace(t, k):
     return sum(m[i][i] for i in range(n))
 
 
+# three primes below 2**20: int64 products of residues stay below 2**63
+ORACLE_PRIMES = (1048573, 1048571, 1048559)
+
+
+def modular_trace(t, k, q):
+    """tr(A^k) mod q by binary powering of int64 matrices, each product
+    reduced mod q at once; A is read straight from the orientation bits."""
+    n = t.n
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.triu_indices(n, 1)] = np.frombuffer(t.bits, dtype=np.uint8).astype(np.int64) * 2 - 1
+    a = (a - a.T) % q
+    power = np.eye(n, dtype=np.int64)
+    while k:
+        if k & 1:
+            power = power @ a % q
+        a = a @ a % q
+        k >>= 1
+    return int(np.trace(power)) % q
+
+
 class TestSignMatrix:
     """Entries of ``core.sign_array``, the matrix whose powers are traced."""
 
@@ -145,6 +165,40 @@ class TestMatPowTrace:
         assert math.prod(primes[:5]) <= 2 * 40 * 39**23 < math.prod(primes)
         assert all(63 * (p + 4) ** 2 < 2**55 for p in primes)
         assert primes == sorted(set(primes), reverse=True)
+
+    @pytest.mark.parametrize(
+        "n, k", [(191, 16), (192, 16), (191, 17), (192, 17), (99, 17), (100, 17)]
+    )
+    @pytest.mark.parametrize("family", ["random", "transitive"])
+    def test_exactness_boundaries(self, family, n, k, monkeypatch):
+        # G^4 = (A^T A)^4 is formed exactly up to n = 191 and G^4 A up to
+        # n = 99; past them the last factor is finished modulo each prime.
+        # Both sides must agree with a modular oracle that shares no code
+        # with exactcount.
+        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
+        builds = []
+        real = exactcount._factors
+        monkeypatch.setattr(
+            exactcount, "_factors", lambda *args: builds.append(1) or real(*args)
+        )
+        trace = power_trace(t, k)
+        exact = (n == 191 and k == 16) or n <= 99
+        assert (len(builds) == 1) == exact
+        for q in ORACLE_PRIMES:
+            assert trace % q == modular_trace(t, k, q)
+
+    @pytest.mark.parametrize(
+        "n, hi, e", [(191, 4, 4), (192, 4, 3), (1553, 3, 3), (1554, 3, 2), (2, 40, 40)]
+    )
+    def test_exact_exponent_limits(self, n, hi, e):
+        room = 2**53 - exactcount._prime(n.bit_length(), 0)
+        assert exactcount._exact_exponent(n, hi, room) == e
+
+    def test_modular_tail_matches_reference(self):
+        # k = 48 at n = 40 needs G^12, past the exact limit G^5, so every
+        # prime finishes it from G^3
+        t = random_tournament(40, 3)
+        assert power_trace(t, 48) == reference_trace(t, 48)
 
     def test_residue_error_trips_growth_bound(self, monkeypatch):
         # one wrong residue reconstructs to a value far outside [-bound, bound]
