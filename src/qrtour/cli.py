@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -23,15 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, verify
-from .core import (
-    GeneratorSpec,
-    Tournament,
-    decode,
-    encode,
-    generate,
-    random_tournament,
-    relabel,
-)
+from .core import GeneratorSpec, decode, encode, generate, random_tournament, relabel
 from .discrepancy import (
     DiscrepancyReport,
     disc_exhaustive,
@@ -40,7 +33,7 @@ from .discrepancy import (
 )
 from .errors import InternalInvariantError, ResourceLimitError
 from .exactcount import brute_force_count, even_cycles_trace
-from .spectral import SpectralSummary, full_spectrum, lambda1
+from .spectral import full_spectrum, lambda1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,9 +43,26 @@ EXIT_RESOURCE = 4
 EXIT_INVARIANT = 5
 
 
+def _json_default(value):
+    """JSON form of the library values that stock ``json`` does not know."""
+    if isinstance(value, Fraction):
+        return {
+            "numerator": value.numerator,
+            "denominator": value.denominator,
+            "decimal": format(float(value), ".12g"),
+        }
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return vars(value)  # a report's fields, in declaration order
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(value) -> str:
-    """Indented JSON; floats in shortest round-trip form, NaN and inf refused."""
-    return json.dumps(value, indent=2, allow_nan=False)
+    """Indented JSON; floats in shortest round-trip form, NaN and inf refused.
+
+    A Fraction renders as its numerator, denominator and 12-digit decimal,
+    and a report dataclass as its fields.
+    """
+    return json.dumps(value, indent=2, allow_nan=False, default=_json_default)
 
 
 @contextlib.contextmanager
@@ -67,107 +77,30 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _fraction_fields(fr: Fraction | None) -> dict | None:
-    if fr is None:
-        return None
-    return {
-        "numerator": fr.numerator,
-        "denominator": fr.denominator,
-        "decimal": format(float(fr), ".12g"),
-    }
-
-
-def _run_report(command, digest, parameters, results, timings) -> dict:
-    return {
-        "command": command,
-        "tool_version": __version__,
-        "input_digest": digest,
-        "parameters": parameters,
-        "results": results,
-        "timings_ms": timings,
-    }
-
-
-def _emit(report: dict, out_path: str | None) -> None:
-    text = render_json(report) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_tournament(path: str, timings: dict) -> tuple[Tournament, str]:
-    with _timed(timings, "load"):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        t, digest = decode(data), _digest(data)
-    return t, digest
-
-
-def _summary_fields(s: SpectralSummary, n: int) -> dict:
-    fields = {
-        "lambda1_abs": s.lambda1_abs,
-        "lambda1_upper": s.lambda1_upper,
-        "ratio": s.lambda1_abs / n,
-    }
-    if s.singular_values is not None:
-        fields["singular_values"] = list(s.singular_values)
-    return fields
-
-
-def _disc_fields(rep: DiscrepancyReport) -> dict:
-    return {
-        "method": rep.method,
-        "best_Y": list(rep.best_Y),
-        "value": rep.value,
-        "normalized": _fraction_fields(rep.normalized),
-        "spectral_bound": rep.spectral_bound,
-        "witness_signs": list(rep.witness_signs),
-    }
-
-
 # --- commands -----------------------------------------------------------
+# Each takes the parsed arguments, the tournament read from ``args.file``
+# (None for commands without one) and the timings to add its phases to,
+# and returns the ``results`` of its report.
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, t, timings) -> dict:
     size = args.p if args.type == "paley" else args.n
     if size is None:
         raise ValueError("--p is required for paley, --n for every other family")
     spec = GeneratorSpec(kind=args.type, n=size, seed=args.seed)
-    timings: dict = {}
     with _timed(timings, "build"):
         t = generate(spec)
         data = encode(t)
     with _timed(timings, "write"), open(args.out, "wb") as fh:
         fh.write(data)
-    report = _run_report(
-        "gen",
-        None,
-        {"type": args.type, "n": t.n, "seed": args.seed, "out": args.out},
-        {"path": args.out, "n": t.n, "digest": _digest(data)},
-        timings,
-    )
-    _emit(report, None)
-    return EXIT_OK
+    return {"path": args.out, "n": t.n, "digest": _digest(data)}
 
 
-def _cmd_count(args) -> int:
-    if args.k < 2:
-        raise ValueError(f"--k must be at least 2, got {args.k}")
-    timings: dict = {}
-    t, digest = _load_tournament(args.file, timings)
+def _cmd_count(args, t, timings) -> dict:
     results: dict = {"k": args.k, "method": args.method, "n": t.n}
     if args.method in ("trace", "both"):
         with _timed(timings, "trace"):
-            rep = even_cycles_trace(t, args.k)
-        results.update(
-            total=rep.total,
-            even=rep.even,
-            odd=rep.odd,
-            trace=rep.trace,
-            even_fraction=_fraction_fields(rep.even_fraction),
-        )
+            results.update(vars(even_cycles_trace(t, args.k)))
     if args.method in ("brute", "both"):
         with _timed(timings, "brute"):
             even, odd = brute_force_count(t, args.k, limit=args.limit)
@@ -184,82 +117,37 @@ def _cmd_count(args) -> int:
                 even=even,
                 odd=odd,
                 trace=None,
-                even_fraction=_fraction_fields(
-                    Fraction(even, even + odd) if even + odd else None
-                ),
+                even_fraction=Fraction(even, even + odd) if even + odd else None,
             )
-    report = _run_report(
-        "count",
-        digest,
-        {"file": args.file, "k": args.k, "method": args.method, "limit": args.limit},
-        results,
-        timings,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    return results
 
 
-def _cmd_spectrum(args) -> int:
-    timings: dict = {}
-    t, digest = _load_tournament(args.file, timings)
+def _cmd_spectrum(args, t, timings) -> dict:
     with _timed(timings, "solve"):
         summary = full_spectrum(t) if args.full else lambda1(t)
-    report = _run_report(
-        "spectrum",
-        digest,
-        {"file": args.file, "full": args.full},
-        _summary_fields(summary, t.n),
-        timings,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    results = {
+        "lambda1_abs": summary.lambda1_abs,
+        "lambda1_upper": summary.lambda1_upper,
+        "ratio": summary.lambda1_abs / t.n,
+    }
+    if args.full:
+        results["singular_values"] = list(summary.singular_values)
+    return results
 
 
-def _cmd_disc(args) -> int:
-    timings: dict = {}
-    t, digest = _load_tournament(args.file, timings)
+def _cmd_disc(args, t, timings) -> DiscrepancyReport:
     with _timed(timings, "search"):
         if args.method == "exhaustive":
-            rep = disc_exhaustive(t)
-        elif args.method == "local":
-            rep = disc_localsearch(t, restarts=args.restarts, seed=args.seed)
-        else:
-            rep = disc_sample(t, samples=args.restarts, seed=args.seed)
-    report = _run_report(
-        "disc",
-        digest,
-        {
-            "file": args.file,
-            "method": args.method,
-            "restarts": args.restarts,
-            "seed": args.seed,
-        },
-        _disc_fields(rep),
-        timings,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+            return disc_exhaustive(t)
+        if args.method == "local":
+            return disc_localsearch(t, restarts=args.restarts, seed=args.seed)
+        return disc_sample(t, samples=args.restarts, seed=args.seed)
 
 
-def _cmd_verify(args) -> int:
-    timings: dict = {}
+def _cmd_verify(args, t, timings) -> dict:
     with _timed(timings, "verify"):
         checks = verify.run(args.suite, args.trials, args.nmax, args.seed)
-    all_passed = all(c["pass"] for c in checks)
-    report = _run_report(
-        "verify",
-        None,
-        {
-            "suite": args.suite,
-            "trials": args.trials,
-            "nmax": args.nmax,
-            "seed": args.seed,
-        },
-        {"checks": checks, "all_passed": all_passed},
-        timings,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return {"checks": checks, "all_passed": all(c["pass"] for c in checks)}
 
 
 def _environment() -> dict:
@@ -277,21 +165,14 @@ def _environment() -> dict:
     }
 
 
-def _cmd_bench(args) -> int:
-    sizes = [s for s in (p.strip() for p in args.sizes.split(",")) if s]
-    if not sizes:
-        raise ValueError("--sizes must list at least one size")
-    ns = [int(s) for s in sizes]
-    if any(n < 2 for n in ns):
-        raise ValueError("bench sizes must be at least 2")
+def _cmd_bench(args, t, timings) -> dict:
     if args.k < 2:
         raise ValueError(f"--k must be at least 2, got {args.k}")
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    timings: dict = {}
     with _timed(timings, "bench"):
         cases = []
-        for n in ns:
+        for n in args.sizes:
             t = random_tournament(n, 0)
             perm = range(n - 1, -1, -1)
             cases.append({
@@ -304,7 +185,7 @@ def _cmd_bench(args) -> int:
         # laps run round-robin over the sizes, so that a slow stretch of the
         # process (BLAS start-up stalls) spreads over every row instead of
         # landing on the first one
-        laps: list[list[dict]] = [[] for _ in ns]
+        laps: list[list[dict]] = [[] for _ in args.sizes]
         for _ in range(args.repeat):
             for steps, runs in zip(cases, laps):
                 lap: dict = {}
@@ -313,7 +194,7 @@ def _cmd_bench(args) -> int:
                         step()
                 runs.append(lap)
         rows = []
-        for n, runs in zip(ns, laps):
+        for n, runs in zip(args.sizes, laps):
             row = {"n": n}
             for name in runs[0]:
                 ms = [lap[name] for lap in runs]
@@ -335,20 +216,12 @@ def _cmd_bench(args) -> int:
         csv_lines.append(
             f"{row['n']},{row['count_ms']['median']!r},{row['spectrum_ms']['median']!r}"
         )
-    report = _run_report(
-        "bench",
-        None,
-        {"sizes": ns, "k": args.k, "repeat": args.repeat},
-        {
-            "rows": rows,
-            "scaling_exponent": exponent,
-            "csv": "\n".join(csv_lines),
-            "environment": _environment(),
-        },
-        timings,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    return {
+        "rows": rows,
+        "scaling_exponent": exponent,
+        "csv": "\n".join(csv_lines),
+        "environment": _environment(),
+    }
 
 
 # --- parser and dispatch ------------------------------------------------
@@ -359,6 +232,15 @@ def _seed_type(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return value
+
+
+def _sizes_type(text: str) -> list[int]:
+    sizes = [int(s) for s in (p.strip() for p in text.split(",")) if s]
+    if not sizes:
+        raise argparse.ArgumentTypeError("must list at least one size")
+    if any(n < 2 for n in sizes):
+        raise argparse.ArgumentTypeError("sizes must be at least 2")
+    return sizes
 
 
 @functools.cache
@@ -433,12 +315,54 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time counting, spectral, codec, relabel and local-search runs across sizes",
     )
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
+    p.add_argument(
+        "--sizes", type=_sizes_type, required=True, help="comma-separated vertex counts"
+    )
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--repeat", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
     return parser
+
+
+def _report(args) -> int:
+    """Load the input, run the parsed command, and render and write its report.
+
+    Returns the exit code: 1 when a verify check failed, else 0.
+    """
+    timings: dict = {}
+    t = digest = None
+    if "file" in args:
+        with _timed(timings, "load"):
+            with open(args.file, "rb") as fh:
+                data = fh.read()
+            t, digest = decode(data), _digest(data)
+    results = args.func(args, t, timings)
+    skip = ("command", "func", "out")
+    parameters = {k: v for k, v in vars(args).items() if k not in skip}
+    out = args.out
+    if args.command == "gen":
+        # gen's --out is the .trn file it wrote: a parameter, with the report
+        # on stdout; its n is the size built, also when --p gave it
+        del parameters["p"]
+        parameters.update(n=results["n"], out=out)
+        out = None
+    text = render_json({
+        "command": args.command,
+        "tool_version": __version__,
+        "input_digest": digest,
+        "parameters": parameters,
+        "results": results,
+        "timings_ms": timings,
+    }) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if args.command == "verify" and not results["all_passed"]:
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -448,7 +372,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _report(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

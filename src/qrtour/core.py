@@ -94,6 +94,12 @@ class GeneratorSpec:
     seed: int | None = None
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse anything but a positive int or numpy integer; bools are refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_vertex(n: int, v: int, role: str = "vertex") -> None:
     if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
         raise ValueError(f"{role} {v!r} out of range for n={n}")

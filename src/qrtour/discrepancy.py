@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CoinStream, Tournament, _check_subset, sign_array
+from .core import CoinStream, Tournament, _check_count, _check_subset, sign_array
 from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
 
@@ -38,7 +38,7 @@ class DiscrepancyReport:
     witness_signs: tuple[int, ...]  # sign of d+(v, best_Y) - d-(v, best_Y) per v
 
 
-def _diff_vector(a: np.ndarray, ys: tuple[int, ...] | np.ndarray) -> np.ndarray:
+def _diff_vector(a: np.ndarray, ys: tuple[int, ...]) -> np.ndarray:
     # d+(v, Y) - d-(v, Y) = sum over y in Y of A[v, y]; zeros for an empty Y
     return a[:, ys].sum(axis=1, dtype=np.int64)
 
@@ -153,11 +153,6 @@ def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
     return _build_report(t, "exhaustive", ys, best_value)
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _times_signs(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """x @ a, for a float32 matrix x of small integers and the int8 sign array.
 
@@ -265,17 +260,27 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
 
 
 def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
-    """Best of ``samples`` uniformly drawn subsets; a cheap lower bound."""
+    """Best of ``samples`` uniformly drawn subsets; a cheap lower bound.
+
+    Draws _RESTART_CHUNK subsets at a time, each from the next n coins of
+    the seed's stream, and scores them with one product; ties keep the
+    earliest draw.
+    """
     _check_count("samples", samples)
     n = t.n
     a = sign_array(t)
     coins = CoinStream(seed)
     best_value = -1
-    best_ys = None
-    for _ in range(samples):
-        ys = np.flatnonzero(coins.take(n))
-        value = int(np.abs(_diff_vector(a, ys)).sum())
-        if value > best_value:
-            best_value = value
-            best_ys = ys
-    return _build_report(t, "sample", tuple(int(v) for v in best_ys), best_value)
+    best_member = None
+    for done in range(0, samples, _RESTART_CHUNK):
+        count = min(_RESTART_CHUNK, samples - done)
+        member = coins.take(count * n).reshape(count, n)
+        # the rows' difference vectors are -(member @ A); only |.| counts
+        d = _times_signs(member.astype(np.float32), a)
+        values = np.abs(d).sum(axis=1, dtype=np.int64)
+        j = int(values.argmax())
+        if values[j] > best_value:
+            best_value = int(values[j])
+            best_member = member[j]
+    ys = tuple(int(v) for v in np.flatnonzero(best_member))
+    return _build_report(t, "sample", ys, best_value)

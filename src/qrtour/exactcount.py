@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Tournament, _is_prime, edge_sign, sign_array
+from .core import Tournament, _check_count, _is_prime, edge_sign, sign_array
 from .errors import InternalInvariantError, ResourceLimitError
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
@@ -141,8 +141,8 @@ def power_trace(t: Tournament, k: int) -> int:
     at each of its first k-1 steps), and the residues are joined by the
     Chinese remainder theorem.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"exponent must be a positive integer, got {k!r}")
+    _check_count("exponent", k)
+    k = int(k)  # a numpy integer would overflow the growth bound below
     n = t.n
     bound = n * (n - 1) ** (k - 1)
     bits = n.bit_length()
@@ -226,7 +226,8 @@ def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     n = t.n
-    trace = power_trace(t, k)
+    trace = power_trace(t, k)  # which refuses a k that is not an integer
+    k = int(k)
     total = total_cycles(n, k)
     if k % 2 == 0:
         if (trace + total) % 2 != 0:

@@ -1,13 +1,17 @@
 """Tests for the command-line surface: flags, reports, and exit codes."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qrtour.cli as cli
+from qrtour import disc_exhaustive, even_cycles_trace, rotational_tournament
 from qrtour.cli import build_parser, main, render_json
 
 
@@ -212,6 +216,14 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--trials", "0")
         assert code == 2
 
+    def test_failed_check_exits_1_with_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.verify, "run", lambda *a: [{"check": "x", "pass": False}])
+        code, report = run_json(capsys, "verify", "--suite", "claims")
+        assert code == 1
+        assert report["results"] == {
+            "checks": [{"check": "x", "pass": False}], "all_passed": False
+        }
+
 
 class TestBench:
     def test_rows_per_size(self, capsys):
@@ -312,8 +324,125 @@ class TestReportContract:
         with pytest.raises(ValueError):
             render_json(float("nan"))
 
+    def test_fraction_renders_three_fields(self):
+        assert json.loads(render_json([Fraction(1, 3), Fraction(-4, 2)])) == [
+            {"numerator": 1, "denominator": 3, "decimal": "0.333333333333"},
+            {"numerator": -2, "denominator": 1, "decimal": "-2"},
+        ]
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            disc_exhaustive(rotational_tournament(5)),
+            even_cycles_trace(rotational_tournament(5), 4),
+        ],
+        ids=["disc", "count"],
+    )
+    def test_report_dataclass_renders_its_fields(self, report):
+        rendered = json.loads(render_json(report))
+        assert list(rendered) == [f.name for f in dataclasses.fields(report)]
+        expected = json.loads(render_json(vars(report)))
+        assert rendered == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), {1, 2}, b"bytes", cli.DiscrepancyReport],
+        ids=["object", "set", "bytes", "dataclass-type"],
+    )
+    def test_render_rejects_unknown_objects(self, value):
+        with pytest.raises(TypeError):
+            render_json({"results": value})
+
     def test_version_field(self, c3_file, capsys):
         _, report = run_json(capsys, "count", c3_file, "--k", "2")
         from qrtour import __version__
 
         assert report["tool_version"] == __version__
+
+
+ENVELOPE = ["command", "tool_version", "input_digest", "parameters", "results", "timings_ms"]
+COUNT_RESULTS = ["k", "method", "n", "total", "even", "odd", "trace", "even_fraction"]
+COUNT_PARAMETERS = ["file", "k", "method", "limit"]
+SPECTRUM_RESULTS = ["lambda1_abs", "lambda1_upper", "ratio"]
+DISC_PARAMETERS = ["file", "method", "restarts", "seed"]
+DISC_RESULTS = [
+    "method", "best_Y", "value", "normalized", "spectral_bound", "witness_signs"
+]
+
+# argv (FILE for the input file) -> ordered keys of parameters, results and
+# timings_ms
+SHAPES = {
+    "gen": (
+        ["gen", "--type", "paley", "--p", "7", "--out", "FILE"],
+        ["type", "n", "seed", "out"], ["path", "n", "digest"], ["build", "write"],
+    ),
+    "count-trace": (
+        ["count", "FILE", "--k", "4"],
+        COUNT_PARAMETERS, COUNT_RESULTS, ["load", "trace"],
+    ),
+    "count-brute": (
+        ["count", "FILE", "--k", "3", "--method", "brute"],
+        COUNT_PARAMETERS, COUNT_RESULTS, ["load", "brute"],
+    ),
+    "count-both": (
+        ["count", "FILE", "--k", "4", "--method", "both"],
+        COUNT_PARAMETERS, [*COUNT_RESULTS, "agreement"], ["load", "trace", "brute"],
+    ),
+    "spectrum": (
+        ["spectrum", "FILE"], ["file", "full"], SPECTRUM_RESULTS, ["load", "solve"],
+    ),
+    "spectrum-full": (
+        ["spectrum", "FILE", "--full"],
+        ["file", "full"], [*SPECTRUM_RESULTS, "singular_values"], ["load", "solve"],
+    ),
+    "disc-exhaustive": (
+        ["disc", "FILE"], DISC_PARAMETERS, DISC_RESULTS, ["load", "search"],
+    ),
+    "disc-local": (
+        ["disc", "FILE", "--method", "local"], DISC_PARAMETERS, DISC_RESULTS,
+        ["load", "search"],
+    ),
+    "disc-sample": (
+        ["disc", "FILE", "--method", "sample"], DISC_PARAMETERS, DISC_RESULTS,
+        ["load", "search"],
+    ),
+    "verify": (
+        ["verify", "--suite", "claims", "--trials", "2", "--nmax", "6"],
+        ["suite", "trials", "nmax", "seed"], ["checks", "all_passed"], ["verify"],
+    ),
+    "bench": (
+        ["bench", "--sizes", "6,8"],
+        ["sizes", "k", "repeat"], ["rows", "scaling_exponent", "csv", "environment"],
+        ["bench"],
+    ),
+}
+
+
+class TestReportShape:
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_key_order(self, case, c3_file, tmp_path, capsys):
+        argv, parameters, results, timings = SHAPES[case]
+        path = str(tmp_path / "new.trn") if case == "gen" else c3_file
+        code, report = run_json(capsys, *[path if a == "FILE" else a for a in argv])
+        assert code == 0
+        assert list(report) == ENVELOPE
+        assert report["command"] == argv[0]
+        assert list(report["parameters"]) == parameters
+        assert list(report["results"]) == results
+        assert list(report["timings_ms"]) == timings
+
+    def test_gen_parameters_name_the_built_file(self, tmp_path, capsys):
+        path = str(tmp_path / "p7.trn")
+        _, report = run_json(capsys, "gen", "--type", "paley", "--p", "7", "--out", path)
+        assert report["parameters"] == {"type": "paley", "n": 7, "seed": 0, "out": path}
+        assert report["input_digest"] is None
+
+    def test_bench_sizes_are_parsed(self, capsys):
+        _, report = run_json(capsys, "bench", "--sizes", " 6, ,8")
+        assert report["parameters"]["sizes"] == [6, 8]
+
+    def test_input_digest_names_the_file(self, c3_file, capsys):
+        _, report = run_json(capsys, "spectrum", c3_file)
+        with open(c3_file, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert report["input_digest"] == "sha256:" + digest

@@ -84,6 +84,29 @@ def flip_oracle_climbs(t, restarts, seed):
     return climbs
 
 
+@functools.cache
+def edge_sign_matrix(t):
+    return np.array([[edge_sign(t, u, v) for v in range(t.n)] for u in range(t.n)])
+
+
+def sample_oracle(t, samples, seed):
+    """(value, best_Y) of the best of ``samples`` draws, one draw at a time.
+
+    Each draw takes the next n coins as the indicator of Y; the earliest
+    draw wins ties.
+    """
+    n = t.n
+    a = edge_sign_matrix(t)
+    coins = CoinStream(seed)
+    best_value, best_y = -1, None
+    for _ in range(samples):
+        ys = np.flatnonzero(coins.take(n))
+        value = int(np.abs(a[:, ys].sum(axis=1)).sum())
+        if value > best_value:
+            best_value, best_y = value, tuple(int(v) for v in ys)
+    return best_value, best_y
+
+
 def best_climb(climbs):
     """(value, best_Y, witness_signs) of the best climb; the earliest wins ties."""
     best_value, best_member, best_diff = -1, None, None
@@ -358,6 +381,20 @@ class TestLocalSearch:
 
 
 class TestSample:
+    @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["default", "chunk1", "chunk3"])
+    @pytest.mark.parametrize("family", LOCAL_FAMILIES)
+    def test_matches_one_draw_at_a_time(self, family, chunk, monkeypatch):
+        # chunks of 1 and 3 draws put the earliest-draw tie rule across
+        # chunk boundaries; 16 and 17 draws fill one default chunk and pass it
+        if chunk is not None:
+            monkeypatch.setattr(discrepancy, "_RESTART_CHUNK", chunk)
+        for t in LOCAL_FAMILIES[family][::3]:
+            for samples in (1, 5, 16, 17, 40):
+                for seed in (0, 5):
+                    rep = disc_sample(t, samples=samples, seed=seed)
+                    got = (rep.value, rep.best_Y)
+                    assert got == sample_oracle(t, samples, seed), (t.n, samples, seed)
+
     def test_deterministic(self):
         t = random_tournament(12, 3)
         assert disc_sample(t, samples=10, seed=4) == disc_sample(t, samples=10, seed=4)

@@ -116,6 +116,17 @@ class TestMatPowTrace:
     def test_first_power(self):
         assert power_trace(TT3, 1) == 0
 
+    @pytest.mark.parametrize("k", [True, False, 4.0, "4", None])
+    def test_rejects_non_integer_exponent(self, k):
+        with pytest.raises(ValueError, match="exponent must be a positive integer"):
+            power_trace(C3, k)
+
+    def test_numpy_integer_exponent(self):
+        t = random_tournament(40, 3)
+        for k in (4, 5, 16):
+            assert power_trace(t, np.int64(k)) == power_trace(t, k)
+            assert even_cycles_trace(t, np.int64(k)) == even_cycles_trace(t, k)
+
     def test_odd_powers_vanish(self):
         for seed in SEEDS:
             t = random_tournament(9, seed)
