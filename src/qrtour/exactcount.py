@@ -86,10 +86,17 @@ def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
 
 
 def _halving(j: int, memo: dict, product) -> np.ndarray:
-    """G^j = G^ceil(j/2) G^floor(j/2), recursively, from the powers in ``memo``."""
+    """G^j = G^ceil(j/2) G^floor(j/2), recursively, from the powers in ``memo``.
+
+    Every G^i is symmetric, so an even j squares x = G^(j/2) as x.T @ x,
+    which numpy hands to BLAS syrk (about half the work of a general product).
+    """
     if j not in memo:
-        memo[j] = product(_halving((j + 1) // 2, memo, product),
-                          _halving(j // 2, memo, product))
+        x = _halving((j + 1) // 2, memo, product)
+        if j % 2:
+            memo[j] = product(x, _halving(j // 2, memo, product))
+        else:
+            memo[j] = product(x.T, x)
     return memo[j]
 
 
@@ -130,16 +137,23 @@ def power_trace(t: Tournament, k: int) -> int:
     With the Gram matrix G = A^T A = -A^2, m = k // 2, lo = m // 2 and
     hi = m - lo: tr(A^k) = (-1)**m sum_ij L_ij R_ij, where R = G^hi and
     L = G^lo (even k) or G^lo A (odd k); R is symmetric, so the trace of L R
-    is the entrywise sum.  G and its powers are formed once, in plain
-    float64, while every partial sum plus the largest prime p stays below
-    2**53 (so that ``_mod``'s q*p is exact as well); L and R are then
-    reduced modulo each of a few primes and summed there.  A factor too
-    large to be exact is finished per prime instead, by float64 BLAS
-    products of signed residues that start from the largest exact powers.
-    Enough primes are used for their product to exceed 2 n (n-1)**(k-1),
-    twice the largest possible |tr(A^k)| (a walk of k steps has n-1 choices
-    at each of its first k-1 steps), and the residues are joined by the
-    Chinese remainder theorem.
+    is the entrywise sum.  No walk of k steps has more than n (n-1)**(k-1)
+    choices, which bounds |tr(A^k)| and, term by term, sum_ij |L_ij R_ij|:
+    a row of G^lo (or G^lo A) sums to at most (n-1)**(2 lo) (or one power
+    more) in magnitude, and an entry of G^hi is at most (n-1)**(2 hi - 1).
+
+    G is one float32 product of the +-1 signs, widened to float64; it is
+    exact for the reason given in ``spectral.gram``.  G and its powers are
+    then formed once, in plain float64, while every partial sum plus the
+    largest prime p stays below 2**53 (so that ``_mod``'s q*p is exact as
+    well).  When the growth bound itself is below 2**53, L and R are among
+    those exact powers and their float64 dot product is the exact sum.
+    Otherwise L and R are reduced modulo each of a few primes and summed
+    there.  A factor too large to be exact is finished per prime instead,
+    by float64 BLAS products of signed residues that start from the largest
+    exact powers.  Enough primes are used for their product to exceed twice
+    the growth bound, and the residues are joined by the Chinese remainder
+    theorem.
     """
     _check_count("exponent", k)
     k = int(k)  # a numpy integer would overflow the growth bound below
@@ -147,11 +161,14 @@ def power_trace(t: Tournament, k: int) -> int:
     bound = n * (n - 1) ** (k - 1)
     bits = n.bit_length()
     room = 2**53 - _prime(bits, 0)
-    a = sign_array(t).astype(np.float64)
+    signs = sign_array(t)
+    s32 = signs.astype(np.float32)
+    powers = {1: (s32.T @ s32).astype(np.float64)}
+    del s32
+    a = signs.astype(np.float64) if k % 2 else None  # odd k needs G^lo A
     m = k // 2
     lo, hi = m // 2, m - m // 2
     e = _exact_exponent(n, hi, room)
-    powers = {1: a.T @ a}
     if k <= 2:  # R = G^0 for k = 1, L = G^0 for k = 2
         powers[0] = np.eye(n)
     if hi <= e and (k % 2 == 0 or (n - 1) ** (2 * lo) < room):
@@ -160,23 +177,26 @@ def power_trace(t: Tournament, k: int) -> int:
         need = _frontier(hi, e) | _frontier(lo, e)
         tail = {j: _halving(j, powers, np.matmul) for j in need}
     del powers  # free the intermediate powers
-    residue, modulus, index = 0, 1, 0
-    while modulus <= 2 * bound:
-        p = _prime(bits, index)
-        index += 1
-        if tail is None:
-            r = _dot_mod(*factors, p)
-        else:
+    if bound < 2**53:  # so hi <= e above, and tail is None
+        total = int(np.vdot(*factors))
+    else:
+        residue, modulus, index = 0, 1, 0
+        while modulus <= 2 * bound:
+            p = _prime(bits, index)
+            index += 1
+            if tail is None:
+                r = _dot_mod(*factors, p)
+            else:
 
-            def product(x, y):
-                return _mod(x @ y, p, np.empty_like(x))
+                def product(x, y):  # x may be a transposed view, y never is
+                    return _mod(x @ y, p, np.empty_like(y))
 
-            residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
-            r = _dot_mod(*_factors(k, residues, product, a), p)
-            del residues
-        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
-        modulus *= p
-    total = residue - modulus if 2 * residue > modulus else residue
+                residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
+                r = _dot_mod(*_factors(k, residues, product, a), p)
+                del residues
+            residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
+            modulus *= p
+        total = residue - modulus if 2 * residue > modulus else residue
     trace = -total if m % 2 else total
     if abs(trace) > bound:
         raise InternalInvariantError(
@@ -275,6 +295,8 @@ def brute_force_count(
     ``limit``; this is the reference oracle for ``even_cycles_trace`` and is
     deliberately independent of the matrix-power route.
     """
+    _check_count("cycle length", k)
+    k = int(k)  # a numpy integer would overflow the guard below
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     n = t.n

@@ -198,6 +198,24 @@ class TestMatPowTrace:
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
+    @pytest.mark.parametrize("n, k", [(456, 6), (457, 6), (191, 7), (192, 7), (99, 8), (100, 8)])
+    @pytest.mark.parametrize("family", ["random", "transitive"])
+    def test_prime_route_boundaries(self, family, n, k, monkeypatch):
+        # n (n-1)**(k-1) < 2**53 exactly on the near side of each pair: there
+        # the float64 dot product of L and R is the trace and no prime runs
+        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
+        calls = []
+        real = exactcount._dot_mod
+        monkeypatch.setattr(
+            exactcount, "_dot_mod", lambda *args: calls.append(1) or real(*args)
+        )
+        trace = power_trace(t, k)
+        fits = n * (n - 1) ** (k - 1) < 2**53
+        assert fits == (n in (456, 191, 99))
+        assert (not calls) == fits
+        for q in ORACLE_PRIMES:
+            assert trace % q == modular_trace(t, k, q)
+
     @pytest.mark.parametrize(
         "n, hi, e", [(191, 4, 4), (192, 4, 3), (1553, 3, 3), (1554, 3, 2), (2, 40, 40)]
     )
@@ -359,6 +377,16 @@ class TestBruteForce:
     def test_rejects_short_cycles(self):
         with pytest.raises(ValueError):
             brute_force_count(C3, 1)
+
+    def test_guard_takes_numpy_integers(self):
+        # 30**np.int64(20) wraps to a negative int64; the guard must see 30**20
+        with pytest.raises(ResourceLimitError):
+            brute_force_count(random_tournament(30, 1), np.int64(20))
+
+    @pytest.mark.parametrize("k", [True, 4.0])
+    def test_rejects_non_integer_lengths(self, k):
+        with pytest.raises(ValueError):
+            brute_force_count(C3, k)
 
 
 class TestBoundCheck:

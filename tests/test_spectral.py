@@ -26,6 +26,7 @@ from qrtour import (
     power_trace,
     transitive_tournament,
 )
+from qrtour.core import sign_array
 
 SEEDS = [0, 3, 11, 47]
 
@@ -57,6 +58,21 @@ class TestGram:
         for seed in SEEDS:
             g = gram(random_tournament(10, seed))
             assert np.linalg.eigvalsh(g).min() > -1e-9
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [(lambda n: random_tournament(n, n), n) for n in (1, 2, 3, 64, 301)]
+        + [(transitive_tournament, n) for n in (1, 2, 3, 64, 301)]
+        # the nearest sizes these families admit
+        + [(rotational_tournament, n) for n in (3, 65, 301)]
+        + [(paley_tournament, n) for n in (3, 67, 307)],
+    )
+    def test_equals_integer_product(self, make, n):
+        t = make(n)
+        g = gram(t)
+        a = sign_array(t).astype(np.int64)
+        assert g.dtype == np.float64 and g.flags.c_contiguous
+        assert np.array_equal(g, a.T @ a)
 
     def test_entries_read_only(self):
         g = gram(C3)
