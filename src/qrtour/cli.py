@@ -186,21 +186,26 @@ def _cmd_bench(args, t, timings) -> dict:
         # process (BLAS start-up stalls) spreads over every row instead of
         # landing on the first one
         laps: list[list[dict]] = [[] for _ in args.sizes]
+        # the value local search found, deterministic in its (t, 8, 0)
+        local_values = [None for _ in args.sizes]
         for _ in range(args.repeat):
-            for steps, runs in zip(cases, laps):
+            for i, (steps, runs) in enumerate(zip(cases, laps)):
                 lap: dict = {}
                 for name, step in steps.items():
                     with _timed(lap, name):
-                        step()
+                        result = step()
+                    if name == "local_ms":
+                        local_values[i] = result.value
                 runs.append(lap)
         rows = []
-        for n, runs in zip(args.sizes, laps):
+        for n, runs, local_value in zip(args.sizes, laps, local_values):
             row = {"n": n}
             for name in runs[0]:
                 ms = [lap[name] for lap in runs]
                 row[name] = {
                     "min": min(ms), "median": statistics.median(ms), "max": max(ms)
                 }
+            row["local_value"] = local_value
             rows.append(row)
     # informational scaling estimate: log-log slope of median count time
     exponent = None

@@ -101,7 +101,8 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_vertex(n: int, v: int, role: str = "vertex") -> None:
-    if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+    """Refuse anything but an int or numpy integer in 0..n-1; bools are refused too."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
         raise ValueError(f"{role} {v!r} out of range for n={n}")
 
 
@@ -118,9 +119,12 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
 
 def _check_subset(n: int, ys: Iterable[int]) -> tuple[int, ...]:
     """The distinct vertices of ``ys`` in increasing order."""
+    ys = list(ys)
     s = sorted(set(ys))
-    # sorted, so the two ends bound the range; one entry per type checks the rest
-    per_type = {type(y): y for y in s}
+    # sorted, so the two ends bound the range; one entry per type checks the
+    # rest.  The types come from ys itself, because a set keeps 1 and drops
+    # an equal True or 1.0 that follows it
+    per_type = dict(zip(map(type, ys), ys))
     for y in (*s[:1], *s[-1:], *per_type.values()):
         _check_vertex(n, y, "subset vertex")
     return tuple(s)

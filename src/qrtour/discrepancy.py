@@ -39,8 +39,10 @@ class DiscrepancyReport:
 
 
 def _diff_vector(a: np.ndarray, ys: tuple[int, ...]) -> np.ndarray:
-    # d+(v, Y) - d-(v, Y) = sum over y in Y of A[v, y]; zeros for an empty Y
-    return a[:, ys].sum(axis=1, dtype=np.int64)
+    # d+(v, Y) - d-(v, Y) = sum over y in Y of A[v, y] = -sum of rows A[y, :]
+    # (A is skew-symmetric), so contiguous rows are summed; zeros for an
+    # empty Y.  int32 is exact: every entry is at most n - 1
+    return -a[list(ys)].sum(axis=0, dtype=np.int32)
 
 
 def disc_given(t: Tournament, xs: Iterable[int], ys: Iterable[int]) -> int:
@@ -62,8 +64,7 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
     """
     yset = _check_subset(t.n, ys)
     d = _diff_vector(sign_array(t), yset)
-    x = tuple(int(v) for v in np.sign(d))
-    return x, int(np.abs(d).sum())
+    return tuple(np.sign(d).tolist()), int(np.abs(d).sum())
 
 
 def spectral_upper_bound(t: Tournament) -> float:
@@ -167,6 +168,40 @@ def _times_signs(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _alternate(a: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Alternating ascent from every row of ``member`` at once, in place.
+
+    A row's value sum |d| equals x @ A @ y for x = sign(d) (0 on ties) and
+    y its indicator, and for that x the best y is {u : (x @ A)_u > 0}.  Each
+    round proposes that Y' for every live row and accepts it only where it
+    strictly raises sum |d|; a row that does not improve retires, since its
+    next round would propose the same Y' again.  The products are the exact
+    float32 ones of _climb.
+
+    Returns ``member`` with each row at its last accepted Y.
+    """
+    rows, n = member.shape
+    d = -_times_signs(member.astype(np.float32), a)
+    values = np.abs(d).sum(axis=1, dtype=np.int64)
+    live = np.arange(rows)  # the original row of each row still alternating
+    # an accepted round raises a row's value, at most n(n-1), by at least 1,
+    # so a correct ascent ends within n(n-1) + 1 rounds, the last accepting none
+    rounds_left = n * (n - 1) + 1
+    while live.size:
+        if not rounds_left:
+            raise InternalInvariantError(
+                "alternating ascent outran its round bound: a round did not raise the value"
+            )
+        rounds_left -= 1
+        proposal = _times_signs(np.sign(d), a) > 0
+        d = -_times_signs(proposal.astype(np.float32), a)
+        new = np.abs(d).sum(axis=1, dtype=np.int64)
+        up = new > values
+        member[live[up]] = proposal[up]
+        live, d, values = live[up], d[up], new[up]
+    return member
+
+
 def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-improvement single-flip ascent from every row of ``member`` at once.
 
@@ -238,8 +273,10 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
 
     Deterministic in (t, restarts, seed).  The result is a lower bound on
     the true maximum; ties across restarts keep the earliest restart.
-    Restarts climb together, _RESTART_CHUNK at a time, each from the next
-    n coins of the seed's stream.
+    Restarts run together, _RESTART_CHUNK at a time, each from the next
+    n coins of the seed's stream: alternating ascent first, which takes
+    the long strides cheaply, then the single-flip climb, so every result
+    is a single-flip local maximum worth at least its start.
     """
     _check_count("restarts", restarts)
     n = t.n
@@ -250,7 +287,7 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     for done in range(0, restarts, _RESTART_CHUNK):
         count = min(_RESTART_CHUNK, restarts - done)
         member = coins.take(count * n).reshape(count, n).astype(bool)
-        member, values = _climb(a, member)
+        member, values = _climb(a, _alternate(a, member))
         j = int(values.argmax())
         if values[j] > best_value:
             best_value = int(values[j])

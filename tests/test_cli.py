@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import qrtour.cli as cli
-from qrtour import disc_exhaustive, even_cycles_trace, rotational_tournament
+from qrtour import (
+    disc_exhaustive,
+    disc_localsearch,
+    even_cycles_trace,
+    random_tournament,
+    rotational_tournament,
+)
 from qrtour.cli import build_parser, main, render_json
 
 
@@ -240,6 +246,14 @@ class TestBench:
         for name in ("count_ms", "spectrum_ms", "codec_ms", "relabel_ms", "local_ms"):
             stats = row[name]
             assert stats["min"] <= stats["median"] <= stats["max"]
+
+    def test_local_value(self, capsys):
+        code, report = run_json(capsys, "bench", "--sizes", "10,30", "--repeat", "2")
+        assert code == 0
+        for row in report["results"]["rows"]:
+            assert list(row)[-2:] == ["local_ms", "local_value"]
+            t = random_tournament(row["n"], 0)
+            assert row["local_value"] == disc_localsearch(t, restarts=8, seed=0).value
 
     def test_empty_sizes(self, capsys):
         code, _ = run(capsys, "bench", "--sizes", "")

@@ -54,10 +54,12 @@ def gray_sweep_oracle(t):
 
 
 @functools.cache
-def flip_oracle_climbs(t, restarts, seed):
-    """(value, member, diff) of each restart's local maximum, one flip at a time.
+def flip_oracle_climbs(t, restarts, seed, alternate=True):
+    """(value, member, diff) of each restart's local maximum, one start at a time.
 
-    Each restart draws n coins for its start Y, then scans u = 0..n-1,
+    Each restart draws n coins for its start Y.  With ``alternate``, it
+    first takes x = sign(d) and Y' = {u : sum over v of x_v A[v, u] > 0}
+    for as long as Y' strictly raises sum |d|.  Then it scans u = 0..n-1,
     repeating until a full pass takes no flip, and flips u whenever that
     strictly raises sum |d|.
     """
@@ -69,6 +71,14 @@ def flip_oracle_climbs(t, restarts, seed):
         member = [bool(c) for c in coins.take(n)]
         diff = [sum(cols[u][v] for u in range(n) if member[u]) for v in range(n)]
         value = sum(abs(x) for x in diff)
+        while alternate:
+            x = [(d > 0) - (d < 0) for d in diff]
+            cand_member = [sum(xv * c for xv, c in zip(x, cols[u])) > 0 for u in range(n)]
+            cand = [sum(cols[u][v] for u in range(n) if cand_member[u]) for v in range(n)]
+            cand_value = sum(abs(d) for d in cand)
+            if cand_value <= value:
+                break
+            member, diff, value = cand_member, cand, cand_value
         improved = True
         while improved:
             improved = False
@@ -186,6 +196,31 @@ class TestSubsetValidation:
         with pytest.raises(ValueError, match="subset vertex"):
             call(self.T6)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: edge_sign(t, True, 2),
+            lambda t: edge_sign(t, 0, False),
+            lambda t: d_plus(t, 0, [True]),
+            lambda t: d_plus(t, True, [2]),
+            lambda t: d_minus(t, 0, [True]),
+            lambda t: disc_given(t, [0, 2], [True]),
+            lambda t: disc_given(t, [True, False], range(6)),
+            lambda t: disc_given(t, range(6), [1, True]),
+            lambda t: witness_vectors(t, [True, 3]),
+            lambda t: disc_given_report(t, [False]),
+        ],
+        ids=[
+            "edge_sign_u", "edge_sign_v", "d_plus", "d_plus_vertex", "d_minus",
+            "disc_given_Y", "disc_given_X_all_bool", "disc_given_Y_equal_int",
+            "witness", "report",
+        ],
+    )
+    def test_rejects_bool_entries(self, call):
+        # True == 1 as a number, and a list of bools indexes numpy as a mask
+        with pytest.raises(ValueError, match="vertex (True|False) out of range"):
+            call(self.T6)
+
     def test_out_of_range_message(self):
         with pytest.raises(ValueError, match="subset vertex 7 out of range for n=6"):
             disc_given(self.T6, range(6), [7])
@@ -215,6 +250,26 @@ class TestWitnessVectors:
             x, value = witness_vectors(t, range(n))
             assert x == tuple(int(np.sign(n - 1 - 2 * v)) for v in range(n))
             assert value == sum(abs(n - 1 - 2 * r) for r in range(n)) == n * n // 2
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            transitive_tournament(300),
+            random_tournament(301, 4),
+            rotational_tournament(301),
+            paley_tournament(307),
+        ],
+        ids=["transitive", "random", "rotational", "paley"],
+    )
+    def test_matches_column_definition(self, t):
+        # transitive with Y = V has |d| up to n - 1 > 127, past int8
+        a = discrepancy.sign_array(t).astype(np.int64)
+        for ys in ((), range(t.n), range(0, t.n, 3)):
+            d = a[:, list(ys)].sum(axis=1)  # d_v = sum over y in Y of A[v, y]
+            x, value = witness_vectors(t, ys)
+            assert x == tuple(int(v) for v in np.sign(d))
+            assert all(type(v) is int for v in x)
+            assert value == np.abs(d).sum() == disc_given(t, range(t.n), ys)
 
     def test_realizes_disc_given(self):
         for seed in SEEDS:
@@ -340,6 +395,33 @@ class TestLocalSearch:
                     rep = disc_localsearch(t, restarts=restarts, seed=seed)
                     got = (rep.value, rep.best_Y, rep.witness_signs)
                     assert got == expected, (t.n, restarts, seed)
+
+    @pytest.mark.parametrize("family", LOCAL_FAMILIES)
+    def test_climb_alone_matches_flip_oracle(self, family):
+        # the single-flip stage from the raw coin starts, without alternation
+        for t in LOCAL_FAMILIES[family][::2]:
+            for seed in (0, 5):
+                member = CoinStream(seed).take(9 * t.n).reshape(9, t.n).astype(bool)
+                member, values = discrepancy._climb(discrepancy.sign_array(t), member)
+                climbs = flip_oracle_climbs(t, 9, seed, alternate=False)
+                assert values.tolist() == [value for value, _, _ in climbs], t.n
+                assert member.tolist() == [inside for _, inside, _ in climbs], t.n
+
+    @pytest.mark.parametrize("family", LOCAL_FAMILIES)
+    def test_single_flip_maximum_above_best_start(self, family):
+        for t in LOCAL_FAMILIES[family]:
+            a = edge_sign_matrix(t)
+            for restarts, seed in ((1, 3), (4, 0), (17, 8)):
+                rep = disc_localsearch(t, restarts=restarts, seed=seed)
+                y = np.zeros(t.n, dtype=np.int64)
+                y[list(rep.best_Y)] = 1
+                d = a @ y
+                assert rep.value == np.abs(d).sum()
+                # column u: the difference vector after flipping u in or out
+                flipped = d[:, None] + a * (1 - 2 * y)
+                assert np.abs(flipped).sum(axis=0).max(initial=0) <= rep.value, t.n
+                start = disc_sample(t, samples=restarts, seed=seed)
+                assert rep.value >= start.value, (t.n, restarts, seed)
 
     def test_c3_finds_optimum(self):
         for seed in (0, 1, 2, 3):
