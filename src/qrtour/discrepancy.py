@@ -23,7 +23,6 @@ from .spectral import lambda1
 EXHAUSTIVE_MAX_N = 24  # the Gray-code sweep is 2^n * n work
 _BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
 _RESTART_CHUNK = 16  # local-search restarts climbed together, bounding their state
-_PRODUCT_ROWS = 64  # rows of the sign array per float32 product
 
 
 @dataclass(frozen=True)
@@ -154,20 +153,6 @@ def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
     return _build_report(t, "exhaustive", ys, best_value)
 
 
-def _times_signs(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x @ a, for a float32 matrix x of small integers and the int8 sign array.
-
-    Works through _PRODUCT_ROWS rows of a at a time, so no float32 copy of
-    the whole n x n array is made and each product stays small.  Exact in
-    float32: every partial sum is an integer of magnitude at most 2n < 2^24.
-    """
-    out = x[:, :_PRODUCT_ROWS] @ a[:_PRODUCT_ROWS].astype(np.float32)
-    for lo in range(_PRODUCT_ROWS, a.shape[0], _PRODUCT_ROWS):
-        hi = lo + _PRODUCT_ROWS
-        out += x[:, lo:hi] @ a[lo:hi].astype(np.float32)
-    return out
-
-
 def _alternate(a: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Alternating ascent from every row of ``member`` at once, in place.
 
@@ -175,13 +160,13 @@ def _alternate(a: np.ndarray, member: np.ndarray) -> np.ndarray:
     y its indicator, and for that x the best y is {u : (x @ A)_u > 0}.  Each
     round proposes that Y' for every live row and accepts it only where it
     strictly raises sum |d|; a row that does not improve retires, since its
-    next round would propose the same Y' again.  The products are the exact
-    float32 ones of _climb.
+    next round would propose the same Y' again.  ``a`` is the float32 sign
+    matrix, and the products are exact as in _climb.
 
     Returns ``member`` with each row at its last accepted Y.
     """
     rows, n = member.shape
-    d = -_times_signs(member.astype(np.float32), a)
+    d = -(member.astype(np.float32) @ a)
     values = np.abs(d).sum(axis=1, dtype=np.int64)
     live = np.arange(rows)  # the original row of each row still alternating
     # an accepted round raises a row's value, at most n(n-1), by at least 1,
@@ -193,8 +178,8 @@ def _alternate(a: np.ndarray, member: np.ndarray) -> np.ndarray:
                 "alternating ascent outran its round bound: a round did not raise the value"
             )
         rounds_left -= 1
-        proposal = _times_signs(np.sign(d), a) > 0
-        d = -_times_signs(proposal.astype(np.float32), a)
+        proposal = np.sign(d) @ a > 0
+        d = -(proposal.astype(np.float32) @ a)
         new = np.abs(d).sum(axis=1, dtype=np.int64)
         up = new > values
         member[live[up]] = proposal[up]
@@ -215,15 +200,17 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = sign(d) @ A, flipping u changes sum |d| by
     s_u g_u + #{i: d_i = 0} - [d_u = 0], since A[i, u] = +-1 for i != u.
     After a flip, g changes only through the columns where some row's
-    sign(d) changed.
+    sign(d) changed.  ``a`` is the float32 sign matrix: every partial sum
+    of a product is an integer of magnitude at most 2n < 2^24, so float32 is
+    exact.
 
     Returns the local maxima as a bool array and their values.
     """
     rows, n = member.shape
     # d = member @ A^T, and A^T = -A; all state is float32, exact below 2^24
-    d = -_times_signs(member.astype(np.float32), a)
+    d = -(member.astype(np.float32) @ a)
     sgn = np.sign(d)
-    g = _times_signs(sgn, a)
+    g = sgn @ a
     s = np.where(member, np.float32(-1), np.float32(1))
     start = np.zeros(rows, dtype=np.intp)
     vertices = np.arange(n)
@@ -262,10 +249,36 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s[at, u] = -step
         new = np.sign(d)
         cols = np.flatnonzero((new != sgn).any(axis=0))
-        g += _times_signs(new[:, cols] - sgn[:, cols], a[cols])
+        g += (new[:, cols] - sgn[:, cols]) @ a[cols]
         sgn = new
         start = u + 1
     return member, values
+
+
+def _best_of_chunks(
+    t: Tournament, count: int, seed: int, score
+) -> tuple[tuple[int, ...], int]:
+    """Best Y among ``count`` rows scored _RESTART_CHUNK at a time, and its value.
+
+    Row i is the i-th run of n coins of the seed's stream (0/1 per vertex).
+    ``score(a, member)`` takes the float32 sign matrix a, made once here, and
+    a chunk of rows, and returns the rows' final members and their values.
+    Ties keep the earliest row: the first maximum inside a chunk, and a later
+    chunk only on a strictly larger value.
+    """
+    n = t.n
+    a = sign_array(t).astype(np.float32)
+    coins = CoinStream(seed)
+    best_value = -1
+    best_member = None
+    for done in range(0, count, _RESTART_CHUNK):
+        rows = min(_RESTART_CHUNK, count - done)
+        member, values = score(a, coins.take(rows * n).reshape(rows, n))
+        j = int(values.argmax())
+        if values[j] > best_value:
+            best_value = int(values[j])
+            best_member = member[j]
+    return tuple(int(v) for v in np.flatnonzero(best_member)), best_value
 
 
 def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyReport:
@@ -279,21 +292,13 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     is a single-flip local maximum worth at least its start.
     """
     _check_count("restarts", restarts)
-    n = t.n
-    a = sign_array(t)
-    coins = CoinStream(seed)
-    best_value = -1
-    best_member = None
-    for done in range(0, restarts, _RESTART_CHUNK):
-        count = min(_RESTART_CHUNK, restarts - done)
-        member = coins.take(count * n).reshape(count, n).astype(bool)
-        member, values = _climb(a, _alternate(a, member))
-        j = int(values.argmax())
-        if values[j] > best_value:
-            best_value = int(values[j])
-            best_member = member[j]
-    ys = tuple(int(v) for v in np.flatnonzero(best_member))
-    return _build_report(t, "local_search", ys, best_value)
+    ys, value = _best_of_chunks(
+        t,
+        restarts,
+        seed,
+        lambda a, member: _climb(a, _alternate(a, member.astype(bool))),
+    )
+    return _build_report(t, "local_search", ys, value)
 
 
 def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
@@ -304,20 +309,10 @@ def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
     earliest draw.
     """
     _check_count("samples", samples)
-    n = t.n
-    a = sign_array(t)
-    coins = CoinStream(seed)
-    best_value = -1
-    best_member = None
-    for done in range(0, samples, _RESTART_CHUNK):
-        count = min(_RESTART_CHUNK, samples - done)
-        member = coins.take(count * n).reshape(count, n)
+
+    def score(a, member):
         # the rows' difference vectors are -(member @ A); only |.| counts
-        d = _times_signs(member.astype(np.float32), a)
-        values = np.abs(d).sum(axis=1, dtype=np.int64)
-        j = int(values.argmax())
-        if values[j] > best_value:
-            best_value = int(values[j])
-            best_member = member[j]
-    ys = tuple(int(v) for v in np.flatnonzero(best_member))
-    return _build_report(t, "sample", ys, best_value)
+        return member, np.abs(member.astype(np.float32) @ a).sum(axis=1, dtype=np.int64)
+
+    ys, value = _best_of_chunks(t, samples, seed, score)
+    return _build_report(t, "sample", ys, value)

@@ -20,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Tournament, _check_count, _is_prime, edge_sign, sign_array
+from .core import (
+    Tournament, _check_count, _check_vertex, _is_prime, edge_sign, sign_array
+)
 from .errors import InternalInvariantError, ResourceLimitError
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
@@ -107,14 +109,9 @@ def _frontier(j: int, e: int) -> set[int]:
     return _frontier((j + 1) // 2, e) | _frontier(j // 2, e)
 
 
-def _factors(k: int, powers: dict, product, a: np.ndarray):
-    """(L, R) with R = G^hi and L = G^lo, or G^lo A for odd k (see ``power_trace``)."""
-    m = k // 2
-    lo = m // 2
-    right = _halving(m - lo, powers, product)
-    if k % 2 == 0:
-        return _halving(lo, powers, product), right
-    return (product(_halving(lo, powers, product), a) if lo else a), right
+def _factors(lo: int, hi: int, powers: dict, product):
+    """(L, R) = (G^lo, G^hi), see ``power_trace``."""
+    return _halving(lo, powers, product), _halving(hi, powers, product)
 
 
 def _exact_exponent(n: int, hi: int, room: int) -> int:
@@ -125,7 +122,7 @@ def _exact_exponent(n: int, hi: int, room: int) -> int:
     split of j, is at most (n-1)**(2j-1); that bound must stay below
     ``room``.
     """
-    e = min(hi, 1)
+    e = 1
     while e < hi and (n - 1) ** (2 * e + 1) < room:
         e += 1
     return e
@@ -134,13 +131,16 @@ def _exact_exponent(n: int, hi: int, room: int) -> int:
 def power_trace(t: Tournament, k: int) -> int:
     """tr(A^k) as an exact integer, for the sign matrix A of ``t``.
 
-    With the Gram matrix G = A^T A = -A^2, m = k // 2, lo = m // 2 and
-    hi = m - lo: tr(A^k) = (-1)**m sum_ij L_ij R_ij, where R = G^hi and
-    L = G^lo (even k) or G^lo A (odd k); R is symmetric, so the trace of L R
-    is the entrywise sum.  No walk of k steps has more than n (n-1)**(k-1)
-    choices, which bounds |tr(A^k)| and, term by term, sum_ij |L_ij R_ij|:
-    a row of G^lo (or G^lo A) sums to at most (n-1)**(2 lo) (or one power
-    more) in magnitude, and an entry of G^hi is at most (n-1)**(2 hi - 1).
+    Odd k gives 0, since A is skew-symmetric: tr(A^k) = tr((A^T)^k) =
+    -tr(A^k); k = 2 gives -n (n-1), one A_uv A_vu = -1 per ordered pair.
+    Every other k is even and at least 4.  With the Gram matrix
+    G = A^T A = -A^2, m = k // 2, lo = m // 2 >= 1 and hi = m - lo:
+    tr(A^k) = (-1)**m sum_ij L_ij R_ij, where L = G^lo and R = G^hi; R is
+    symmetric, so the trace of L R is the entrywise sum.  No walk of k steps
+    has more than n (n-1)**(k-1) choices, which bounds |tr(A^k)| and, term
+    by term, sum_ij |L_ij R_ij|: a row of G^lo sums to at most
+    (n-1)**(2 lo) in magnitude, and an entry of G^hi is at most
+    (n-1)**(2 hi - 1).
 
     G is one float32 product of the +-1 signs, widened to float64; it is
     exact for the reason given in ``spectral.gram``.  G and its powers are
@@ -158,22 +158,22 @@ def power_trace(t: Tournament, k: int) -> int:
     _check_count("exponent", k)
     k = int(k)  # a numpy integer would overflow the growth bound below
     n = t.n
+    if k % 2:
+        return 0
+    if k == 2:
+        return -n * (n - 1)
     bound = n * (n - 1) ** (k - 1)
     bits = n.bit_length()
     room = 2**53 - _prime(bits, 0)
-    signs = sign_array(t)
-    s32 = signs.astype(np.float32)
+    s32 = sign_array(t).astype(np.float32)
     powers = {1: (s32.T @ s32).astype(np.float64)}
     del s32
-    a = signs.astype(np.float64) if k % 2 else None  # odd k needs G^lo A
     m = k // 2
     lo, hi = m // 2, m - m // 2
     e = _exact_exponent(n, hi, room)
-    if k <= 2:  # R = G^0 for k = 1, L = G^0 for k = 2
-        powers[0] = np.eye(n)
-    if hi <= e and (k % 2 == 0 or (n - 1) ** (2 * lo) < room):
-        factors, tail = _factors(k, powers, np.matmul, a), None
-    else:  # lo >= 1 here, since G^1 is always exact
+    if hi <= e:
+        factors, tail = _factors(lo, hi, powers, np.matmul), None
+    else:
         need = _frontier(hi, e) | _frontier(lo, e)
         tail = {j: _halving(j, powers, np.matmul) for j in need}
     del powers  # free the intermediate powers
@@ -192,7 +192,7 @@ def power_trace(t: Tournament, k: int) -> int:
                     return _mod(x @ y, p, np.empty_like(y))
 
                 residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
-                r = _dot_mod(*_factors(k, residues, product, a), p)
+                r = _dot_mod(*_factors(lo, hi, residues, product), p)
                 del residues
             residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
             modulus *= p
@@ -271,7 +271,9 @@ def cycle_parity(t: Tournament, seq) -> str:
     ``seq`` lists the k vertices in traversal order; the closing step back to
     seq[0] is implied.  Cyclically adjacent vertices must differ.
     """
-    vs = [int(v) for v in seq]
+    vs = list(seq)
+    for v in vs:
+        _check_vertex(t.n, v)
     k = len(vs)
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")

@@ -402,7 +402,8 @@ class TestLocalSearch:
         for t in LOCAL_FAMILIES[family][::2]:
             for seed in (0, 5):
                 member = CoinStream(seed).take(9 * t.n).reshape(9, t.n).astype(bool)
-                member, values = discrepancy._climb(discrepancy.sign_array(t), member)
+                a = discrepancy.sign_array(t).astype(np.float32)
+                member, values = discrepancy._climb(a, member)
                 climbs = flip_oracle_climbs(t, 9, seed, alternate=False)
                 assert values.tolist() == [value for value, _, _ in climbs], t.n
                 assert member.tolist() == [inside for _, inside, _ in climbs], t.n

@@ -133,6 +133,21 @@ class TestMatPowTrace:
             for k in (3, 5, 7, 9):
                 assert power_trace(t, k) == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 150, 301])
+    def test_odd_and_square_traces_form_no_matrix(self, n, monkeypatch):
+        # tr(A^k) = 0 for odd k by skew-symmetry, and tr(A^2) = -n(n-1):
+        # closed forms that must not touch the signs or the Gram powers
+        t = random_tournament(n, n)
+
+        def refuse(*args):
+            raise AssertionError("a closed-form trace formed a matrix")
+
+        monkeypatch.setattr(exactcount, "sign_array", refuse)
+        monkeypatch.setattr(exactcount, "_halving", refuse)
+        for k in (1, 3, 17, np.int64(5)):
+            assert power_trace(t, k) == 0
+        assert power_trace(t, 2) == -n * (n - 1)
+
     def test_large_power_exceeds_int64(self):
         # C3 eigenvalue moduli are {sqrt(3), sqrt(3), 0}, so
         # tr(A^k) = +-2 * 3**(k/2) for even k; at k >= 82 this passes 2**63
@@ -182,10 +197,10 @@ class TestMatPowTrace:
     )
     @pytest.mark.parametrize("family", ["random", "transitive"])
     def test_exactness_boundaries(self, family, n, k, monkeypatch):
-        # G^4 = (A^T A)^4 is formed exactly up to n = 191 and G^4 A up to
-        # n = 99; past them the last factor is finished modulo each prime.
-        # Both sides must agree with a modular oracle that shares no code
-        # with exactcount.
+        # G^4 = (A^T A)^4 is formed exactly up to n = 191; past it the last
+        # factor is finished modulo each prime.  Odd k builds no factor: its
+        # trace is 0 by skew-symmetry.  Every case must agree with a modular
+        # oracle that shares no code with exactcount.
         t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
         builds = []
         real = exactcount._factors
@@ -193,8 +208,10 @@ class TestMatPowTrace:
             exactcount, "_factors", lambda *args: builds.append(1) or real(*args)
         )
         trace = power_trace(t, k)
-        exact = (n == 191 and k == 16) or n <= 99
-        assert (len(builds) == 1) == exact
+        if k % 2:
+            assert not builds
+        else:
+            assert (len(builds) == 1) == (n == 191)
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
@@ -202,7 +219,8 @@ class TestMatPowTrace:
     @pytest.mark.parametrize("family", ["random", "transitive"])
     def test_prime_route_boundaries(self, family, n, k, monkeypatch):
         # n (n-1)**(k-1) < 2**53 exactly on the near side of each pair: there
-        # the float64 dot product of L and R is the trace and no prime runs
+        # the float64 dot product of L and R is the trace and no prime runs.
+        # Odd k runs no prime on either side: its trace is 0 by skew-symmetry
         t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
         calls = []
         real = exactcount._dot_mod
@@ -212,7 +230,7 @@ class TestMatPowTrace:
         trace = power_trace(t, k)
         fits = n * (n - 1) ** (k - 1) < 2**53
         assert fits == (n in (456, 191, 99))
-        assert (not calls) == fits
+        assert (not calls) == (fits or k % 2 == 1)
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
@@ -338,6 +356,24 @@ class TestCycleParity:
     def test_rejects_short_sequences(self):
         with pytest.raises(ValueError):
             cycle_parity(C3, (0,))
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            (0, 1.9, 2.2), (0.0, 1, 2), (False, True, 2), ("0", "1", "2"),
+            (0, 1, 3), (-1, 0, 1),
+        ],
+        ids=["floats", "float_zero", "bools", "strings", "too_large", "negative"],
+    )
+    def test_rejects_non_vertices(self, seq):
+        # entries are checked, never truncated: (0, 1.9, 2.2) is not (0, 1, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            cycle_parity(C3, seq)
+
+    def test_numpy_integer_vertices(self):
+        seq = np.array([0, 1, 2, 1], dtype=np.int64)
+        assert cycle_parity(C3, tuple(seq)) == cycle_parity(C3, (0, 1, 2, 1)) == "even"
+        assert cycle_parity(TT3, np.array([0, 1, 2], dtype=np.uint8)) == "odd"
 
     def test_matches_enumeration_classification(self):
         # tally parity over every admissible 4-walk and compare to the oracle
