@@ -110,6 +110,8 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
     """+1 if u -> v, -1 if v -> u, 0 if u == v."""
     _check_vertex(t.n, u)
     _check_vertex(t.n, v)
+    # Python ints from here: pair_index in a small numpy dtype would wrap
+    u, v = int(u), int(v)
     if u == v:
         return 0
     if u < v:

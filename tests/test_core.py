@@ -45,6 +45,15 @@ class TestTournamentModel:
                 for v in range(t.n):
                     assert edge_sign(t, u, v) == -edge_sign(t, v, u)
 
+    def test_edge_sign_small_dtype_vertices(self):
+        # pair_index in uint8 / int16 arithmetic would wrap at these sizes
+        t = random_tournament(300, 4)
+        for u, v in ((50, 60), (140, 130), (210, 290), (299, 0)):
+            expected = edge_sign(t, u, v)
+            assert edge_sign(t, np.int16(u), np.int16(v)) == expected
+            if v < 256 and u < 256:
+                assert edge_sign(t, np.uint8(u), np.uint8(v)) == expected
+
     def test_edge_sign_out_of_range(self):
         t = c3()
         with pytest.raises(ValueError):

@@ -375,6 +375,19 @@ class TestCycleParity:
         assert cycle_parity(C3, tuple(seq)) == cycle_parity(C3, (0, 1, 2, 1)) == "even"
         assert cycle_parity(TT3, np.array([0, 1, 2], dtype=np.uint8)) == "odd"
 
+    @pytest.mark.parametrize(
+        "n,seq,dtype",
+        [
+            (100, (50, 60, 70), np.uint8),
+            (150, (10, 140, 130, 20), np.uint8),
+            (300, (210, 250, 290, 220, 5), np.int16),
+        ],
+    )
+    def test_small_dtype_vertices_do_not_wrap(self, n, seq, dtype):
+        # u * (2n - u - 1) overflows uint8 / int16; parity must not change
+        t = random_tournament(n, 9)
+        assert cycle_parity(t, np.array(seq, dtype=dtype)) == cycle_parity(t, seq)
+
     def test_matches_enumeration_classification(self):
         # tally parity over every admissible 4-walk and compare to the oracle
         t = random_tournament(5, 23)
