@@ -30,6 +30,7 @@ from .discrepancy import (
     disc_exhaustive,
     disc_localsearch,
     disc_sample,
+    _local_search,
 )
 from .errors import InternalInvariantError, ResourceLimitError
 from .exactcount import brute_force_count, even_cycles_trace
@@ -156,12 +157,20 @@ def _environment() -> dict:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
         blas = {}
+    # a speed reference: the median of five 256 x 256 float64 products, so
+    # that rows of different runs can be compared at the machine's speed
+    x = np.linspace(-1.0, 1.0, 256 * 256).reshape(256, 256)
+    laps: dict = {}
+    for i in range(5):
+        with _timed(laps, i):
+            x @ x
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "cpu_count": os.cpu_count(),
+        "matmul256_ms": statistics.median(laps.values()),
     }
 
 
@@ -180,6 +189,8 @@ def _cmd_bench(args, t, timings) -> dict:
                 "spectrum_ms": lambda t=t: lambda1(t),
                 "codec_ms": lambda t=t: decode(encode(t)),
                 "relabel_ms": lambda t=t, perm=perm: relabel(t, perm),
+                # the search alone; local_ms adds the report's spectral bound
+                "search_ms": lambda t=t: _local_search(t, 8, 0),
                 "local_ms": lambda t=t: disc_localsearch(t, restarts=8, seed=0),
             })
         # laps run round-robin over the sizes, so that a slow stretch of the

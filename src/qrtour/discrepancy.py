@@ -292,13 +292,18 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     is a single-flip local maximum worth at least its start.
     """
     _check_count("restarts", restarts)
-    ys, value = _best_of_chunks(
+    ys, value = _local_search(t, restarts, seed)
+    return _build_report(t, "local_search", ys, value)
+
+
+def _local_search(t: Tournament, restarts: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """The best Y of ``disc_localsearch`` and its value, without the report."""
+    return _best_of_chunks(
         t,
         restarts,
         seed,
         lambda a, member: _climb(a, _alternate(a, member.astype(bool))),
     )
-    return _build_report(t, "local_search", ys, value)
 
 
 def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:

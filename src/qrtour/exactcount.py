@@ -87,6 +87,49 @@ def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
     return total % p
 
 
+def _dot_wrap(left: np.ndarray, right: np.ndarray) -> int:
+    """sum_ij left_ij right_ij mod 2**64, in row blocks.
+
+    The float64 entries are integers below 2**53 in magnitude, so each
+    converts to int64 exactly; viewed as uint64, the products and sums wrap
+    modulo 2**64, so the wrapped total is the residue of the exact sum.
+    """
+    n = left.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    lb = np.empty((min(step, n), n), dtype=np.int64)
+    rb = np.empty_like(lb)
+    total = 0
+    for s in range(0, n, step):
+        x = lb[: min(step, n - s)]
+        x[...] = left[s : s + step]
+        x = x.view(np.uint64)
+        if right is left:
+            np.square(x, out=x)
+        else:
+            y = rb[: len(x)]
+            y[...] = right[s : s + step]
+            x *= y.view(np.uint64)
+        total += int(x.sum())
+    return total % 2**64
+
+
+def _estimate(left: np.ndarray, right: np.ndarray, bound: int) -> tuple[int, int]:
+    """(F, E): sum_ij left_ij right_ij to within E, from one float64 dot product.
+
+    ``left`` and ``right`` hold exact integers and sum_ij |left_ij right_ij|
+    is at most ``bound``.  Below 2**53 every product and partial sum is an
+    exact integer, so E = 0.  Otherwise, in any summation order, a float64
+    dot product of N terms is off by at most gamma_N sum_ij |left_ij right_ij|,
+    with gamma_N = N u / (1 - N u) = N / (2**53 - N) for u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    """
+    estimate = int(np.vdot(left, right))
+    if bound < 2**53:
+        return estimate, 0
+    size = left.size
+    return estimate, -(-size * bound // (2**53 - size))
+
+
 def _halving(j: int, memo: dict, product) -> np.ndarray:
     """G^j = G^ceil(j/2) G^floor(j/2), recursively, from the powers in ``memo``.
 
@@ -146,14 +189,21 @@ def power_trace(t: Tournament, k: int) -> int:
     exact for the reason given in ``spectral.gram``.  G and its powers are
     then formed once, in plain float64, while every partial sum plus the
     largest prime p stays below 2**53 (so that ``_mod``'s q*p is exact as
-    well).  When the growth bound itself is below 2**53, L and R are among
-    those exact powers and their float64 dot product is the exact sum.
-    Otherwise L and R are reduced modulo each of a few primes and summed
-    there.  A factor too large to be exact is finished per prime instead,
-    by float64 BLAS products of signed residues that start from the largest
-    exact powers.  Enough primes are used for their product to exceed twice
-    the growth bound, and the residues are joined by the Chinese remainder
-    theorem.
+    well).
+
+    The sum S = sum_ij L_ij R_ij comes from one reconstruction: an integer
+    estimate F, a radius E with |S - F| <= E, and the residue of S modulo
+    some M > 2 E give S as the one integer in [F - E, F - E + M) with that
+    residue.  When L and R are among the exact powers, F is their float64
+    dot product and E its error bound (see ``_estimate``); E is 0 while the
+    growth bound is below 2**53, and then no residue is taken.  Otherwise
+    the first residue is S mod 2**64, from one int64 pass (``_dot_wrap``),
+    and primes join it by the Chinese remainder theorem while M <= 2 E.  A
+    factor too large to be exact is finished per prime instead, by float64
+    BLAS products of signed residues that start from the largest exact
+    powers; then F = 0, E is the growth bound, and the primes alone make M.
+    A result above F + E, or past the growth bound, raises
+    InternalInvariantError.
     """
     _check_count("exponent", k)
     k = int(k)  # a numpy integer would overflow the growth bound below
@@ -177,26 +227,35 @@ def power_trace(t: Tournament, k: int) -> int:
         need = _frontier(hi, e) | _frontier(lo, e)
         tail = {j: _halving(j, powers, np.matmul) for j in need}
     del powers  # free the intermediate powers
-    if bound < 2**53:  # so hi <= e above, and tail is None
-        total = int(np.vdot(*factors))
+    if tail is None:
+        estimate, radius = _estimate(*factors, bound)
+        residue, modulus = (_dot_wrap(*factors), 2**64) if radius else (0, 1)
     else:
-        residue, modulus, index = 0, 1, 0
-        while modulus <= 2 * bound:
-            p = _prime(bits, index)
-            index += 1
-            if tail is None:
-                r = _dot_mod(*factors, p)
-            else:
+        estimate, radius, residue, modulus = 0, bound, 0, 1
+    index = 0
+    while modulus <= 2 * radius:
+        p = _prime(bits, index)
+        index += 1
+        if tail is None:
+            r = _dot_mod(*factors, p)
+        else:
 
-                def product(x, y):  # x may be a transposed view, y never is
-                    return _mod(x @ y, p, np.empty_like(y))
+            def product(x, y):  # x may be a transposed view, y never is
+                return _mod(x @ y, p, np.empty_like(y))
 
-                residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
-                r = _dot_mod(*_factors(lo, hi, residues, product), p)
-                del residues
-            residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
-            modulus *= p
-        total = residue - modulus if 2 * residue > modulus else residue
+            residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
+            r = _dot_mod(*_factors(lo, hi, residues, product), p)
+            del residues
+        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+    # the one integer in [estimate - radius, estimate - radius + modulus)
+    # congruent to the residue
+    low = estimate - radius
+    total = low + (residue - low) % modulus
+    if total > estimate + radius:
+        raise InternalInvariantError(
+            f"tr(A^{k}) reconstructs outside the radius of its estimate (n={n})"
+        )
     trace = -total if m % 2 else total
     if abs(trace) > bound:
         raise InternalInvariantError(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qrtour.cli as cli
+import qrtour.discrepancy as discrepancy
 from qrtour import (
     disc_exhaustive,
     disc_localsearch,
@@ -243,7 +244,9 @@ class TestBench:
         code, report = run_json(capsys, "bench", "--sizes", "10", "--k", "4", "--repeat", "3")
         assert code == 0
         row = report["results"]["rows"][0]
-        for name in ("count_ms", "spectrum_ms", "codec_ms", "relabel_ms", "local_ms"):
+        for name in (
+            "count_ms", "spectrum_ms", "codec_ms", "relabel_ms", "search_ms", "local_ms"
+        ):
             stats = row[name]
             assert stats["min"] <= stats["median"] <= stats["max"]
 
@@ -254,6 +257,27 @@ class TestBench:
             assert list(row)[-2:] == ["local_ms", "local_value"]
             t = random_tournament(row["n"], 0)
             assert row["local_value"] == disc_localsearch(t, restarts=8, seed=0).value
+
+    def test_search_row_times_the_search_alone(self, capsys, monkeypatch):
+        # search_ms runs the search local_ms runs, without its report
+        searches, reports = [], []
+        real_search, real_report = discrepancy._local_search, discrepancy._build_report
+        monkeypatch.setattr(
+            discrepancy, "_local_search",
+            lambda *a: searches.append(a[1:]) or real_search(*a),
+        )
+        monkeypatch.setattr(cli, "_local_search", discrepancy._local_search)
+        monkeypatch.setattr(
+            discrepancy, "_build_report",
+            lambda *a: reports.append(a[1]) or real_report(*a),
+        )
+        code, report = run_json(capsys, "bench", "--sizes", "12", "--repeat", "2")
+        assert code == 0
+        assert searches == [(8, 0)] * 4
+        assert reports == ["local_search"] * 2
+        assert list(report["results"]["rows"][0])[-3:] == [
+            "search_ms", "local_ms", "local_value"
+        ]
 
     def test_empty_sizes(self, capsys):
         code, _ = run(capsys, "bench", "--sizes", "")
@@ -282,9 +306,12 @@ class TestBench:
         code, report = run_json(capsys, "bench", "--sizes", "8")
         assert code == 0
         env = report["results"]["environment"]
-        assert set(env) == {"python", "numpy", "blas", "blas_version", "cpu_count"}
+        assert set(env) == {
+            "python", "numpy", "blas", "blas_version", "cpu_count", "matmul256_ms"
+        }
         assert env["numpy"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()
+        assert env["matmul256_ms"] > 0
 
 
 class TestReportContract:

@@ -215,24 +215,101 @@ class TestMatPowTrace:
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
-    @pytest.mark.parametrize("n, k", [(456, 6), (457, 6), (191, 7), (192, 7), (99, 8), (100, 8)])
+    # (calls of _dot_wrap, calls of _dot_mod) on each side of two route
+    # boundaries: the float64 estimate's radius E turns positive past
+    # n (n-1)**(k-1) < 2**53, and the 2**64 residue alone stops exceeding 2E
+    # past (312, 12) and (87, 16).  Odd k takes neither: its trace is 0
+    ROUTE_CALLS = {
+        (456, 6): (0, 0), (457, 6): (1, 0), (99, 8): (0, 0), (100, 8): (1, 0),
+        (312, 12): (1, 0), (313, 12): (1, 1), (87, 16): (1, 0), (88, 16): (1, 1),
+        (191, 7): (0, 0), (192, 7): (0, 0),
+    }
+
+    @pytest.mark.parametrize("n, k", list(ROUTE_CALLS))
     @pytest.mark.parametrize("family", ["random", "transitive"])
     def test_prime_route_boundaries(self, family, n, k, monkeypatch):
-        # n (n-1)**(k-1) < 2**53 exactly on the near side of each pair: there
-        # the float64 dot product of L and R is the trace and no prime runs.
-        # Odd k runs no prime on either side: its trace is 0 by skew-symmetry
         t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
-        calls = []
-        real = exactcount._dot_mod
-        monkeypatch.setattr(
-            exactcount, "_dot_mod", lambda *args: calls.append(1) or real(*args)
-        )
+        calls = {"_dot_wrap": 0, "_dot_mod": 0}
+        for name in calls:
+            real = getattr(exactcount, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(exactcount, name, counted)
         trace = power_trace(t, k)
         fits = n * (n - 1) ** (k - 1) < 2**53
         assert fits == (n in (456, 191, 99))
-        assert (not calls) == (fits or k % 2 == 1)
+        assert (calls["_dot_wrap"], calls["_dot_mod"]) == self.ROUTE_CALLS[n, k]
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("n, k", [(100, 8), (100, 10), (313, 12), (87, 16), (150, 16)])
+    def test_estimate_anywhere_in_its_radius(self, n, k, shift, monkeypatch):
+        # the float64 estimate F lies within E of S = sum L R = (-1)**(k/2)
+        # tr(A^k); the trace stays exact from an estimate E away from S on
+        # either side, and an estimate E + 1 away lands S above F + E
+        t = random_tournament(n, 7)
+        expected = power_trace(t, k)
+        total = -expected if k // 2 % 2 else expected
+        real = exactcount._estimate
+        radii = []
+
+        def shifted(*args, by=0):
+            estimate, radius = real(*args)
+            assert abs(estimate - total) <= radius
+            radii.append(radius)
+            return total + shift * (radius + by), radius
+
+        monkeypatch.setattr(exactcount, "_estimate", shifted)
+        assert power_trace(t, k) == expected
+        assert radii[-1] > 0
+        monkeypatch.setattr(
+            exactcount, "_estimate", lambda *args: shifted(*args, by=1)
+        )
+        with pytest.raises(InternalInvariantError, match="radius"):
+            power_trace(t, k)
+        for q in ORACLE_PRIMES:
+            assert expected % q == modular_trace(t, k, q)
+
+    def test_half_modulus_residue_error_trips_radius_check(self, monkeypatch):
+        # k = 8 at n = 100 reconstructs from the 2**64 residue alone with
+        # E < 2**62: a residue off by 2**63 lands at least 2**63 - 2E above
+        # F + E
+        real_estimate, real_wrap = exactcount._estimate, exactcount._dot_wrap
+        radii = []
+
+        def estimate(*args):
+            result = real_estimate(*args)
+            radii.append(result[1])
+            return result
+
+        monkeypatch.setattr(exactcount, "_estimate", estimate)
+        monkeypatch.setattr(
+            exactcount, "_dot_wrap", lambda *args: (real_wrap(*args) + 2**63) % 2**64
+        )
+        with pytest.raises(InternalInvariantError, match="radius"):
+            power_trace(random_tournament(100, 3), 8)
+        assert 0 < 4 * radii[0] < 2**64
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_dot_wrap_matches_python_integers(self, same):
+        # entries within 2**12 of +-2**52: every product passes 2**63 many
+        # times over, and n = 300 takes two row blocks
+        rng = np.random.default_rng(5)
+        n = 300
+        mags = 2**52 - rng.integers(0, 2**12, size=(2, n, n))
+        signs = rng.choice(np.array([-1, 1]), size=(2, n, n))
+        left, right = (mags * signs).astype(np.float64)
+        if same:
+            right = left
+        assert n > exactcount._BLOCK_ENTRIES // n
+        exact = sum(
+            x * y for x, y in zip(map(int, left.ravel()), map(int, right.ravel()))
+        )
+        assert exactcount._dot_wrap(left, right) == exact % 2**64
 
     @pytest.mark.parametrize(
         "n, hi, e", [(191, 4, 4), (192, 4, 3), (1553, 3, 3), (1554, 3, 2), (2, 40, 40)]
@@ -248,7 +325,9 @@ class TestMatPowTrace:
         assert power_trace(t, 48) == reference_trace(t, 48)
 
     def test_residue_error_trips_growth_bound(self, monkeypatch):
-        # one wrong residue reconstructs to a value far outside [-bound, bound]
+        # one wrong prime residue reconstructs to a value far outside
+        # [-bound, bound]: k = 48 at n = 40 is on the per-prime tail, where
+        # the estimate is 0 and its radius is the growth bound
         real = exactcount._mod
         primes = []
 
@@ -261,7 +340,8 @@ class TestMatPowTrace:
 
         monkeypatch.setattr(exactcount, "_mod", off_by_one)
         with pytest.raises(InternalInvariantError):
-            power_trace(random_tournament(12, 3), 16)
+            power_trace(random_tournament(40, 3), 48)
+        assert primes
 
 
 class TestTotalCycles:
