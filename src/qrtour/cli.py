@@ -33,7 +33,7 @@ from .discrepancy import (
     _local_search,
 )
 from .errors import InternalInvariantError, ResourceLimitError
-from .exactcount import brute_force_count, even_cycles_trace
+from .exactcount import DEFAULT_ENUMERATION_LIMIT, brute_force_count, even_cycles_trace
 from .spectral import full_spectrum, lambda1
 
 EXIT_OK = 0
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        default=10**8,
+        default=DEFAULT_ENUMERATION_LIMIT,
         help="enumeration guard on n**k for the brute method",
     )
     p.add_argument("--out")

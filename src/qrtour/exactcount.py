@@ -66,23 +66,19 @@ _BLOCK_ENTRIES = 2**16
 
 
 def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
-    """sum_ij left_ij right_ij mod p, for exact integer arrays, in row blocks.
+    """sum_ij left_ij right_ij mod p, for signed residue arrays, in row blocks.
 
-    Both blocks are reduced to signed residues first, so every row sum of
-    their product is an exact integer below 2**53 (see ``_prime``).
+    Every row sum of the product of two residue blocks is an exact integer
+    below 2**53 (see ``_prime``), so only the row sums need reducing.
     """
     n = left.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
-    lb = np.empty((min(step, n), n))
-    rb = np.empty_like(lb)
-    sums = np.empty(len(lb))
+    block = np.empty((min(step, n), n))
+    sums = np.empty(len(block))
     total = 0
     for s in range(0, n, step):
-        x = _mod(left[s : s + step], p, lb[: min(step, n - s)])
-        if right is left:
-            np.square(x, out=x)
-        else:
-            x *= _mod(right[s : s + step], p, rb[: len(x)])
+        x = block[: min(step, n - s)]
+        np.multiply(left[s : s + step], right[s : s + step], out=x)
         total += int(_mod(x.sum(axis=1), p, sums[: len(x)]).sum())
     return total % p
 
@@ -130,6 +126,19 @@ def _estimate(left: np.ndarray, right: np.ndarray, bound: int) -> tuple[int, int
     return estimate, -(-size * bound // (2**53 - size))
 
 
+def _gram(t: Tournament) -> np.ndarray:
+    """Gram matrix G = A^T A = -A^2 as a float64 array.
+
+    One float32 BLAS product, widened to float64.  Each entry sums at most
+    n-1 products of +-1 signs (the diagonal of A is zero), so every partial
+    sum is an integer of magnitude at most n-1, which float32 holds exactly
+    while n <= 2**24 (any tournament whose n(n-1)/2 orientation bits fit in
+    memory), and the result equals the integer product.
+    """
+    a = sign_array(t).astype(np.float32)
+    return (a.T @ a).astype(np.float64)
+
+
 def _halving(j: int, memo: dict, product) -> np.ndarray:
     """G^j = G^ceil(j/2) G^floor(j/2), recursively, from the powers in ``memo``.
 
@@ -150,11 +159,6 @@ def _frontier(j: int, e: int) -> set[int]:
     if j <= e:
         return {j}
     return _frontier((j + 1) // 2, e) | _frontier(j // 2, e)
-
-
-def _factors(lo: int, hi: int, powers: dict, product):
-    """(L, R) = (G^lo, G^hi), see ``power_trace``."""
-    return _halving(lo, powers, product), _halving(hi, powers, product)
 
 
 def _exact_exponent(n: int, hi: int, room: int) -> int:
@@ -185,25 +189,24 @@ def power_trace(t: Tournament, k: int) -> int:
     (n-1)**(2 lo) in magnitude, and an entry of G^hi is at most
     (n-1)**(2 hi - 1).
 
-    G is one float32 product of the +-1 signs, widened to float64; it is
-    exact for the reason given in ``spectral.gram``.  G and its powers are
-    then formed once, in plain float64, while every partial sum plus the
-    largest prime p stays below 2**53 (so that ``_mod``'s q*p is exact as
-    well).
+    G comes from ``_gram``.  G and its powers are then formed once, in plain
+    float64, while every partial sum plus the largest prime p stays below
+    2**53 (so that ``_mod``'s q*p is exact as well): the exact powers are
+    those on the halving frontier of L and R, which are L and R themselves
+    when both are exact.
 
     The sum S = sum_ij L_ij R_ij comes from one reconstruction: an integer
     estimate F, a radius E with |S - F| <= E, and the residue of S modulo
     some M > 2 E give S as the one integer in [F - E, F - E + M) with that
-    residue.  When L and R are among the exact powers, F is their float64
-    dot product and E its error bound (see ``_estimate``); E is 0 while the
-    growth bound is below 2**53, and then no residue is taken.  Otherwise
-    the first residue is S mod 2**64, from one int64 pass (``_dot_wrap``),
-    and primes join it by the Chinese remainder theorem while M <= 2 E.  A
-    factor too large to be exact is finished per prime instead, by float64
-    BLAS products of signed residues that start from the largest exact
-    powers; then F = 0, E is the growth bound, and the primes alone make M.
-    A result above F + E, or past the growth bound, raises
-    InternalInvariantError.
+    residue.  When L and R are exact, F is their float64 dot product and E
+    its error bound (see ``_estimate``); E is 0 while the growth bound is
+    below 2**53, and then no residue is taken.  Otherwise the first residue
+    is S mod 2**64, from one int64 pass (``_dot_wrap``).  When a factor is
+    too large to be exact, F = 0 and E is the growth bound.  Primes join the
+    residue by the Chinese remainder theorem while M <= 2 E: each reduces
+    the exact powers to signed residues and finishes L and R from them by
+    float64 BLAS products of residues.  A result above F + E, or past the
+    growth bound, raises InternalInvariantError.
     """
     _check_count("exponent", k)
     k = int(k)  # a numpy integer would overflow the growth bound below
@@ -215,19 +218,15 @@ def power_trace(t: Tournament, k: int) -> int:
     bound = n * (n - 1) ** (k - 1)
     bits = n.bit_length()
     room = 2**53 - _prime(bits, 0)
-    s32 = sign_array(t).astype(np.float32)
-    powers = {1: (s32.T @ s32).astype(np.float64)}
-    del s32
+    powers = {1: _gram(t)}
     m = k // 2
     lo, hi = m // 2, m - m // 2
     e = _exact_exponent(n, hi, room)
-    if hi <= e:
-        factors, tail = _factors(lo, hi, powers, np.matmul), None
-    else:
-        need = _frontier(hi, e) | _frontier(lo, e)
-        tail = {j: _halving(j, powers, np.matmul) for j in need}
+    need = _frontier(hi, e) | _frontier(lo, e)
+    exact = {j: _halving(j, powers, np.matmul) for j in need}
     del powers  # free the intermediate powers
-    if tail is None:
+    if hi <= e:
+        factors = exact[lo], exact[hi]
         estimate, radius = _estimate(*factors, bound)
         residue, modulus = (_dot_wrap(*factors), 2**64) if radius else (0, 1)
     else:
@@ -236,16 +235,14 @@ def power_trace(t: Tournament, k: int) -> int:
     while modulus <= 2 * radius:
         p = _prime(bits, index)
         index += 1
-        if tail is None:
-            r = _dot_mod(*factors, p)
-        else:
 
-            def product(x, y):  # x may be a transposed view, y never is
-                return _mod(x @ y, p, np.empty_like(y))
+        def product(x, y):  # x may be a transposed view, y never is
+            return _mod(x @ y, p, np.empty_like(y))
 
-            residues = {j: _mod(x, p, np.empty_like(x)) for j, x in tail.items()}
-            r = _dot_mod(*_factors(lo, hi, residues, product), p)
-            del residues
+        residues = {j: _mod(x, p, np.empty_like(x)) for j, x in exact.items()}
+        factors = [_halving(j, residues, product) for j in (lo, hi)]
+        r = _dot_mod(*factors, p)
+        del residues, factors
         residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
         modulus *= p
     # the one integer in [estimate - radius, estimate - radius + modulus)
@@ -266,8 +263,9 @@ def power_trace(t: Tournament, k: int) -> int:
 
 def total_cycles(n: int, k: int) -> int:
     """Number of k-cycles in any n-vertex tournament: (n-1)**k + (-1)**k (n-1)."""
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    _check_count("vertex count", n)
+    _check_count("cycle length", k)
+    n, k = int(n), int(k)  # a numpy integer would overflow the power below
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     return (n - 1) ** k + (-1) ** k * (n - 1)
@@ -298,26 +296,18 @@ class CycleCountReport:
 def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
     """Exact even/odd k-cycle counts from the trace of the k-th matrix power.
 
-    Even k: tr(A^k) = even - odd, so even = (tr(A^k) + total) / 2.
-    Odd k: tr(A^k) vanishes by skew-symmetry and reversal pairs each even
-    cycle with an odd one, so even = total / 2 exactly.
+    tr(A^k) = even - odd, so even = (tr(A^k) + total) / 2.  For odd k the
+    trace vanishes by skew-symmetry (reversal pairs each even cycle with an
+    odd one), so even = total / 2.  ``CycleCountReport`` raises
+    InternalInvariantError on a trace of the wrong parity, or a nonzero one
+    for odd k.
     """
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
-    n = t.n
     trace = power_trace(t, k)  # which refuses a k that is not an integer
     k = int(k)
-    total = total_cycles(n, k)
-    if k % 2 == 0:
-        if (trace + total) % 2 != 0:
-            raise InternalInvariantError(f"trace/total parity mismatch (n={n}, k={k})")
-        even = (trace + total) // 2
-    else:
-        if trace != 0:
-            raise InternalInvariantError(f"nonzero trace {trace} for odd k={k}")
-        if total % 2 != 0:
-            raise InternalInvariantError(f"odd cycle total {total} for odd k={k}")
-        even = total // 2
+    total = total_cycles(t.n, k)
+    even = (trace + total) // 2
     frac = Fraction(even, total) if total else None
     return CycleCountReport(
         k=k, total=total, even=even, odd=total - even, trace=trace, even_fraction=frac
@@ -419,5 +409,6 @@ def ec_bound_check(t: Tournament, k: int) -> BoundCheckResult:
         ok = report.trace <= 0 and report.even <= bound
         side = "at_most"
     return BoundCheckResult(
-        satisfied=ok, k=k, even=report.even, trace=report.trace, bound=bound, side=side
+        satisfied=ok, k=report.k, even=report.even, trace=report.trace,
+        bound=bound, side=side,
     )

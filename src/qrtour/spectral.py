@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tournament, sign_array
+from .core import Tournament
 from .errors import InternalInvariantError
-from .exactcount import power_trace
+from .exactcount import _gram, power_trace
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,11 @@ class SpectralSummary:
 def gram(t: Tournament) -> np.ndarray:
     """Gram matrix -A^2 = A^T A as a read-only float64 array.
 
-    One float32 BLAS product, widened to float64.  Each entry sums at most
-    n-1 products of +-1 signs (the diagonal of A is zero), so every partial
-    sum is an integer of magnitude at most n-1, which float32 holds exactly
-    while n <= 2**24 (any tournament whose n(n-1)/2 orientation bits fit in
-    memory), and the result equals the integer product.  The diagonal is
-    constantly n-1 (each vertex meets every other vertex).
+    One float32 BLAS product, widened to float64, which equals the integer
+    product (see ``exactcount._gram``).  The diagonal is constantly n-1
+    (each vertex meets every other vertex).
     """
-    a = sign_array(t).astype(np.float32)
-    g = (a.T @ a).astype(np.float64)
+    g = _gram(t)
     n = t.n
     if not np.array_equal(g, g.T):
         raise InternalInvariantError("Gram matrix is not symmetric")

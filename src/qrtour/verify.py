@@ -1,10 +1,10 @@
 """Property-check suites over seeded tournaments.
 
-``claims`` checks the trace structure (tr(A^k) is 0 for odd k and has the
-sign of (-1)^(k/2) for even k), ``bounds`` the even-cycle count bound, and
-``crosscheck`` trace counts against enumeration and exact moments against
-the spectrum.  Every draw comes from one CoinStream, so the checks are a pure
-function of (suite, trials, nmax, seed).
+``bounds`` checks the even-cycle count bound: for even k, tr(A^k) has the
+sign of (-1)^(k/2), so the even count lies on a known side of half the
+total.  ``crosscheck`` checks trace counts against enumeration and exact
+moments against the spectrum.  Every draw comes from one CoinStream, so the
+checks are a pure function of (suite, trials, nmax, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .exactcount import (
     brute_force_count,
     ec_bound_check,
     even_cycles_trace,
-    power_trace,
     total_cycles,
 )
 from .spectral import full_spectrum, moment_crosscheck
@@ -32,28 +31,6 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     if detail:
         entry["detail"] = detail
     return entry
-
-
-def _claims(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Trace structure on random tournaments: zero for odd k, signed for even k."""
-    rng = CoinStream(seed)
-    odd_fail = sign_fail = ""
-    for _ in range(trials):
-        n = 2 + rng.below(max(nmax - 1, 1))
-        t = random_tournament(n, rng.seed64())
-        for k in (3, 5, 7):
-            if power_trace(t, k) != 0:
-                odd_fail = odd_fail or f"tr(A^{k}) != 0 at n={n}"
-        for k in (4, 6, 8, 12):
-            tr = power_trace(t, k)
-            if (k % 4 == 0 and tr < 0) or (k % 4 == 2 and tr > 0):
-                sign_fail = sign_fail or f"tr(A^{k}) = {tr} has the wrong sign at n={n}"
-        if power_trace(t, 2) != -n * (n - 1):
-            sign_fail = sign_fail or f"tr(A^2) != -n(n-1) at n={n}"
-    return [
-        _check("odd_power_trace_zero", not odd_fail, odd_fail),
-        _check("even_power_trace_sign", not sign_fail, sign_fail),
-    ]
 
 
 def _bounds(trials: int, nmax: int, seed: int) -> list[dict]:
@@ -109,7 +86,7 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
     return checks
 
 
-SUITES = {"claims": _claims, "bounds": _bounds, "crosscheck": _crosscheck}
+SUITES = {"bounds": _bounds, "crosscheck": _crosscheck}
 
 
 def run(suite: str, trials: int, nmax: int, seed: int) -> list[dict]:

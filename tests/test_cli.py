@@ -203,21 +203,23 @@ class TestVerify:
         )
         assert code == 0
         assert report["results"]["all_passed"] is True
-        names = {c["check"] for c in report["results"]["checks"]}
-        assert names == {
-            "odd_power_trace_zero",
-            "even_power_trace_sign",
+        names = [c["check"] for c in report["results"]["checks"]]
+        assert names == [
             "even_count_bound",
             "trace_vs_enumeration",
             "exact_vs_spectral_moments",
-        }
+        ]
 
     def test_single_suite(self, capsys):
         code, report = run_json(
-            capsys, "verify", "--suite", "claims", "--trials", "3", "--nmax", "8"
+            capsys, "verify", "--suite", "bounds", "--trials", "3", "--nmax", "8"
         )
         assert code == 0
-        assert len(report["results"]["checks"]) == 2
+        assert report["results"]["checks"] == [{"check": "even_count_bound", "pass": True}]
+
+    def test_claims_suite_is_gone(self, capsys):
+        code, _ = run(capsys, "verify", "--suite", "claims")
+        assert code == 2
 
     def test_bad_trials(self, capsys):
         code, _ = run(capsys, "verify", "--trials", "0")
@@ -225,7 +227,7 @@ class TestVerify:
 
     def test_failed_check_exits_1_with_report(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.verify, "run", lambda *a: [{"check": "x", "pass": False}])
-        code, report = run_json(capsys, "verify", "--suite", "claims")
+        code, report = run_json(capsys, "verify", "--suite", "bounds")
         assert code == 1
         assert report["results"] == {
             "checks": [{"check": "x", "pass": False}], "all_passed": False
@@ -448,7 +450,7 @@ SHAPES = {
         ["load", "search"],
     ),
     "verify": (
-        ["verify", "--suite", "claims", "--trials", "2", "--nmax", "6"],
+        ["verify", "--suite", "bounds", "--trials", "2", "--nmax", "6"],
         ["suite", "trials", "nmax", "seed"], ["checks", "all_passed"], ["verify"],
     ),
     "bench": (

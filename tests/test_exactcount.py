@@ -197,21 +197,19 @@ class TestMatPowTrace:
     )
     @pytest.mark.parametrize("family", ["random", "transitive"])
     def test_exactness_boundaries(self, family, n, k, monkeypatch):
-        # G^4 = (A^T A)^4 is formed exactly up to n = 191; past it the last
-        # factor is finished modulo each prime.  Odd k builds no factor: its
-        # trace is 0 by skew-symmetry.  Every case must agree with a modular
-        # oracle that shares no code with exactcount.
+        # G^4 = (A^T A)^4 is formed exactly up to n = 191, where the float64
+        # estimate comes with one 2**64 residue; past it the last factor is
+        # finished modulo each prime and no 2**64 residue is taken.  Odd k
+        # builds no factor: its trace is 0 by skew-symmetry.  Every case must
+        # agree with a modular oracle that shares no code with exactcount.
         t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
-        builds = []
-        real = exactcount._factors
+        wraps = []
+        real = exactcount._dot_wrap
         monkeypatch.setattr(
-            exactcount, "_factors", lambda *args: builds.append(1) or real(*args)
+            exactcount, "_dot_wrap", lambda *args: wraps.append(1) or real(*args)
         )
         trace = power_trace(t, k)
-        if k % 2:
-            assert not builds
-        else:
-            assert (len(builds) == 1) == (n == 191)
+        assert len(wraps) == (1 if (n, k) == (191, 16) else 0)
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
@@ -355,6 +353,17 @@ class TestTotalCycles:
         with pytest.raises(ValueError):
             total_cycles(5, 1)
 
+    def test_numpy_integers(self):
+        # 9**np.int64(40) wraps in int64; the count must be 9**40 + 9
+        assert total_cycles(10, np.int64(40)) == 9**40 + 9
+        assert total_cycles(np.int64(10), 40) == 9**40 + 9
+        assert type(total_cycles(np.int32(10), np.int64(40))) is int
+
+    @pytest.mark.parametrize("n, k", [(5, 2.5), (5.0, 4), (True, 4), (5, True), (0, 4)])
+    def test_rejects_non_counts(self, n, k):
+        with pytest.raises(ValueError):
+            total_cycles(n, k)
+
     def test_matches_enumeration(self):
         for n in range(1, 9):
             t = random_tournament(n, n)
@@ -392,6 +401,18 @@ class TestEvenCyclesTrace:
     def test_rejects_short_cycles(self):
         with pytest.raises(ValueError):
             even_cycles_trace(C3, 1)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+    def test_wrong_trace_fails_loudly(self, k, monkeypatch):
+        # a trace off by one for even k has the wrong parity, and a nonzero
+        # trace for odd k breaks the even = odd pairing; the report refuses both
+        t = random_tournament(9, 2)
+        real = exactcount.power_trace
+        monkeypatch.setattr(
+            exactcount, "power_trace", lambda t, k: real(t, k) + 1 if k % 2 == 0 else 2
+        )
+        with pytest.raises(InternalInvariantError):
+            even_cycles_trace(t, k)
 
     def test_agrees_with_enumeration_small(self):
         for n in range(2, 7):
@@ -536,6 +557,10 @@ class TestBoundCheck:
     def test_rejects_k2(self):
         with pytest.raises(ValueError):
             ec_bound_check(C3, 2)
+
+    def test_numpy_integer_k(self):
+        res = ec_bound_check(C3, np.int64(4))
+        assert type(res.k) is int and res == ec_bound_check(C3, 4)
 
     def test_random_instances_satisfy(self):
         for seed in SEEDS:
