@@ -24,12 +24,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, verify
-from .core import GeneratorSpec, decode, encode, generate, random_tournament, relabel
+from .core import (
+    CoinStream, GeneratorSpec, decode, encode, generate, random_tournament, relabel
+)
 from .discrepancy import (
     DiscrepancyReport,
     disc_exhaustive,
+    disc_given,
     disc_localsearch,
     disc_sample,
+    witness_vectors,
     _local_search,
 )
 from .errors import InternalInvariantError, ResourceLimitError
@@ -153,10 +157,7 @@ def _cmd_verify(args, t, timings) -> dict:
 
 def _environment() -> dict:
     """The software and machine a bench ran on."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # a speed reference: the median of five 256 x 256 float64 products, so
     # that rows of different runs can be compared at the machine's speed
     x = np.linspace(-1.0, 1.0, 256 * 256).reshape(256, 256)
@@ -184,11 +185,17 @@ def _cmd_bench(args, t, timings) -> dict:
         for n in args.sizes:
             t = random_tournament(n, 0)
             perm = range(n - 1, -1, -1)
+            # X and Y hold each vertex on a coin of seed 0: density 0.5
+            halves = CoinStream(0).take(2 * n).reshape(2, n)
+            xs, ys = (np.flatnonzero(c).tolist() for c in halves)
             cases.append({
                 "count_ms": lambda t=t: even_cycles_trace(t, args.k),
                 "spectrum_ms": lambda t=t: lambda1(t),
                 "codec_ms": lambda t=t: decode(encode(t)),
                 "relabel_ms": lambda t=t, perm=perm: relabel(t, perm),
+                "query_ms": lambda t=t, xs=xs, ys=ys: (
+                    disc_given(t, xs, ys), witness_vectors(t, ys)
+                ),
                 # the search alone; local_ms adds the report's spectral bound
                 "search_ms": lambda t=t: _local_search(t, 8, 0),
                 "local_ms": lambda t=t: disc_localsearch(t, restarts=8, seed=0),

@@ -167,6 +167,23 @@ def sign_array(t: Tournament) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=8)
+def out_words(t: Tournament) -> np.ndarray:
+    """Out-neighbourhoods bit-packed, as a read-only ceil(n/64) x n uint64 array.
+
+    Bit j of word w in column v is set when v -> 64 w + j; bits past n - 1
+    are 0.  Words are stored word-major (one row per word, the transpose of
+    one row per vertex), so a reduction over a vertex's words adds whole
+    contiguous rows.  n^2 / 8 bytes, cached like ``sign_array``.
+    """
+    n = t.n
+    packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(sign_array(t) > 0, axis=1, bitorder="little")
+    words = np.ascontiguousarray(packed.view("<u8").T)
+    words.setflags(write=False)
+    return words
+
+
 # --- generators ---------------------------------------------------------
 
 

@@ -231,6 +231,7 @@ def power_trace(t: Tournament, k: int) -> int:
         residue, modulus = (_dot_wrap(*factors), 2**64) if radius else (0, 1)
     else:
         estimate, radius, residue, modulus = 0, bound, 0, 1
+    buffers = {j: np.empty_like(x) for j, x in exact.items()}  # reused by every prime
     index = 0
     while modulus <= 2 * radius:
         p = _prime(bits, index)
@@ -239,7 +240,7 @@ def power_trace(t: Tournament, k: int) -> int:
         def product(x, y):  # x may be a transposed view, y never is
             return _mod(x @ y, p, np.empty_like(y))
 
-        residues = {j: _mod(x, p, np.empty_like(x)) for j, x in exact.items()}
+        residues = {j: _mod(x, p, buffers[j]) for j, x in exact.items()}
         factors = [_halving(j, residues, product) for j in (lo, hi)]
         r = _dot_mod(*factors, p)
         del residues, factors

@@ -2,8 +2,9 @@
 
 ``bounds`` checks the even-cycle count bound: for even k, tr(A^k) has the
 sign of (-1)^(k/2), so the even count lies on a known side of half the
-total.  ``crosscheck`` checks trace counts against enumeration and exact
-moments against the spectrum.  Every draw comes from one CoinStream, so the
+total.  ``crosscheck`` checks trace counts against enumeration, exact
+moments against the spectrum, and the packed discrepancy queries against
+per-vertex degree differences.  Every draw comes from one CoinStream, so the
 checks are a pure function of (suite, trials, nmax, seed).
 """
 
@@ -12,11 +13,14 @@ from __future__ import annotations
 from .core import (
     CoinStream,
     GeneratorSpec,
+    d_minus,
+    d_plus,
     generate,
     paley_tournament,
     random_tournament,
     rotational_tournament,
 )
+from .discrepancy import disc_given, witness_vectors
 from .exactcount import (
     brute_force_count,
     ec_bound_check,
@@ -54,8 +58,9 @@ def _bounds(trials: int, nmax: int, seed: int) -> list[dict]:
 
 
 def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Trace counts vs enumeration at small n, and exact-vs-spectral moments
-    on random draws plus the circulant and Paley families."""
+    """Trace counts vs enumeration at small n; exact-vs-spectral moments,
+    and the discrepancy queries vs d_plus - d_minus per vertex, on random
+    draws plus the circulant and Paley families."""
     rng = CoinStream(seed)
     fail = ""
     for n in range(3, 9):
@@ -83,6 +88,18 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
             if err > 1e-8:
                 mfail = mfail or f"moment gap {err:.2e} at n={t.n}, k={k}"
     checks.append(_check("exact_vs_spectral_moments", not mfail, mfail))
+    wfail = ""
+    for t in tournaments:
+        for _ in range(2):
+            xs, ys = ([v for v, c in enumerate(rng.take(t.n)) if c] for _ in range(2))
+            # d_plus and d_minus read each arc through edge_sign
+            d = [d_plus(t, v, ys) - d_minus(t, v, ys) for v in range(t.n)]
+            signs = tuple((x > 0) - (x < 0) for x in d)
+            if witness_vectors(t, ys) != (signs, sum(map(abs, d))):
+                wfail = wfail or f"witness_vectors mismatch at n={t.n}"
+            if disc_given(t, xs, ys) != sum(abs(d[v]) for v in xs):
+                wfail = wfail or f"disc_given mismatch at n={t.n}"
+    checks.append(_check("witness_vs_definition", not wfail, wfail))
     return checks
 
 

@@ -208,6 +208,7 @@ class TestVerify:
             "even_count_bound",
             "trace_vs_enumeration",
             "exact_vs_spectral_moments",
+            "witness_vs_definition",
         ]
 
     def test_single_suite(self, capsys):
@@ -280,6 +281,21 @@ class TestBench:
         assert list(report["results"]["rows"][0])[-3:] == [
             "search_ms", "local_ms", "local_value"
         ]
+
+    def test_query_row_times_one_disc_given_and_one_witness(self, capsys, monkeypatch):
+        calls = []
+        real_given, real_witness = cli.disc_given, cli.witness_vectors
+        monkeypatch.setattr(
+            cli, "disc_given", lambda *a: calls.append("given") or real_given(*a)
+        )
+        monkeypatch.setattr(
+            cli, "witness_vectors", lambda *a: calls.append("witness") or real_witness(*a)
+        )
+        code, report = run_json(capsys, "bench", "--sizes", "12,20", "--repeat", "2")
+        assert code == 0
+        assert calls == ["given", "witness"] * 4
+        for row in report["results"]["rows"]:
+            assert list(row)[4:6] == ["relabel_ms", "query_ms"]
 
     def test_empty_sizes(self, capsys):
         code, _ = run(capsys, "bench", "--sizes", "")

@@ -26,7 +26,8 @@ from qrtour import (
     transitive_tournament,
     witness_vectors,
 )
-from qrtour import discrepancy
+from qrtour import core, discrepancy
+from qrtour.core import out_words
 
 SEEDS = [0, 2, 19, 71]
 
@@ -286,6 +287,90 @@ class TestWitnessVectors:
         x, _ = witness_vectors(t, ys)
         for v in range(7):
             assert x[v] == int(np.sign(d_plus(t, v, ys) - d_minus(t, v, ys)))
+
+
+def _nearest_paley(n):
+    p = max(n, 3)
+    while p % 4 != 3 or not core._is_prime(p):
+        p += 1
+    return p
+
+
+# sizes around the 64-bit word and 8-bit byte boundaries of the packed words
+PACKED_SIZES = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129)
+PACKED_CASES = [
+    (family, n)
+    for n in PACKED_SIZES
+    for family in ("random", "transitive", "rotational", "paley")
+    if family != "rotational" or n % 2
+]
+
+
+def _packed_case(family, n):
+    if family == "random":
+        return random_tournament(n, n)
+    if family == "transitive":
+        return transitive_tournament(n)
+    if family == "rotational":
+        return rotational_tournament(max(n, 3))
+    return paley_tournament(_nearest_paley(n))
+
+
+class TestPackedRoute:
+    """The popcount route over ``out_words`` against an int64 row-sum oracle."""
+
+    @staticmethod
+    def oracle(t, ys):
+        # d_v = sum over y in Y of A[v, y], in int64 from the sign matrix
+        return core.sign_array(t).astype(np.int64)[:, list(ys)].sum(axis=1)
+
+    @pytest.mark.parametrize("family, n", PACKED_CASES)
+    def test_matches_row_sums(self, family, n):
+        t = _packed_case(family, n)
+        n = t.n
+        coins = CoinStream(n)
+        draws = [[v for v, c in enumerate(coins.take(n)) if c] for _ in range(3)]
+        subsets = [(), tuple(range(n)), (0,), (n - 1,), *draws]
+        for ys in subsets:
+            d = self.oracle(t, ys)
+            x, value = witness_vectors(t, ys)
+            assert x == tuple(int(v) for v in np.sign(d))
+            assert value == np.abs(d).sum()
+            assert disc_given(t, range(n), ys) == value
+            rep = disc_given_report(t, ys)
+            assert (rep.value, rep.witness_signs) == (value, x)
+            for xs in (*draws, (n // 2,)):
+                assert disc_given(t, xs, ys) == np.abs(d[list(xs)]).sum()
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_words_hold_out_neighbourhoods(self, n):
+        t = random_tournament(n, 5)
+        words = out_words(t)
+        assert words.shape == (-(-n // 64), n) and words.dtype == np.uint64
+        bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        bits = bits.transpose(1, 0, 2).reshape(n, -1)  # bit y of vertex v's words
+        assert np.array_equal(bits[:, :n], core.sign_array(t) > 0)
+        assert not bits[:, n:].any()
+
+    def test_words_are_read_only_and_cached(self):
+        t = random_tournament(70, 8)
+        words = out_words(t)
+        assert words is out_words(t)
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0, 0] = 0
+
+    def test_cached_queries_skip_the_sign_matrix(self, monkeypatch):
+        t = random_tournament(90, 12)
+        ys = range(0, 90, 4)
+        first = witness_vectors(t, ys), disc_given(t, range(0, 90, 3), ys)
+
+        def refuse(_):
+            raise AssertionError("sign_array called after the words were cached")
+
+        monkeypatch.setattr(core, "sign_array", refuse)
+        monkeypatch.setattr(discrepancy, "sign_array", refuse)
+        assert (witness_vectors(t, ys), disc_given(t, range(0, 90, 3), ys)) == first
 
 
 class TestExhaustive:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qrtour import verify
+from qrtour.discrepancy import disc_given, witness_vectors
 from qrtour.cli import main
 
 
@@ -22,3 +23,21 @@ def test_run_matches_cli_report(capsys):
 def test_run_rejects_bad_arguments(suite, trials, nmax):
     with pytest.raises(ValueError):
         verify.run(suite, trials, nmax, 0)
+
+
+@pytest.mark.parametrize("name", ["witness_vectors", "disc_given"])
+def test_witness_check_catches_a_wrong_query(name, monkeypatch):
+    # one vertex's difference off by one, as a dropped [v in Y] term would be
+    real = {"witness_vectors": witness_vectors, "disc_given": disc_given}[name]
+
+    def shifted(t, *sets):
+        if name == "witness_vectors":
+            signs, value = real(t, *sets)
+            return signs, value + 1
+        return real(t, *sets) + 1
+
+    monkeypatch.setattr(verify, name, shifted)
+    checks = {c["check"]: c for c in verify.run("crosscheck", 3, 12, 5)}
+    assert checks["witness_vs_definition"]["pass"] is False
+    assert name in checks["witness_vs_definition"]["detail"]
+    assert checks["trace_vs_enumeration"]["pass"] is True
