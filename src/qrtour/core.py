@@ -9,6 +9,7 @@ pure.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,9 +31,9 @@ class CoinStream:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
+        if not _int_type(type(seed)) or not 0 <= seed < _SEED_MAX:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        self._bitgen = np.random.PCG64(seed)
+        self._bitgen = np.random.PCG64(int(seed))
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` coins as a uint8 array of 0s and 1s."""
@@ -94,24 +95,29 @@ class GeneratorSpec:
     seed: int | None = None
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse anything but a positive int or numpy integer; bools are refused too."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+def _int_type(kind: type) -> bool:
+    """Whether ``kind`` is int or a numpy integer type; bool (True == 1) is not."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _check_count(name: str, value) -> int:
+    """A positive int or numpy integer ``value`` as an int, which never wraps."""
+    if not _int_type(type(value)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
-def _check_vertex(n: int, v: int, role: str = "vertex") -> None:
-    """Refuse anything but an int or numpy integer in 0..n-1; bools are refused too."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+def _check_vertex(n: int, v: int, role: str = "vertex") -> int:
+    """An int or numpy integer ``v`` in 0..n-1 as an int, which never wraps."""
+    if not _int_type(type(v)) or not 0 <= v < n:
         raise ValueError(f"{role} {v!r} out of range for n={n}")
+    return int(v)
 
 
 def edge_sign(t: Tournament, u: int, v: int) -> int:
     """+1 if u -> v, -1 if v -> u, 0 if u == v."""
-    _check_vertex(t.n, u)
-    _check_vertex(t.n, v)
-    # Python ints from here: pair_index in a small numpy dtype would wrap
-    u, v = int(u), int(v)
+    # ints, because pair_index in a small numpy dtype would wrap
+    u, v = _check_vertex(t.n, u), _check_vertex(t.n, v)
     if u == v:
         return 0
     if u < v:
@@ -119,31 +125,55 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
     return -1 if t.bits[pair_index(t.n, v, u)] else 1
 
 
-def _check_subset(n: int, ys: Iterable[int]) -> tuple[int, ...]:
-    """The distinct vertices of ``ys`` in increasing order."""
+def _members(n: int, ys: Iterable[int]) -> np.ndarray:
+    """Membership vector of the vertex set ``ys``: a length-n bool array.
+
+    Entries may repeat, in any order, and must be ints or numpy integers in
+    0..n-1: a bool or float is refused, never read as 0, 1 or truncated.
+    Types are checked, one per type, before entries are compared.  The error
+    names the smallest entry of a refused type (the first, if they do not
+    compare), else the smallest entry if out of range, else the largest.
+    """
+    if not (isinstance(ys, np.ndarray) and ys.ndim == 1 and ys.dtype.kind in "iu"):
+        ys = list(ys)
+        refused = {kind for kind in set(map(type, ys)) if not _int_type(kind)}
+        if refused:
+            bad = [y for y in ys if type(y) in refused]
+            try:
+                y = min(bad)
+            except (TypeError, ValueError):
+                y = bad[0]
+            raise ValueError(f"subset vertex {y!r} out of range for n={n}")
+    try:
+        # fromiter with a count is about twice as fast as np.array
+        idx = ys if isinstance(ys, np.ndarray) else np.fromiter(ys, np.intp, len(ys))
+        in_range = not idx.size or (idx.min() >= 0 and idx.max() < n)
+    except OverflowError:  # an int past int64
+        in_range = False
+    if not in_range:
+        for y in (min(ys), max(ys)):  # the entries themselves, for the message
+            _check_vertex(n, y, "subset vertex")
+    member = np.zeros(n, dtype=bool)
+    member[idx] = True
+    return member
+
+
+def _arcs(t: Tournament, v: int, ys: Iterable[int], sign: int) -> int:
+    """#{distinct y in ys: edge_sign(t, v, y) == sign}, arc by arc."""
+    _check_vertex(t.n, v)
     ys = list(ys)
-    s = sorted(set(ys))
-    # sorted, so the two ends bound the range; one entry per type checks the
-    # rest.  The types come from ys itself, because a set keeps 1 and drops
-    # an equal True or 1.0 that follows it
-    per_type = dict(zip(map(type, ys), ys))
-    for y in (*s[:1], *s[-1:], *per_type.values()):
-        _check_vertex(n, y, "subset vertex")
-    return tuple(s)
+    _members(t.n, ys)  # refuses what every subset query refuses
+    return sum(1 for y in set(ys) if edge_sign(t, v, y) == sign)
 
 
 def d_plus(t: Tournament, v: int, ys: Iterable[int]) -> int:
     """Number of edges directed from v into the vertex set ``ys``."""
-    _check_vertex(t.n, v)
-    s = _check_subset(t.n, ys)
-    return sum(1 for y in s if y != v and edge_sign(t, v, y) > 0)
+    return _arcs(t, v, ys, 1)
 
 
 def d_minus(t: Tournament, v: int, ys: Iterable[int]) -> int:
     """Number of edges directed from the vertex set ``ys`` into v."""
-    _check_vertex(t.n, v)
-    s = _check_subset(t.n, ys)
-    return sum(1 for y in s if y != v and edge_sign(t, v, y) < 0)
+    return _arcs(t, v, ys, -1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,16 +222,13 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
     A pure function of (n, seed); see ``CoinStream`` for the coin source.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    coins = CoinStream(seed)
-    return Tournament(n, bytes(coins.take(n * (n - 1) // 2)))
+    n = _check_count("vertex count", n)
+    return Tournament(n, bytes(CoinStream(seed).take(n * (n - 1) // 2)))
 
 
 def transitive_tournament(n: int) -> Tournament:
     """The linear order: i -> j iff i < j."""
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    n = _check_count("vertex count", n)
     return Tournament(n, b"\x01" * (n * (n - 1) // 2))
 
 
@@ -214,24 +241,14 @@ def _circulant(n: int, arc: np.ndarray) -> Tournament:
 
 def rotational_tournament(n: int) -> Tournament:
     """Circulant tournament on odd n: i -> j iff (j - i) mod n in 1..(n-1)/2."""
+    n = _check_count("vertex count", n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"rotational family needs odd n >= 3, got {n}")
     return _circulant(n, np.arange(n) <= (n - 1) // 2)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def paley_tournament(p: int) -> Tournament:
@@ -241,6 +258,7 @@ def paley_tournament(p: int) -> Tournament:
     Requires p prime with p = 3 (mod 4), so that exactly one of (j - i) and
     (i - j) is a residue and the orientation is a tournament.
     """
+    p = _check_count("vertex count", p)
     if not _is_prime(p) or p % 4 != 3:
         raise ValueError(f"paley family needs a prime p with p % 4 == 3, got {p}")
     residue = np.zeros(p, dtype=bool)

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    CoinStream, Tournament, _check_count, _check_subset, out_words, sign_array
+    CoinStream, Tournament, _check_count, _members, out_words, sign_array
 )
 from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
@@ -39,35 +39,26 @@ class DiscrepancyReport:
     witness_signs: tuple[int, ...]  # sign of d+(v, best_Y) - d-(v, best_Y) per v
 
 
-def _indices(vs: tuple[int, ...]) -> np.ndarray:
-    # with its count given, fromiter converts a tuple of ints about twice
-    # as fast as np.array or indexing by the list
-    return np.fromiter(vs, dtype=np.intp, count=len(vs))
-
-
-def _diff_vector(t: Tournament, ys: tuple[int, ...]) -> np.ndarray:
+def _diff_vector(t: Tournament, member: np.ndarray) -> np.ndarray:
     """d+(v, Y) - d-(v, Y) for every vertex v, as an int32 vector.
 
-    With c_v the number of out-neighbours of v in Y, the difference is
+    ``member`` is Y's membership vector (``core._members``).  With c_v the
+    number of out-neighbours of v in Y, the difference is
     2 c_v - |Y| + [v in Y] exactly: v has one arc to or from every other
     vertex of Y, and none to itself (A[v, v] = 0).  c_v is the popcount of
     v's packed out-neighbourhood (``out_words``) masked by Y's words.
     """
     words = out_words(t)
-    member = np.zeros(64 * len(words), dtype=bool)
-    member[_indices(ys)] = True
-    mask = np.packbits(member, bitorder="little").view("<u8")
+    whole = np.concatenate((member, np.zeros(-t.n % 64, dtype=bool)))  # whole words
+    mask = np.packbits(whole, bitorder="little").view("<u8")
     c = np.bitwise_count(words & mask[:, None]).sum(axis=0, dtype=np.int32)
-    return 2 * c - len(ys) + member[: t.n]
+    return 2 * c - np.count_nonzero(member) + member
 
 
 def disc_given(t: Tournament, xs: Iterable[int], ys: Iterable[int]) -> int:
     """Exact discrepancy of the pair (X, Y)."""
-    xset = _check_subset(t.n, xs)
-    yset = _check_subset(t.n, ys)
-    if not xset or not yset:
-        return 0
-    return int(np.abs(_diff_vector(t, yset)[_indices(xset)]).sum())
+    in_x = _members(t.n, xs)
+    return int(np.abs(_diff_vector(t, _members(t.n, ys))[in_x]).sum())
 
 
 def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -77,8 +68,7 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
     nothing, so the realized value is unchanged and the witness is canonical
     and reversal-symmetric).  The value equals x^T A y = disc_given(V, Y).
     """
-    yset = _check_subset(t.n, ys)
-    d = _diff_vector(t, yset)
+    d = _diff_vector(t, _members(t.n, ys))
     return tuple(np.sign(d).tolist()), int(np.abs(d).sum())
 
 
@@ -88,9 +78,11 @@ def spectral_upper_bound(t: Tournament) -> float:
 
 
 def _build_report(
-    t: Tournament, method: str, ys: tuple[int, ...], expected_value: int | None = None
+    t: Tournament, method: str, member: np.ndarray, expected_value: int | None = None
 ) -> DiscrepancyReport:
-    signs, value = witness_vectors(t, ys)
+    """The report on Y, given by its membership vector, with its witness."""
+    d = _diff_vector(t, member)
+    value = int(np.abs(d).sum())
     if expected_value is not None and value != expected_value:
         raise InternalInvariantError(
             f"search value {expected_value} disagrees with witness value {value}"
@@ -104,17 +96,17 @@ def _build_report(
         )
     return DiscrepancyReport(
         method=method,
-        best_Y=ys,
+        best_Y=tuple(np.flatnonzero(member).tolist()),
         value=value,
         normalized=Fraction(value, t.n**2),
         spectral_bound=bound,
-        witness_signs=signs,
+        witness_signs=tuple(np.sign(d).tolist()),
     )
 
 
 def disc_given_report(t: Tournament, ys: Iterable[int]) -> DiscrepancyReport:
     """Full report for a caller-chosen Y (method "given")."""
-    return _build_report(t, "given", _check_subset(t.n, ys))
+    return _build_report(t, "given", _members(t.n, ys))
 
 
 def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
@@ -165,8 +157,8 @@ def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
             best_value = int(values[j])
             best_index = h << b | j
     best_mask = best_index ^ (best_index >> 1)
-    ys = tuple(v for v in range(n) if best_mask >> v & 1)
-    return _build_report(t, "exhaustive", ys, best_value)
+    member = (best_mask >> np.arange(n) & 1).astype(bool)
+    return _build_report(t, "exhaustive", member, best_value)
 
 
 def _alternate(a: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -273,10 +265,10 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _best_of_chunks(
     t: Tournament, count: int, seed: int, score
-) -> tuple[tuple[int, ...], int]:
+) -> tuple[np.ndarray, int]:
     """Best Y among ``count`` rows scored _RESTART_CHUNK at a time, and its value.
 
-    Row i is the i-th run of n coins of the seed's stream (0/1 per vertex).
+    Row i is a membership vector: the i-th run of n coins of the seed's stream.
     ``score(a, member)`` takes the float32 sign matrix a, made once here, and
     a chunk of rows, and returns the rows' final members and their values.
     Ties keep the earliest row: the first maximum inside a chunk, and a later
@@ -289,12 +281,12 @@ def _best_of_chunks(
     best_member = None
     for done in range(0, count, _RESTART_CHUNK):
         rows = min(_RESTART_CHUNK, count - done)
-        member, values = score(a, coins.take(rows * n).reshape(rows, n))
+        member, values = score(a, coins.take(rows * n).reshape(rows, n).astype(bool))
         j = int(values.argmax())
         if values[j] > best_value:
             best_value = int(values[j])
             best_member = member[j]
-    return tuple(int(v) for v in np.flatnonzero(best_member)), best_value
+    return best_member, best_value
 
 
 def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyReport:
@@ -307,18 +299,14 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     the long strides cheaply, then the single-flip climb, so every result
     is a single-flip local maximum worth at least its start.
     """
-    _check_count("restarts", restarts)
-    ys, value = _local_search(t, restarts, seed)
-    return _build_report(t, "local_search", ys, value)
+    restarts = _check_count("restarts", restarts)
+    return _build_report(t, "local_search", *_local_search(t, restarts, seed))
 
 
-def _local_search(t: Tournament, restarts: int, seed: int) -> tuple[tuple[int, ...], int]:
+def _local_search(t: Tournament, restarts: int, seed: int) -> tuple[np.ndarray, int]:
     """The best Y of ``disc_localsearch`` and its value, without the report."""
     return _best_of_chunks(
-        t,
-        restarts,
-        seed,
-        lambda a, member: _climb(a, _alternate(a, member.astype(bool))),
+        t, restarts, seed, lambda a, member: _climb(a, _alternate(a, member))
     )
 
 
@@ -329,11 +317,10 @@ def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
     the seed's stream, and scores them with one product; ties keep the
     earliest draw.
     """
-    _check_count("samples", samples)
+    samples = _check_count("samples", samples)
 
     def score(a, member):
         # the rows' difference vectors are -(member @ A); only |.| counts
         return member, np.abs(member.astype(np.float32) @ a).sum(axis=1, dtype=np.int64)
 
-    ys, value = _best_of_chunks(t, samples, seed, score)
-    return _build_report(t, "sample", ys, value)
+    return _build_report(t, "sample", *_best_of_chunks(t, samples, seed, score))

@@ -60,27 +60,20 @@ def _mod(src: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(src, out, out=out)
 
 
-# Rows of L and R reduced together per prime in ``_dot_mod``: about 2**16
-# entries, so the per-prime buffers stay small next to the n x n factors.
-_BLOCK_ENTRIES = 2**16
-
-
 def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
-    """sum_ij left_ij right_ij mod p, for signed residue arrays, in row blocks.
+    """sum_ij left_ij right_ij mod p, for signed residue arrays.
 
-    Every row sum of the product of two residue blocks is an exact integer
-    below 2**53 (see ``_prime``), so only the row sums need reducing.
+    Each row sum, and every partial sum on the way, is an integer below
+    2**53 in any order (see ``_prime``), so the row sums are exact, and so
+    is the sum of their residues, each at most p/2 + 1 in magnitude.
     """
-    n = left.shape[0]
-    step = max(1, _BLOCK_ENTRIES // n)
-    block = np.empty((min(step, n), n))
-    sums = np.empty(len(block))
-    total = 0
-    for s in range(0, n, step):
-        x = block[: min(step, n - s)]
-        np.multiply(left[s : s + step], right[s : s + step], out=x)
-        total += int(_mod(x.sum(axis=1), p, sums[: len(x)]).sum())
-    return total % p
+    sums = np.einsum("ij,ij->i", left, right)
+    return int(_mod(sums, p, np.empty_like(sums)).sum()) % p
+
+
+# Rows converted to int64 together in ``_dot_wrap``: about 2**16 entries,
+# so its buffers stay small next to the n x n factors.
+_BLOCK_ENTRIES = 2**16
 
 
 def _dot_wrap(left: np.ndarray, right: np.ndarray) -> int:
@@ -208,8 +201,7 @@ def power_trace(t: Tournament, k: int) -> int:
     float64 BLAS products of residues.  A result above F + E, or past the
     growth bound, raises InternalInvariantError.
     """
-    _check_count("exponent", k)
-    k = int(k)  # a numpy integer would overflow the growth bound below
+    k = _check_count("exponent", k)
     n = t.n
     if k % 2:
         return 0
@@ -264,9 +256,7 @@ def power_trace(t: Tournament, k: int) -> int:
 
 def total_cycles(n: int, k: int) -> int:
     """Number of k-cycles in any n-vertex tournament: (n-1)**k + (-1)**k (n-1)."""
-    _check_count("vertex count", n)
-    _check_count("cycle length", k)
-    n, k = int(n), int(k)  # a numpy integer would overflow the power below
+    n, k = _check_count("vertex count", n), _check_count("cycle length", k)
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     return (n - 1) ** k + (-1) ** k * (n - 1)
@@ -346,8 +336,7 @@ def brute_force_count(
     ``limit``; this is the reference oracle for ``even_cycles_trace`` and is
     deliberately independent of the matrix-power route.
     """
-    _check_count("cycle length", k)
-    k = int(k)  # a numpy integer would overflow the guard below
+    k = _check_count("cycle length", k)
     if k < 2:
         raise ValueError(f"cycle length must be at least 2, got {k}")
     n = t.n

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .core import (
     CoinStream,
     GeneratorSpec,
+    _check_count,
     d_minus,
     d_plus,
     generate,
@@ -90,8 +91,11 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
     checks.append(_check("exact_vs_spectral_moments", not mfail, mfail))
     wfail = ""
     for t in tournaments:
-        for _ in range(2):
-            xs, ys = ([v for v, c in enumerate(rng.take(t.n)) if c] for _ in range(2))
+        x1, y1, x2, y2 = ([v for v, c in enumerate(rng.take(t.n)) if c] for _ in range(4))
+        # two drawn pairs, then Y empty, Y = V, and a drawn Y as an int ndarray
+        pairs = [(x1, y1), (x2, y2), (x1, []), (x2, range(t.n))]
+        pairs.append((x1, rng.take(t.n).nonzero()[0]))
+        for xs, ys in pairs:
             # d_plus and d_minus read each arc through edge_sign
             d = [d_plus(t, v, ys) - d_minus(t, v, ys) for v in range(t.n)]
             signs = tuple((x > 0) - (x < 0) for x in d)
@@ -115,8 +119,7 @@ def run(suite: str, trials: int, nmax: int, seed: int) -> list[dict]:
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials, nmax = _check_count("trials", trials), _check_count("nmax", nmax)
     if nmax < 2:
         raise ValueError(f"nmax must be at least 2, got {nmax}")
     names = list(SUITES) if suite == "all" else [suite]

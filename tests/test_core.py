@@ -25,6 +25,14 @@ from qrtour.core import sign_array
 
 SEEDS = [0, 1, 7, 42, 1234567, 2**63 + 11]
 
+# one size argument each; 7 is valid for every family
+BUILDERS = {
+    "random": lambda n: random_tournament(n, 3),
+    "transitive": transitive_tournament,
+    "rotational": rotational_tournament,
+    "paley": paley_tournament,
+}
+
 
 def c3():
     # 0 -> 1 -> 2 -> 0
@@ -190,6 +198,33 @@ class TestGenerators:
             random_tournament(5, -1)
         with pytest.raises(ValueError):
             random_tournament(5, 2**64)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, np.float64(2), "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # a bool seed would run seed 1 or 0
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            random_tournament(5, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(0), np.uint64(2**63 + 11), np.int8(7)])
+    def test_numpy_integer_seeds(self, seed):
+        assert random_tournament(6, seed) == random_tournament(6, int(seed))
+        assert CoinStream(seed).take(8).tolist() == CoinStream(int(seed)).take(8).tolist()
+
+    @pytest.mark.parametrize("family", BUILDERS)
+    def test_numpy_integer_sizes(self, family):
+        build = BUILDERS[family]
+        for n in (np.int64(7), np.uint16(7), np.int8(7)):
+            t = build(n)
+            assert t == build(7) and type(t.n) is int
+
+    @pytest.mark.parametrize("family", BUILDERS)
+    @pytest.mark.parametrize(
+        "n", [7.0, np.float64(7), True, 0, -3],
+        ids=["float", "numpy_float", "bool", "zero", "negative"],
+    )
+    def test_sizes_must_be_positive_integers(self, family, n):
+        with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+            BUILDERS[family](n)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_coin_stream_draws_share_one_raw_stream(self, seed):

@@ -187,10 +187,16 @@ class TestSubsetValidation:
             lambda t: witness_vectors(t, [4.99]),
             lambda t: witness_vectors(t, [0, 2.5, 5]),
             lambda t: disc_given_report(t, [4.99]),
+            lambda t: disc_given(t, range(6), (y for y in [1, 2.5, 3])),
+            lambda t: witness_vectors(t, {3, 4.5, 0}),
+            lambda t: disc_given_report(t, [5, 2.5, 5, 1, 2.5]),
+            lambda t: witness_vectors(t, np.array([1.0, 2.0])),
+            lambda t: disc_given(t, [], [0.5]),
         ],
         ids=[
             "d_plus", "d_minus", "disc_given_Y", "disc_given_X", "witness",
-            "witness_inner_float", "report",
+            "witness_inner_float", "report", "generator", "set",
+            "unsorted_duplicates", "float_array", "empty_X",
         ],
     )
     def test_rejects_float_entries(self, call):
@@ -210,16 +216,35 @@ class TestSubsetValidation:
             lambda t: disc_given(t, range(6), [1, True]),
             lambda t: witness_vectors(t, [True, 3]),
             lambda t: disc_given_report(t, [False]),
+            lambda t: witness_vectors(t, (y for y in [4, True, 2])),
+            lambda t: d_plus(t, 1, [5, 3, True, 5]),
+            lambda t: disc_given(t, range(6), np.array([True, False, True])),
+            lambda t: disc_given(t, [True], []),
         ],
         ids=[
             "edge_sign_u", "edge_sign_v", "d_plus", "d_plus_vertex", "d_minus",
             "disc_given_Y", "disc_given_X_all_bool", "disc_given_Y_equal_int",
-            "witness", "report",
+            "witness", "report", "generator", "unsorted_duplicates",
+            "numpy_bool_array", "empty_Y",
         ],
     )
     def test_rejects_bool_entries(self, call):
         # True == 1 as a number, and a list of bools indexes numpy as a mask
-        with pytest.raises(ValueError, match="vertex (True|False) out of range"):
+        with pytest.raises(ValueError, match=r"vertex (np\.)?(True|False)_? out of range"):
+            call(self.T6)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: disc_given(t, range(6), ["a", 1]),
+            lambda t: witness_vectors(t, [2, None, 1]),
+            lambda t: d_minus(t, 0, [3, "a", 1.5]),
+        ],
+        ids=["str", "none", "str_and_float"],
+    )
+    def test_types_checked_before_entries_compare(self, call):
+        # sorting these entries would raise TypeError before any check
+        with pytest.raises(ValueError, match="subset vertex ('a'|None) out of range"):
             call(self.T6)
 
     def test_out_of_range_message(self):
@@ -306,6 +331,18 @@ PACKED_CASES = [
 ]
 
 
+# accepted spellings of one vertex set; every n here is below 2^8
+SUBSET_FORMS = {
+    "generator": lambda ys: (y for y in ys),
+    "set": set,
+    "unsorted_duplicates": lambda ys: [*sorted(ys, reverse=True), *list(ys)[:2]],
+    "uint8": lambda ys: np.array(ys, dtype=np.uint8),
+    "int16": lambda ys: np.array(ys, dtype=np.int16),
+    "uint64": lambda ys: np.array(ys, dtype=np.uint64),
+    "mixed_numpy": lambda ys: [np.uint64(y) if y % 2 else np.int64(y) for y in ys],
+}
+
+
 def _packed_case(family, n):
     if family == "random":
         return random_tournament(n, n)
@@ -339,8 +376,15 @@ class TestPackedRoute:
             assert disc_given(t, range(n), ys) == value
             rep = disc_given_report(t, ys)
             assert (rep.value, rep.witness_signs) == (value, x)
-            for xs in (*draws, (n // 2,)):
+            assert rep.best_Y == tuple(sorted(ys))
+            for xs in ((), *draws, (n // 2,)):
                 assert disc_given(t, xs, ys) == np.abs(d[list(xs)]).sum()
+            # the same sets in other forms, Y and X alike, give the same answers
+            given = disc_given(t, draws[0], ys)
+            for form in SUBSET_FORMS.values():
+                assert witness_vectors(t, form(ys)) == (x, value)
+                assert disc_given(t, form(draws[0]), form(ys)) == given
+            assert disc_given_report(t, SUBSET_FORMS["unsorted_duplicates"](ys)) == rep
 
     @pytest.mark.parametrize("n", PACKED_SIZES)
     def test_words_hold_out_neighbourhoods(self, n):
@@ -543,6 +587,17 @@ class TestLocalSearch:
     def test_numpy_integer_restarts(self):
         t = random_tournament(12, 1)
         assert disc_localsearch(t, np.int64(3), 4) == disc_localsearch(t, 3, 4)
+
+    @pytest.mark.parametrize("seed", [np.int64(0), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed(self, seed):
+        t = random_tournament(12, 1)
+        assert disc_localsearch(t, 2, seed) == disc_localsearch(t, 2, int(seed))
+        assert disc_sample(t, 5, seed) == disc_sample(t, 5, int(seed))
+
+    @pytest.mark.parametrize("seed", [True, 1.0])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            disc_localsearch(C3, 2, seed)
 
     def test_single_vertex(self):
         assert disc_localsearch(transitive_tournament(1), restarts=2, seed=0).value == 0

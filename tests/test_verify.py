@@ -17,8 +17,14 @@ def test_run_matches_cli_report(capsys):
 
 @pytest.mark.parametrize(
     "suite, trials, nmax",
-    [("all", 0, 10), ("all", 4, 1), ("nosuch", 4, 10)],
-    ids=["trials-0", "nmax-1", "unknown-suite"],
+    [
+        ("all", 0, 10), ("all", 4, 1), ("nosuch", 4, 10), ("all", True, 10),
+        ("all", 4.0, 10), ("all", 4, True), ("all", 4, 10.0),
+    ],
+    ids=[
+        "trials-0", "nmax-1", "unknown-suite", "trials-bool", "trials-float",
+        "nmax-bool", "nmax-float",
+    ],
 )
 def test_run_rejects_bad_arguments(suite, trials, nmax):
     with pytest.raises(ValueError):
