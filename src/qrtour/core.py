@@ -8,8 +8,8 @@ pure.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -129,33 +129,26 @@ def _members(n: int, ys: Iterable[int]) -> np.ndarray:
     """Membership vector of the vertex set ``ys``: a length-n bool array.
 
     Entries may repeat, in any order, and must be ints or numpy integers in
-    0..n-1: a bool or float is refused, never read as 0, 1 or truncated.
-    Types are checked, one per type, before entries are compared.  The error
-    names the smallest entry of a refused type (the first, if they do not
-    compare), else the smallest entry if out of range, else the largest.
+    0..n-1: bools, floats and entries that do not sort are refused alike.
+    The error names the first bad one of the smallest entry, the largest and
+    the last entry of each type (refused types first if entries do not sort).
     """
-    if not (isinstance(ys, np.ndarray) and ys.ndim == 1 and ys.dtype.kind in "iu"):
-        ys = list(ys)
-        refused = {kind for kind in set(map(type, ys)) if not _int_type(kind)}
-        if refused:
-            bad = [y for y in ys if type(y) in refused]
-            try:
-                y = min(bad)
-            except (TypeError, ValueError):
-                y = bad[0]
-            raise ValueError(f"subset vertex {y!r} out of range for n={n}")
+    ys = list(ys)
+    if all(map(_int_type, set(map(type, ys)))):
+        with contextlib.suppress(OverflowError):  # an int past int64
+            # fromiter with a count is about twice as fast as np.array
+            idx = np.fromiter(ys, np.intp, len(ys))
+            if not idx.size or (idx.min() >= 0 and idx.max() < n):
+                member = np.zeros(n, dtype=bool)
+                member[idx] = True
+                return member
+    per_type = dict(zip(map(type, ys), ys))  # a set would drop a True after 1
     try:
-        # fromiter with a count is about twice as fast as np.array
-        idx = ys if isinstance(ys, np.ndarray) else np.fromiter(ys, np.intp, len(ys))
-        in_range = not idx.size or (idx.min() >= 0 and idx.max() < n)
-    except OverflowError:  # an int past int64
-        in_range = False
-    if not in_range:
-        for y in (min(ys), max(ys)):  # the entries themselves, for the message
-            _check_vertex(n, y, "subset vertex")
-    member = np.zeros(n, dtype=bool)
-    member[idx] = True
-    return member
+        s = sorted(set(ys))
+    except TypeError:
+        s = [y for y in per_type.values() if not _int_type(type(y))]
+    for y in (*s[:1], *s[-1:], *per_type.values()):
+        _check_vertex(n, y, "subset vertex")
 
 
 def _arcs(t: Tournament, v: int, ys: Iterable[int], sign: int) -> int:
@@ -248,7 +241,18 @@ def rotational_tournament(n: int) -> Tournament:
 
 
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def paley_tournament(p: int) -> Tournament:

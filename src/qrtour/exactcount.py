@@ -71,8 +71,7 @@ def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
     return int(_mod(sums, p, np.empty_like(sums)).sum()) % p
 
 
-# Rows converted to int64 together in ``_dot_wrap``: about 2**16 entries,
-# so its buffers stay small next to the n x n factors.
+# Entries per row block of ``_dot_wrap``, so its int64 buffers stay small.
 _BLOCK_ENTRIES = 2**16
 
 

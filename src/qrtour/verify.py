@@ -92,10 +92,9 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
     wfail = ""
     for t in tournaments:
         x1, y1, x2, y2 = ([v for v, c in enumerate(rng.take(t.n)) if c] for _ in range(4))
+        y3 = rng.take(t.n).nonzero()[0]
         # two drawn pairs, then Y empty, Y = V, and a drawn Y as an int ndarray
-        pairs = [(x1, y1), (x2, y2), (x1, []), (x2, range(t.n))]
-        pairs.append((x1, rng.take(t.n).nonzero()[0]))
-        for xs, ys in pairs:
+        for xs, ys in [(x1, y1), (x2, y2), (x1, []), (x2, range(t.n)), (x1, y3)]:
             # d_plus and d_minus read each arc through edge_sign
             d = [d_plus(t, v, ys) - d_minus(t, v, ys) for v in range(t.n)]
             signs = tuple((x > 0) - (x < 0) for x in d)

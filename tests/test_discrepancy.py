@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -204,22 +205,23 @@ class TestSubsetValidation:
             call(self.T6)
 
     @pytest.mark.parametrize(
-        "call",
+        ("call", "shown"),
         [
-            lambda t: edge_sign(t, True, 2),
-            lambda t: edge_sign(t, 0, False),
-            lambda t: d_plus(t, 0, [True]),
-            lambda t: d_plus(t, True, [2]),
-            lambda t: d_minus(t, 0, [True]),
-            lambda t: disc_given(t, [0, 2], [True]),
-            lambda t: disc_given(t, [True, False], range(6)),
-            lambda t: disc_given(t, range(6), [1, True]),
-            lambda t: witness_vectors(t, [True, 3]),
-            lambda t: disc_given_report(t, [False]),
-            lambda t: witness_vectors(t, (y for y in [4, True, 2])),
-            lambda t: d_plus(t, 1, [5, 3, True, 5]),
-            lambda t: disc_given(t, range(6), np.array([True, False, True])),
-            lambda t: disc_given(t, [True], []),
+            (lambda t: edge_sign(t, True, 2), "True"),
+            (lambda t: edge_sign(t, 0, False), "False"),
+            (lambda t: d_plus(t, 0, [True]), "True"),
+            (lambda t: d_plus(t, True, [2]), "True"),
+            (lambda t: d_minus(t, 0, [True]), "True"),
+            (lambda t: disc_given(t, [0, 2], [True]), "True"),
+            (lambda t: disc_given(t, [True, False], range(6)), "False"),
+            (lambda t: disc_given(t, range(6), [1, True]), "True"),
+            (lambda t: witness_vectors(t, [True, 3]), "True"),
+            (lambda t: disc_given_report(t, [False]), "False"),
+            (lambda t: witness_vectors(t, (y for y in [4, True, 2])), "True"),
+            (lambda t: d_plus(t, 1, [5, 3, True, 5]), "True"),
+            # the entries of a bool array are numpy bools
+            (lambda t: disc_given(t, range(6), np.array([True, False, True])), "np.False_"),
+            (lambda t: disc_given(t, [True], []), "True"),
         ],
         ids=[
             "edge_sign_u", "edge_sign_v", "d_plus", "d_plus_vertex", "d_minus",
@@ -228,9 +230,9 @@ class TestSubsetValidation:
             "numpy_bool_array", "empty_Y",
         ],
     )
-    def test_rejects_bool_entries(self, call):
+    def test_rejects_bool_entries(self, call, shown):
         # True == 1 as a number, and a list of bools indexes numpy as a mask
-        with pytest.raises(ValueError, match=r"vertex (np\.)?(True|False)_? out of range"):
+        with pytest.raises(ValueError, match=f"vertex {re.escape(shown)} out of range"):
             call(self.T6)
 
     @pytest.mark.parametrize(
@@ -250,6 +252,11 @@ class TestSubsetValidation:
     def test_out_of_range_message(self):
         with pytest.raises(ValueError, match="subset vertex 7 out of range for n=6"):
             disc_given(self.T6, range(6), [7])
+        # with floats among ints: the smallest entry, then the largest, then
+        # the last entry of each type
+        for ys, shown in (([0, 9, 2.5], "9"), ([1, 7.5, 2.5], "7.5"), ([0, 1.5, 3.5, 5], "3.5")):
+            with pytest.raises(ValueError, match=f"subset vertex {re.escape(shown)} out of range"):
+                disc_given(self.T6, range(6), ys)
 
     def test_numpy_integers_accepted(self):
         t = self.T6
