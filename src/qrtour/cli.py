@@ -176,8 +176,6 @@ def _environment() -> dict:
 
 
 def _cmd_bench(args, t, timings) -> dict:
-    if args.k < 2:
-        raise ValueError(f"--k must be at least 2, got {args.k}")
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     with _timed(timings, "bench"):
@@ -225,26 +223,7 @@ def _cmd_bench(args, t, timings) -> dict:
                 }
             row["local_value"] = local_value
             rows.append(row)
-    # informational scaling estimate: log-log slope of median count time
-    exponent = None
-    if len(rows) >= 2 and rows[0]["count_ms"]["median"] > 0:
-        first, last = rows[0], rows[-1]
-        if last["n"] > first["n"] and last["count_ms"]["median"] > 0:
-            exponent = float(
-                np.log(last["count_ms"]["median"] / first["count_ms"]["median"])
-                / np.log(last["n"] / first["n"])
-            )
-    csv_lines = ["n,count_ms_median,spectrum_ms_median"]
-    for row in rows:
-        csv_lines.append(
-            f"{row['n']},{row['count_ms']['median']!r},{row['spectrum_ms']['median']!r}"
-        )
-    return {
-        "rows": rows,
-        "scaling_exponent": exponent,
-        "csv": "\n".join(csv_lines),
-        "environment": _environment(),
-    }
+    return {"rows": rows, "environment": _environment()}
 
 
 # --- parser and dispatch ------------------------------------------------

@@ -37,8 +37,6 @@ class CoinStream:
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` coins as a uint8 array of 0s and 1s."""
-        if count == 0:
-            return np.zeros(0, dtype=np.uint8)
         raw = self._bitgen.random_raw(count)
         return (raw >> 63).astype(np.uint8)
 
@@ -67,8 +65,7 @@ class Tournament:
     bits: bytes
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _check_count("vertex count", self.n))
         if not isinstance(self.bits, bytes):
             # a mutable buffer would make the value unhashable (and mutable)
             object.__setattr__(self, "bits", memoryview(self.bits).tobytes())
@@ -100,10 +97,12 @@ def _int_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
-def _check_count(name: str, value) -> int:
-    """A positive int or numpy integer ``value`` as an int, which never wraps."""
-    if not _int_type(type(value)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> int:
+    """An int or numpy integer ``value`` of at least ``least`` as an int,
+    which never wraps."""
+    if not _int_type(type(value)) or value < least:
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return int(value)
 
 

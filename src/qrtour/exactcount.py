@@ -255,9 +255,7 @@ def power_trace(t: Tournament, k: int) -> int:
 
 def total_cycles(n: int, k: int) -> int:
     """Number of k-cycles in any n-vertex tournament: (n-1)**k + (-1)**k (n-1)."""
-    n, k = _check_count("vertex count", n), _check_count("cycle length", k)
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
+    n, k = _check_count("vertex count", n), _check_count("cycle length", k, 2)
     return (n - 1) ** k + (-1) ** k * (n - 1)
 
 
@@ -292,10 +290,8 @@ def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
     InternalInvariantError on a trace of the wrong parity, or a nonzero one
     for odd k.
     """
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
-    trace = power_trace(t, k)  # which refuses a k that is not an integer
-    k = int(k)
+    k = _check_count("cycle length", k, 2)
+    trace = power_trace(t, k)
     total = total_cycles(t.n, k)
     even = (trace + total) // 2
     frac = Fraction(even, total) if total else None
@@ -311,9 +307,7 @@ def cycle_parity(t: Tournament, seq) -> str:
     seq[0] is implied.  Cyclically adjacent vertices must differ.
     """
     vs = list(seq)
-    k = len(vs)
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
+    k = _check_count("cycle length", len(vs), 2)
     reversals = 0
     for i in range(k):
         # edge_sign checks both endpoints of each step
@@ -335,9 +329,7 @@ def brute_force_count(
     ``limit``; this is the reference oracle for ``even_cycles_trace`` and is
     deliberately independent of the matrix-power route.
     """
-    k = _check_count("cycle length", k)
-    if k < 2:
-        raise ValueError(f"cycle length must be at least 2, got {k}")
+    k = _check_count("cycle length", k, 2)
     n = t.n
     if n**k > limit:
         raise ResourceLimitError(
@@ -387,6 +379,7 @@ def ec_bound_check(t: Tournament, k: int) -> BoundCheckResult:
     count sit on a known side of half the cycle total.  A violated result
     indicates an arithmetic bug, never a property of the input.
     """
+    k = _check_count("cycle length", k, 2)
     if k % 2 != 0 or k < 4:
         raise ValueError(f"bound check needs even k >= 4, got {k}")
     report = even_cycles_trace(t, k)

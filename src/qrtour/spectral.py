@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tournament
+from .core import Tournament, _check_count
 from .errors import InternalInvariantError
 from .exactcount import _gram, power_trace
 
@@ -105,7 +105,8 @@ def moment_crosscheck(
     Pass a ``summary`` from ``full_spectrum`` to reuse an already-computed
     spectrum across several k.
     """
-    if k < 2 or k % 2 != 0:
+    k = _check_count("cycle length", k, 2)
+    if k % 2 != 0:
         raise ValueError(f"moment comparison needs even k >= 2, got {k}")
     if summary is None or summary.singular_values is None:
         summary = full_spectrum(t)

@@ -118,8 +118,6 @@ def run(suite: str, trials: int, nmax: int, seed: int) -> list[dict]:
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    trials, nmax = _check_count("trials", trials), _check_count("nmax", nmax)
-    if nmax < 2:
-        raise ValueError(f"nmax must be at least 2, got {nmax}")
+    trials, nmax = _check_count("trials", trials), _check_count("nmax", nmax, 2)
     names = list(SUITES) if suite == "all" else [suite]
     return [check for name in names for check in SUITES[name](trials, nmax, seed)]

@@ -10,6 +10,7 @@ assertion is the FAIL signal.
 
 import json
 import math
+from pathlib import Path
 
 from qrtour import (
     CoinStream,
@@ -184,3 +185,13 @@ def test_c10_reproducibility(tmp_path, capsys):
         assert decode(encode(t)) == t
         roundtrips += 1
     _ok(10, f"CLI reports byte-stable across runs; {roundtrips} encode/decode round-trips")
+
+
+def test_c11_readme_library_block_runs():
+    # the documented API, run as written, so README cannot drift from it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library") :]
+    start = library.index("```python\n") + len("```python\n")
+    block = library[start : library.index("```", start)]
+    exec(compile(block, "README.md", "exec"), {})
+    _ok(11, "README's library block runs as written")

@@ -25,12 +25,14 @@ from qrtour.core import sign_array
 
 SEEDS = [0, 1, 7, 42, 1234567, 2**63 + 11]
 
-# one size argument each; 7 is valid for every family
+# one size argument each; 7 is valid for every family, and the constructor's
+# 21 bits are those of n = 7
 BUILDERS = {
     "random": lambda n: random_tournament(n, 3),
     "transitive": transitive_tournament,
     "rotational": rotational_tournament,
     "paley": paley_tournament,
+    "constructor": lambda n: Tournament(n, b"\x01" * 21),
 }
 
 
@@ -102,9 +104,7 @@ class TestTournamentModel:
         with pytest.raises(TypeError):
             Tournament(3, [1, 0, 1])
 
-    @pytest.mark.parametrize(
-        "n, bits", [(True, b""), (False, b""), (2.0, b"\x01"), (np.int64(2), b"\x01")]
-    )
+    @pytest.mark.parametrize("n, bits", [(True, b""), (False, b""), (2.0, b"\x01")])
     def test_vertex_count_must_be_int(self, n, bits):
         with pytest.raises(ValueError):
             Tournament(n, bits)
@@ -234,6 +234,8 @@ class TestGenerators:
         bounded = CoinStream(seed)
         assert [bounded.below(1000) for _ in range(6)] == [x % 1000 for x in raw]
         assert CoinStream(seed).take(6).tolist() == [x >> 63 for x in raw]
+        empty = CoinStream(seed).take(0)
+        assert empty.dtype == np.uint8 and empty.shape == (0,)
 
     def test_generate_dispatch(self):
         assert generate(GeneratorSpec("transitive", 4)) == transitive_tournament(4)

@@ -21,6 +21,7 @@ from qrtour import (
     ec_bound_check,
     even_cycles_trace,
     gram,
+    moment_crosscheck,
     paley_tournament,
     power_trace,
     random_tournament,
@@ -36,6 +37,15 @@ SEEDS = [0, 1, 7, 42, 99]
 
 C3 = rotational_tournament(3)
 TT3 = transitive_tournament(3)
+
+# every function that takes a cycle length k, called as (t, k)
+CYCLE_LENGTH_TAKERS = [
+    even_cycles_trace,
+    ec_bound_check,
+    moment_crosscheck,
+    lambda t, k: total_cycles(t.n, k),
+    brute_force_count,
+]
 
 
 def reference_trace(t, k):
@@ -126,6 +136,8 @@ class TestMatPowTrace:
         for k in (4, 5, 16):
             assert power_trace(t, np.int64(k)) == power_trace(t, k)
             assert even_cycles_trace(t, np.int64(k)) == even_cycles_trace(t, k)
+        for take in CYCLE_LENGTH_TAKERS:
+            assert take(C3, np.int64(4)) == take(C3, 4)
 
     def test_odd_powers_vanish(self):
         for seed in SEEDS:
@@ -533,10 +545,12 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             brute_force_count(random_tournament(30, 1), np.int64(20))
 
-    @pytest.mark.parametrize("k", [True, 4.0])
+    @pytest.mark.parametrize("k", [True, 4.0, "4", None])
     def test_rejects_non_integer_lengths(self, k):
-        with pytest.raises(ValueError):
-            brute_force_count(C3, k)
+        # refused by the one count rule before any arithmetic, by every taker
+        for take in CYCLE_LENGTH_TAKERS:
+            with pytest.raises(ValueError, match="cycle length must be an integer >= 2"):
+                take(C3, k)
 
 
 class TestBoundCheck:
