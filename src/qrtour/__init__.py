@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     CoinStream,
-    GeneratorSpec,
     Tournament,
     d_minus,
     d_plus,
@@ -68,7 +67,6 @@ __all__ = [
     "CoinStream",
     "CycleCountReport",
     "DiscrepancyReport",
-    "GeneratorSpec",
     "InternalInvariantError",
     "ParseError",
     "ResourceLimitError",

@@ -78,20 +78,6 @@ class Tournament:
             raise ValueError("orientation bits must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters for one tournament family.
-
-    kind: one of "random", "transitive", "rotational", "paley".
-    n:    vertex count (the prime p for the paley family).
-    seed: unsigned 64-bit seed, used by the random family only.
-    """
-
-    kind: str
-    n: int
-    seed: int | None = None
-
-
 def _int_type(kind: type) -> bool:
     """Whether ``kind`` is int or a numpy integer type; bool (True == 1) is not."""
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
@@ -106,10 +92,10 @@ def _check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def _check_vertex(n: int, v: int, role: str = "vertex") -> int:
+def _check_vertex(n: int, v: int) -> int:
     """An int or numpy integer ``v`` in 0..n-1 as an int, which never wraps."""
     if not _int_type(type(v)) or not 0 <= v < n:
-        raise ValueError(f"{role} {v!r} out of range for n={n}")
+        raise ValueError(f"vertex {v!r} out of range for n={n}")
     return int(v)
 
 
@@ -127,10 +113,8 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
 def _members(n: int, ys: Iterable[int]) -> np.ndarray:
     """Membership vector of the vertex set ``ys``: a length-n bool array.
 
-    Entries may repeat, in any order, and must be ints or numpy integers in
-    0..n-1: bools, floats and entries that do not sort are refused alike.
-    The error names the first bad one of the smallest entry, the largest and
-    the last entry of each type (refused types first if entries do not sort).
+    Entries may repeat, in any order, and each must pass ``_check_vertex``;
+    the error names the first entry that does not.
     """
     ys = list(ys)
     if all(map(_int_type, set(map(type, ys)))):
@@ -141,21 +125,14 @@ def _members(n: int, ys: Iterable[int]) -> np.ndarray:
                 member = np.zeros(n, dtype=bool)
                 member[idx] = True
                 return member
-    per_type = dict(zip(map(type, ys), ys))  # a set would drop a True after 1
-    try:
-        s = sorted(set(ys))
-    except TypeError:
-        s = [y for y in per_type.values() if not _int_type(type(y))]
-    for y in (*s[:1], *s[-1:], *per_type.values()):
-        _check_vertex(n, y, "subset vertex")
+    for y in ys:
+        _check_vertex(n, y)
 
 
 def _arcs(t: Tournament, v: int, ys: Iterable[int], sign: int) -> int:
     """#{distinct y in ys: edge_sign(t, v, y) == sign}, arc by arc."""
-    _check_vertex(t.n, v)
-    ys = list(ys)
-    _members(t.n, ys)  # refuses what every subset query refuses
-    return sum(1 for y in set(ys) if edge_sign(t, v, y) == sign)
+    _check_vertex(t.n, v)  # also when ys is empty
+    return len({y for y in ys if edge_sign(t, v, y) == sign})
 
 
 def d_plus(t: Tournament, v: int, ys: Iterable[int]) -> int:
@@ -270,19 +247,20 @@ def paley_tournament(p: int) -> Tournament:
     return _circulant(p, residue)
 
 
-def generate(spec: GeneratorSpec) -> Tournament:
-    """Build the tournament described by ``spec``."""
-    if spec.kind == "random":
-        if spec.seed is None:
+def generate(kind: str, n: int, seed: int | None = None) -> Tournament:
+    """The tournament of family ``kind``: "random" (which needs ``seed``),
+    "transitive", "rotational" or "paley" (n is then the prime p)."""
+    if kind == "random":
+        if seed is None:
             raise ValueError("random family requires a seed")
-        return random_tournament(spec.n, spec.seed)
-    if spec.kind == "transitive":
-        return transitive_tournament(spec.n)
-    if spec.kind == "rotational":
-        return rotational_tournament(spec.n)
-    if spec.kind == "paley":
-        return paley_tournament(spec.n)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+        return random_tournament(n, seed)
+    if kind == "transitive":
+        return transitive_tournament(n)
+    if kind == "rotational":
+        return rotational_tournament(n)
+    if kind == "paley":
+        return paley_tournament(n)
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 # --- symmetries ---------------------------------------------------------
@@ -296,11 +274,11 @@ def reverse(t: Tournament) -> Tournament:
 def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
     """Rename vertex i to perm[i]; the edge set is carried along."""
     n = t.n
-    p = np.asarray(list(perm))
-    if p.size and p.dtype.kind not in "iu":
-        raise ValueError(f"perm entries must be integers, got dtype {p.dtype}")
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+    perm = list(perm)
+    # n entries that are all vertices and cover every vertex repeat none
+    if not _members(n, perm).all() or len(perm) != n:
         raise ValueError(f"perm must be a permutation of 0..{n - 1}")
+    p = np.fromiter(perm, np.intp, n)
     inv = np.empty(n, dtype=np.intp)
     inv[p] = np.arange(n)
     # new u beats new v iff old inv[u] beats old inv[v]; keep the upper triangle

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from .core import (
     CoinStream,
-    GeneratorSpec,
     _check_count,
     d_minus,
     d_plus,
-    generate,
     paley_tournament,
     random_tournament,
     rotational_tournament,
+    transitive_tournament,
 )
 from .discrepancy import disc_given, witness_vectors
 from .exactcount import (
@@ -45,10 +44,9 @@ def _bounds(trials: int, nmax: int, seed: int) -> list[dict]:
     for _ in range(trials):
         n = 2 + rng.below(max(nmax - 1, 1))
         tournaments.append(random_tournament(n, rng.seed64()))
-    tournaments.append(generate(GeneratorSpec("transitive", max(nmax, 3))))
-    odd_n = max(nmax, 3) | 1
-    tournaments.append(generate(GeneratorSpec("rotational", odd_n)))
-    tournaments.append(generate(GeneratorSpec("paley", 19)))
+    tournaments.append(transitive_tournament(max(nmax, 3)))
+    tournaments.append(rotational_tournament(max(nmax, 3) | 1))
+    tournaments.append(paley_tournament(19))
     fail = ""
     for t in tournaments:
         for k in (4, 6, 8, 12):

@@ -300,6 +300,14 @@ class TestBench:
         code, _ = run(capsys, "bench", "--sizes", "")
         assert code == 2
 
+    def test_sizes_follow_the_vertex_count_rule(self, capsys):
+        code, report = run_json(capsys, "bench", "--sizes", "1")
+        assert code == 0 and [r["n"] for r in report["results"]["rows"]] == [1]
+        assert main(["bench", "--sizes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "vertex count must be a positive integer, got 0" in captured.err
+
     def test_k_too_small(self, capsys):
         # the library refuses k < 2, which the CLI turns into a usage error
         code, out = run(capsys, "bench", "--sizes", "8", "--k", "1")

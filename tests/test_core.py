@@ -1,16 +1,21 @@
 """Tests for the tournament model, generators, and .trn serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
+import qrtour.core as core
 from qrtour import (
     CoinStream,
-    GeneratorSpec,
     ParseError,
     Tournament,
+    cycle_parity,
     d_minus,
     d_plus,
     decode,
+    disc_given,
+    disc_given_report,
     edge_sign,
     encode,
     generate,
@@ -20,6 +25,7 @@ from qrtour import (
     reverse,
     rotational_tournament,
     transitive_tournament,
+    witness_vectors,
 )
 from qrtour.core import sign_array
 
@@ -34,6 +40,23 @@ BUILDERS = {
     "paley": paley_tournament,
     "constructor": lambda n: Tournament(n, b"\x01" * 21),
 }
+
+
+# every vertex argument, called as (t, v) on a tournament of 6 vertices
+VERTEX_TAKERS = [
+    lambda t, v: edge_sign(t, v, 0),
+    lambda t, v: edge_sign(t, 0, v),
+    lambda t, v: d_plus(t, v, [1]),
+    lambda t, v: d_plus(t, 0, [1, v]),
+    lambda t, v: d_minus(t, v, [1]),
+    lambda t, v: d_minus(t, 0, [1, v]),
+    lambda t, v: disc_given(t, [0, v], [1]),
+    lambda t, v: disc_given(t, [0], [1, v]),
+    lambda t, v: witness_vectors(t, [2, v]),
+    lambda t, v: disc_given_report(t, [2, v]),
+    lambda t, v: relabel(t, [v, 1, 2, 3, 4, 5]),
+    lambda t, v: cycle_parity(t, [0, 1, v]),
+]
 
 
 def c3():
@@ -70,6 +93,31 @@ class TestTournamentModel:
             edge_sign(t, 0, 3)
         with pytest.raises(ValueError):
             edge_sign(t, -1, 0)
+
+    @pytest.mark.parametrize(
+        "v",
+        [True, np.False_, 1.0, "a", None, -1, 6, 2**70, np.uint64(2**64 - 1)],
+        ids=["bool", "numpy_bool", "float", "str", "None", "negative", "n", "past_int64",
+             "uint64_max"],
+    )
+    def test_one_vertex_rule(self, v):
+        t = random_tournament(6, 2)
+        message = f"^vertex {re.escape(repr(v))} out of range for n=6$"
+        for take in VERTEX_TAKERS:
+            with pytest.raises(ValueError, match=message):
+                take(t, v)
+
+    def test_degrees_use_no_subset_validator(self, monkeypatch):
+        # the d_plus / d_minus oracle checks each arc through edge_sign alone
+        t = random_tournament(9, 4)
+        ys = [3, 8, 0, 3, 5, 8]
+        expected = d_plus(t, 2, ys), d_minus(t, 2, ys)
+
+        def refuse(*args):
+            raise AssertionError("_members called")
+
+        monkeypatch.setattr(core, "_members", refuse)
+        assert (d_plus(t, 2, ys), d_minus(t, 2, ys)) == expected
 
     def test_bad_bit_count(self):
         with pytest.raises(ValueError):
@@ -191,7 +239,7 @@ class TestGenerators:
 
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
-            generate(GeneratorSpec("random", 5))
+            generate("random", 5)
 
     def test_seed_range_checked(self):
         with pytest.raises(ValueError):
@@ -238,14 +286,14 @@ class TestGenerators:
         assert empty.dtype == np.uint8 and empty.shape == (0,)
 
     def test_generate_dispatch(self):
-        assert generate(GeneratorSpec("transitive", 4)) == transitive_tournament(4)
-        assert generate(GeneratorSpec("paley", 7)) == paley_tournament(7)
-        assert generate(GeneratorSpec("rotational", 5)) == rotational_tournament(5)
-        assert generate(GeneratorSpec("random", 5, seed=9)) == random_tournament(5, 9)
+        assert generate("transitive", 4) == transitive_tournament(4)
+        assert generate("paley", 7) == paley_tournament(7)
+        assert generate("rotational", 5) == rotational_tournament(5)
+        assert generate("random", 5, seed=9) == random_tournament(5, 9)
 
     def test_generate_unknown_kind(self):
         with pytest.raises(ValueError):
-            generate(GeneratorSpec("bipartite", 4))
+            generate("bipartite", 4)
 
     def test_single_vertex(self):
         t = transitive_tournament(1)
@@ -282,16 +330,26 @@ class TestSymmetries:
 
     def test_relabel_rejects_non_permutation(self):
         t = random_tournament(4, 0)
-        with pytest.raises(ValueError):
-            relabel(t, [0, 1, 2, 2])
-        with pytest.raises(ValueError):
-            relabel(t, [0, 1])
+        for perm in ([0, 1, 2, 2], [0, 1], [0, 1, 2, 3, 3]):
+            with pytest.raises(ValueError, match=r"^perm must be a permutation of 0\.\.3$"):
+                relabel(t, perm)
 
     @pytest.mark.parametrize(
-        "perm", [[0.0, 1.9, 2.2], [2.0, 0.0, 1.0], ["0", "1", "2"]]
+        ("perm", "shown"),
+        [
+            ([0.0, 1.9, 2.2], "0.0"),
+            ([2.0, 0.0, 1.0], "2.0"),
+            (["0", "1", "2"], "'0'"),
+            # True == 1 as a number: these read as permutations if taken as ints
+            ([True, 0, 2], "True"),
+            ([2, 1, False], "False"),
+            (np.array([True, False, True]), "np.True_"),
+        ],
+        ids=[f"perm{i}" for i in range(6)],
     )
-    def test_relabel_rejects_non_integer_entries(self, perm):
-        with pytest.raises(ValueError):
+    def test_relabel_rejects_non_integer_entries(self, perm, shown):
+        message = f"^vertex {re.escape(shown)} out of range for n=3$"
+        with pytest.raises(ValueError, match=message):
             relabel(transitive_tournament(3), perm)
 
     def test_relabel_accepts_numpy_integers(self):

@@ -201,7 +201,7 @@ class TestSubsetValidation:
         ],
     )
     def test_rejects_float_entries(self, call):
-        with pytest.raises(ValueError, match="subset vertex"):
+        with pytest.raises(ValueError, match="^vertex .+ out of range for n=6$"):
             call(self.T6)
 
     @pytest.mark.parametrize(
@@ -213,14 +213,14 @@ class TestSubsetValidation:
             (lambda t: d_plus(t, True, [2]), "True"),
             (lambda t: d_minus(t, 0, [True]), "True"),
             (lambda t: disc_given(t, [0, 2], [True]), "True"),
-            (lambda t: disc_given(t, [True, False], range(6)), "False"),
+            (lambda t: disc_given(t, [True, False], range(6)), "True"),
             (lambda t: disc_given(t, range(6), [1, True]), "True"),
             (lambda t: witness_vectors(t, [True, 3]), "True"),
             (lambda t: disc_given_report(t, [False]), "False"),
             (lambda t: witness_vectors(t, (y for y in [4, True, 2])), "True"),
             (lambda t: d_plus(t, 1, [5, 3, True, 5]), "True"),
             # the entries of a bool array are numpy bools
-            (lambda t: disc_given(t, range(6), np.array([True, False, True])), "np.False_"),
+            (lambda t: disc_given(t, range(6), np.array([True, False, True])), "np.True_"),
             (lambda t: disc_given(t, [True], []), "True"),
         ],
         ids=[
@@ -245,17 +245,16 @@ class TestSubsetValidation:
         ids=["str", "none", "str_and_float"],
     )
     def test_types_checked_before_entries_compare(self, call):
-        # sorting these entries would raise TypeError before any check
-        with pytest.raises(ValueError, match="subset vertex ('a'|None) out of range"):
+        # these entries do not compare; the first refused one is named
+        with pytest.raises(ValueError, match="^vertex ('a'|None) out of range"):
             call(self.T6)
 
     def test_out_of_range_message(self):
-        with pytest.raises(ValueError, match="subset vertex 7 out of range for n=6"):
+        with pytest.raises(ValueError, match="^vertex 7 out of range for n=6$"):
             disc_given(self.T6, range(6), [7])
-        # with floats among ints: the smallest entry, then the largest, then
-        # the last entry of each type
-        for ys, shown in (([0, 9, 2.5], "9"), ([1, 7.5, 2.5], "7.5"), ([0, 1.5, 3.5, 5], "3.5")):
-            with pytest.raises(ValueError, match=f"subset vertex {re.escape(shown)} out of range"):
+        # the first refused entry, in the order given
+        for ys, shown in (([0, 9, 2.5], "9"), ([1, 7.5, 2.5], "7.5"), ([0, 1.5, 3.5, 5], "1.5")):
+            with pytest.raises(ValueError, match=f"^vertex {re.escape(shown)} out of range"):
                 disc_given(self.T6, range(6), ys)
 
     def test_numpy_integers_accepted(self):
