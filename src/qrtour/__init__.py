@@ -52,7 +52,6 @@ from .exactcount import (
 from .spectral import (
     CertificateReport,
     SpectralSummary,
-    full_spectrum,
     gram,
     lambda1,
     moment_crosscheck,
@@ -86,7 +85,6 @@ __all__ = [
     "edge_sign",
     "encode",
     "even_cycles_trace",
-    "full_spectrum",
     "generate",
     "gram",
     "lambda1",

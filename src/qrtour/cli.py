@@ -24,7 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, verify
-from .core import CoinStream, decode, encode, generate, random_tournament, relabel
+from .core import (
+    CoinStream, _check_count, decode, encode, generate, random_tournament, relabel
+)
 from .discrepancy import (
     DiscrepancyReport,
     disc_exhaustive,
@@ -36,7 +38,7 @@ from .discrepancy import (
 )
 from .errors import InternalInvariantError, ResourceLimitError
 from .exactcount import DEFAULT_ENUMERATION_LIMIT, brute_force_count, even_cycles_trace
-from .spectral import full_spectrum, lambda1
+from .spectral import lambda1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -126,7 +128,7 @@ def _cmd_count(args, t, timings) -> dict:
 
 def _cmd_spectrum(args, t, timings) -> dict:
     with _timed(timings, "solve"):
-        summary = full_spectrum(t) if args.full else lambda1(t)
+        summary = lambda1(t)
     results = {
         "lambda1_abs": summary.lambda1_abs,
         "lambda1_upper": summary.lambda1_upper,
@@ -173,8 +175,7 @@ def _environment() -> dict:
 
 
 def _cmd_bench(args, t, timings) -> dict:
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
+    _check_count("repeat", args.repeat)
     with _timed(timings, "bench"):
         cases = []
         for n in args.sizes:
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="largest eigenvalue modulus, or all of them")
     p.add_argument("file")
-    p.add_argument("--full", action="store_true", help="compute every singular value")
+    p.add_argument("--full", action="store_true", help="list all the moduli in the report")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 

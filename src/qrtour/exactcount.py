@@ -330,6 +330,7 @@ def brute_force_count(
     deliberately independent of the matrix-power route.
     """
     k = _check_count("cycle length", k, 2)
+    limit = _check_count("limit", limit)
     n = t.n
     if n**k > limit:
         raise ResourceLimitError(

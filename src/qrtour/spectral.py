@@ -24,15 +24,15 @@ from .exactcount import _gram, power_trace
 class SpectralSummary:
     """Result of a spectral computation.
 
-    ``lambda1_abs`` is the largest eigenvalue modulus of A as computed, and
+    ``lambda1_abs`` is the largest eigenvalue modulus of A as computed,
     ``lambda1_upper`` an upper bound on the true value that covers the
-    solver's rounding error (see ``_moduli``).  When the full spectrum was
-    requested, ``singular_values`` lists all n moduli in descending order.
+    solver's rounding error (see ``lambda1``), and ``singular_values`` all n
+    moduli in descending order.
     """
 
     lambda1_abs: float
     lambda1_upper: float
-    singular_values: tuple[float, ...] | None
+    singular_values: tuple[float, ...]
 
 
 def gram(t: Tournament) -> np.ndarray:
@@ -52,14 +52,17 @@ def gram(t: Tournament) -> np.ndarray:
     return g
 
 
-def _moduli(t: Tournament, keep_all: bool) -> SpectralSummary:
-    """Eigenvalue moduli of A from one ``eigvalsh`` call on the Gram matrix.
+def lambda1(t: Tournament) -> SpectralSummary:
+    """Every eigenvalue modulus of A, and |lambda_1| with its upper bound,
+    from one ``eigvalsh`` call on the Gram matrix.
 
     LAPACK's symmetric eigensolver is backward stable: its eigenvalues are
     exact for G + E with ||E||_2 <= p(n) * eps * ||G||_2, p a modest
     polynomial.  Taking p(n) = n and ||G||_2 <= tr(G) = n(n-1) (G is PSD),
     Weyl's inequality puts the true top eigenvalue below the computed one
     plus n * eps * n(n-1); ``lambda1_upper`` is the square root of that sum.
+    Gram eigenvalues are clamped at zero before the square root, so rounding
+    cannot produce a NaN modulus.
     """
     n = t.n
     eigs = np.linalg.eigvalsh(gram(t))  # ascending
@@ -68,51 +71,27 @@ def _moduli(t: Tournament, keep_all: bool) -> SpectralSummary:
     lam = math.sqrt(top)
     if lam > n:
         raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
-    svals = None
-    if keep_all:
-        svals = tuple(float(v) for v in np.sqrt(np.clip(eigs[::-1], 0.0, None)))
     return SpectralSummary(
         lambda1_abs=lam,
         lambda1_upper=math.sqrt(top + margin),
-        singular_values=svals,
+        singular_values=tuple(np.sqrt(np.clip(eigs[::-1], 0.0, None)).tolist()),
     )
 
 
-def lambda1(t: Tournament) -> SpectralSummary:
-    """|lambda_1(A)|, with its upper bound, from the Gram eigenvalues."""
-    return _moduli(t, keep_all=False)
-
-
-def full_spectrum(t: Tournament) -> SpectralSummary:
-    """All n eigenvalue moduli of A in descending order, plus |lambda_1|.
-
-    Eigenvalues of the Gram matrix are clamped at zero before the square
-    root, so rounding cannot produce a NaN modulus.
-    """
-    return _moduli(t, keep_all=True)
-
-
-def moment_crosscheck(
-    t: Tournament, k: int, summary: SpectralSummary | None = None
-) -> float:
+def moment_crosscheck(t: Tournament, k: int) -> float:
     """Relative gap between exact tr(A^k) and the spectral moment sum.
 
     Eigenvalues +-i*sigma contribute (+-i)^k sigma^k, so for even k the trace
     equals (-1)^(k/2) * sum(sigma^k).  Returns
     |exact - float| / max(1, |exact|); a large value means the float
     spectrum and the exact integer route disagree.
-
-    Pass a ``summary`` from ``full_spectrum`` to reuse an already-computed
-    spectrum across several k.
     """
     k = _check_count("cycle length", k, 2)
     if k % 2 != 0:
         raise ValueError(f"moment comparison needs even k >= 2, got {k}")
-    if summary is None or summary.singular_values is None:
-        summary = full_spectrum(t)
     exact = power_trace(t, k)
     sign = -1.0 if (k // 2) % 2 else 1.0
-    approx = sign * float(np.sum(np.asarray(summary.singular_values) ** k))
+    approx = sign * float(np.sum(np.asarray(lambda1(t).singular_values) ** k))
     return abs(exact - approx) / max(1, abs(exact))
 
 

@@ -118,6 +118,15 @@ class TestCount:
         code, _ = run(capsys, "count", c3_file, "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_bad_limit_is_a_usage_error(self, c3_file, capsys, limit):
+        # exit 2, not the resource guard's 4
+        argv = ["count", c3_file, "--k", "4", "--method", "brute", "--limit", limit]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"limit must be a positive integer, got {limit}" in captured.err
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.trn"
         bad.write_bytes(b"TRN1 3\n10\n")
@@ -312,6 +321,12 @@ class TestBench:
         # the library refuses k < 2, which the CLI turns into a usage error
         code, out = run(capsys, "bench", "--sizes", "8", "--k", "1")
         assert (code, out) == (2, "")
+
+    def test_repeat_follows_the_count_rule(self, capsys):
+        assert main(["bench", "--sizes", "8", "--repeat", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeat must be a positive integer, got 0" in captured.err
 
     def test_laps_interleave_sizes(self, capsys, monkeypatch):
         seen = []

@@ -540,6 +540,14 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_count(C3, 1)
 
+    @pytest.mark.parametrize("limit", [-1, 0, True, 1e8, "100"])
+    def test_limit_follows_the_count_rule(self, limit):
+        # bad input, not a guard that fired
+        with pytest.raises(ValueError) as exc:
+            brute_force_count(C3, 4, limit=limit)
+        assert str(exc.value) == f"limit must be a positive integer, got {limit!r}"
+        assert brute_force_count(C3, 4, limit=np.int64(81)) == (18, 0)
+
     def test_guard_takes_numpy_integers(self):
         # 30**np.int64(20) wraps to a negative int64; the guard must see 30**20
         with pytest.raises(ResourceLimitError):

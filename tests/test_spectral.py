@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qrtour import (
-    full_spectrum,
     gram,
     lambda1,
     moment_crosscheck,
@@ -126,23 +125,23 @@ class TestLambda1:
 
 class TestFullSpectrum:
     def test_c3(self):
-        s = full_spectrum(C3)
+        s = lambda1(C3)
         r3 = math.sqrt(3)
         assert np.allclose(s.singular_values, [r3, r3, 0.0], atol=1e-9)
 
     def test_paley7(self):
-        s = full_spectrum(paley_tournament(7))
+        s = lambda1(paley_tournament(7))
         r7 = math.sqrt(7)
         assert np.allclose(s.singular_values, [r7] * 6 + [0.0], atol=1e-8)
 
     def test_tt4_values_pair_up(self):
-        s = full_spectrum(transitive_tournament(4))
+        s = lambda1(transitive_tournament(4))
         v = s.singular_values
         assert len(v) == 4
         assert abs(v[0] - v[1]) < 1e-8 and abs(v[2] - v[3]) < 1e-8
 
     def test_values_descending_nonnegative(self):
-        s = full_spectrum(random_tournament(14, 4))
+        s = lambda1(random_tournament(14, 4))
         v = list(s.singular_values)
         assert v == sorted(v, reverse=True)
         assert v[-1] >= 0.0
@@ -150,24 +149,25 @@ class TestFullSpectrum:
     def test_square_sum_identity(self):
         for seed in SEEDS:
             n = 18
-            s = full_spectrum(random_tournament(n, seed))
+            s = lambda1(random_tournament(n, seed))
             total = sum(x * x for x in s.singular_values)
             assert abs(total - n * (n - 1)) <= 1e-10 * n * (n - 1)
 
     def test_agrees_with_eigh(self):
-        t = random_tournament(20, 8)
-        expected = np.sqrt(np.clip(np.linalg.eigvalsh(gram(t))[::-1], 0, None))
-        assert np.allclose(full_spectrum(t).singular_values, expected, atol=1e-8)
-
-    def test_agrees_with_lambda1(self):
-        for seed in SEEDS:
-            t = random_tournament(22, seed)
-            full = full_spectrum(t)
-            top = lambda1(t)
-            assert abs(full.lambda1_abs - top.lambda1_abs) < 1e-8 * full.lambda1_abs
+        for t in (
+            random_tournament(20, 8),
+            transitive_tournament(20),
+            rotational_tournament(21),
+            paley_tournament(19),
+        ):
+            expected = np.sqrt(np.clip(np.linalg.eigvalsh(gram(t))[::-1], 0, None))
+            s = lambda1(t)
+            assert len(s.singular_values) == t.n
+            assert np.allclose(s.singular_values, expected, atol=1e-8)
+            assert s.singular_values[0] == s.lambda1_abs
 
     def test_single_vertex(self):
-        s = full_spectrum(transitive_tournament(1))
+        s = lambda1(transitive_tournament(1))
         assert s.singular_values == (0.0,)
 
 
@@ -183,14 +183,8 @@ class TestMomentCrosscheck:
     def test_random_instances(self):
         for seed in SEEDS:
             t = random_tournament(30, seed)
-            summary = full_spectrum(t)
             for k in (2, 4, 6, 8, 10):
-                assert moment_crosscheck(t, k, summary=summary) <= 1e-8
-
-    def test_summary_reuse_matches_fresh(self):
-        t = random_tournament(15, 6)
-        summary = full_spectrum(t)
-        assert moment_crosscheck(t, 6, summary=summary) == moment_crosscheck(t, 6)
+                assert moment_crosscheck(t, k) <= 1e-8
 
     def test_rejects_odd_k(self):
         with pytest.raises(ValueError):
@@ -199,7 +193,7 @@ class TestMomentCrosscheck:
     def test_spectral_moment_sign_matches_trace_sign(self):
         for seed in SEEDS:
             t = random_tournament(12, seed)
-            summary = full_spectrum(t)
+            summary = lambda1(t)
             sig = np.asarray(summary.singular_values)
             for k in (2, 4, 6, 8):
                 moment = (-1.0) ** (k // 2) * float(np.sum(sig**k))
