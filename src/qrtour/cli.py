@@ -101,6 +101,7 @@ def _cmd_gen(args, t, timings) -> dict:
 
 
 def _cmd_count(args, t, timings) -> dict:
+    _check_count("limit", args.limit)  # for every method, not only when enumerating
     results: dict = {"k": args.k, "method": args.method, "n": t.n}
     if args.method in ("trace", "both"):
         with _timed(timings, "trace"):

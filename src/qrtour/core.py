@@ -20,6 +20,11 @@ from .errors import ParseError
 _TRN_MAGIC = b"TRN1"
 _SEED_MAX = 2**64
 
+# Entries per block of the blocked loops here and in ``exactcount``, so that
+# no temporary grows with n^2: a loop over an n x n array takes
+# ``_BLOCK_ENTRIES // n`` rows (or columns) at a time.
+_BLOCK_ENTRIES = 2**16
+
 
 class CoinStream:
     """Deterministic draws from the 64-bit PCG64 raw output stream: fair coins
@@ -37,8 +42,12 @@ class CoinStream:
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` coins as a uint8 array of 0s and 1s."""
-        raw = self._bitgen.random_raw(count)
-        return (raw >> 63).astype(np.uint8)
+        coins = np.empty(count, dtype=np.uint8)
+        for s in range(0, count, _BLOCK_ENTRIES):
+            raw = self._bitgen.random_raw(min(_BLOCK_ENTRIES, count - s))
+            coins[s : s + len(raw)] = np.right_shift(raw, 63, out=raw)
+            del raw  # before the next block is drawn
+        return coins
 
     def below(self, bound: int) -> int:
         """One integer in [0, bound): the next raw output modulo ``bound``."""
@@ -110,8 +119,8 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
     return -1 if t.bits[pair_index(t.n, v, u)] else 1
 
 
-def _members(n: int, ys: Iterable[int]) -> np.ndarray:
-    """Membership vector of the vertex set ``ys``: a length-n bool array.
+def _vertices(n: int, ys: Iterable[int]) -> np.ndarray:
+    """The vertex list ``ys`` as an intp array, in its order.
 
     Entries may repeat, in any order, and each must pass ``_check_vertex``;
     the error names the first entry that does not.
@@ -122,11 +131,17 @@ def _members(n: int, ys: Iterable[int]) -> np.ndarray:
             # fromiter with a count is about twice as fast as np.array
             idx = np.fromiter(ys, np.intp, len(ys))
             if not idx.size or (idx.min() >= 0 and idx.max() < n):
-                member = np.zeros(n, dtype=bool)
-                member[idx] = True
-                return member
+                return idx
     for y in ys:
         _check_vertex(n, y)
+
+
+def _members(n: int, ys: Iterable[int]) -> np.ndarray:
+    """Membership vector of the vertex set ``ys`` (see ``_vertices``): a
+    length-n bool array."""
+    member = np.zeros(n, dtype=bool)
+    member[_vertices(n, ys)] = True
+    return member
 
 
 def _arcs(t: Tournament, v: int, ys: Iterable[int], sign: int) -> int:
@@ -153,15 +168,23 @@ def sign_array(t: Tournament) -> np.ndarray:
     matrix is skew-symmetric.  Derived on demand from the orientation bits,
     cached because tournaments are immutable.  Consumers widen it (float64
     products, int64 sums) before any arithmetic that could overflow int8.
+    n^2 bytes, filled in place: besides it, only the n(n-1)/2 row signs and
+    one block of columns are held.
     """
     n = t.n
-    signs = np.frombuffer(t.bits, dtype=np.int8) * 2 - 1
-    upper = np.zeros((n, n), dtype=np.int8)
+    a = np.zeros((n, n), dtype=np.int8)
+    signs = np.frombuffer(t.bits, dtype=np.int8) * 2
+    signs -= 1  # in place: one n(n-1)/2 temporary
     start = 0
     for u in range(n - 1):  # row u holds the pairs (u, v), v > u
-        upper[u, u + 1 :] = signs[start : start + n - 1 - u]
+        a[u, u + 1 :] = signs[start : start + n - 1 - u]
         start += n - 1 - u
-    a = upper - upper.T
+    step = max(1, _BLOCK_ENTRIES // n)
+    for s in range(0, n, step):
+        # columns s.. below the diagonal are still 0: subtract the transposed
+        # upper rows (numpy buffers the overlapping diagonal block)
+        cols = a[s:, s : s + step]
+        np.subtract(cols, a[s : s + step, s:].T, out=cols)
     a.setflags(write=False)
     return a
 
@@ -173,12 +196,20 @@ def out_words(t: Tournament) -> np.ndarray:
     Bit j of word w in column v is set when v -> 64 w + j; bits past n - 1
     are 0.  Words are stored word-major (one row per word, the transpose of
     one row per vertex), so a reduction over a vertex's words adds whole
-    contiguous rows.  n^2 / 8 bytes, cached like ``sign_array``.
+    contiguous rows.  n^2 / 8 bytes, cached like ``sign_array``, and packed
+    one block of rows at a time.
     """
     n = t.n
-    packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(sign_array(t) > 0, axis=1, bitorder="little")
-    words = np.ascontiguousarray(packed.view("<u8").T)
+    a = sign_array(t)
+    words = np.zeros((-(-n // 64), n), dtype="<u8")
+    step = max(1, _BLOCK_ENTRIES // n)
+    # one block of vertices' rows, packed; the bytes past ceil(n/8) stay 0
+    packed = np.zeros((min(step, n), 8 * len(words)), dtype=np.uint8)
+    for s in range(0, n, step):
+        rows = packed[: min(step, n - s)]
+        bits = a[s : s + step] > 0
+        rows[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        words[:, s : s + step] = rows.view("<u8").T
     words.setflags(write=False)
     return words
 
@@ -272,18 +303,26 @@ def reverse(t: Tournament) -> Tournament:
 
 
 def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
-    """Rename vertex i to perm[i]; the edge set is carried along."""
+    """Rename vertex i to perm[i]; the edge set is carried along.
+
+    The permuted sign matrix is gathered one block of rows at a time, so
+    no n x n temporary is made besides ``sign_array``'s cached one.
+    """
     n = t.n
-    perm = list(perm)
+    p = _vertices(n, perm)
+    inv = np.full(n, -1, dtype=np.intp)
+    inv[p] = np.arange(len(p))
     # n entries that are all vertices and cover every vertex repeat none
-    if not _members(n, perm).all() or len(perm) != n:
+    if len(p) != n or inv.min() < 0:
         raise ValueError(f"perm must be a permutation of 0..{n - 1}")
-    p = np.fromiter(perm, np.intp, n)
-    inv = np.empty(n, dtype=np.intp)
-    inv[p] = np.arange(n)
-    # new u beats new v iff old inv[u] beats old inv[v]; keep the upper triangle
-    won = sign_array(t).take(inv, 0).take(inv, 1) > 0
-    return Tournament(n, b"".join(won[u, u + 1 :].tobytes() for u in range(n)))
+    a = sign_array(t)
+    step = max(1, _BLOCK_ENTRIES // n)
+    rows = []
+    for s in range(0, n, step):
+        # new u beats new v iff old inv[u] beats old inv[v]; keep the upper triangle
+        won = a.take(inv[s : s + step], 0).take(inv, 1) > 0
+        rows += (won[i, s + i + 1 :].tobytes() for i in range(len(won)))
+    return Tournament(n, b"".join(rows))
 
 
 # --- .trn serialization -------------------------------------------------

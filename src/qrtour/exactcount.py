@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    Tournament, _check_count, _is_prime, edge_sign, sign_array
+    _BLOCK_ENTRIES, Tournament, _check_count, _is_prime, edge_sign, sign_array
 )
 from .errors import InternalInvariantError, ResourceLimitError
 
@@ -69,10 +69,6 @@ def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
     """
     sums = np.einsum("ij,ij->i", left, right)
     return int(_mod(sums, p, np.empty_like(sums)).sum()) % p
-
-
-# Entries per row block of ``_dot_wrap``, so its int64 buffers stay small.
-_BLOCK_ENTRIES = 2**16
 
 
 def _dot_wrap(left: np.ndarray, right: np.ndarray) -> int:

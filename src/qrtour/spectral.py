@@ -71,10 +71,12 @@ def lambda1(t: Tournament) -> SpectralSummary:
     lam = math.sqrt(top)
     if lam > n:
         raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
+    # maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
+    moduli = np.sqrt(np.maximum(eigs[::-1], 0.0))
     return SpectralSummary(
         lambda1_abs=lam,
         lambda1_upper=math.sqrt(top + margin),
-        singular_values=tuple(np.sqrt(np.clip(eigs[::-1], 0.0, None)).tolist()),
+        singular_values=tuple(moduli.tolist()),
     )
 
 

@@ -120,12 +120,13 @@ class TestCount:
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_bad_limit_is_a_usage_error(self, c3_file, capsys, limit):
-        # exit 2, not the resource guard's 4
-        argv = ["count", c3_file, "--k", "4", "--method", "brute", "--limit", limit]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"limit must be a positive integer, got {limit}" in captured.err
+        # exit 2, not the resource guard's 4, also when nothing is enumerated
+        for method in ("brute", "trace", "both"):
+            argv = ["count", c3_file, "--k", "4", "--method", method, "--limit", limit]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"limit must be a positive integer, got {limit}" in captured.err
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.trn"

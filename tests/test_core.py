@@ -1,6 +1,7 @@
 """Tests for the tournament model, generators, and .trn serialization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,16 @@ class TestGenerators:
         assert CoinStream(seed).take(6).tolist() == [x >> 63 for x in raw]
         empty = CoinStream(seed).take(0)
         assert empty.dtype == np.uint8 and empty.shape == (0,)
+        # coins are drawn in blocks: a count over several blocks, and two
+        # takes that split one block, read the same stream as one take
+        count = 3 * core._BLOCK_ENTRIES + 5
+        coins = CoinStream(seed).take(count)
+        assert coins.dtype == np.uint8
+        assert np.array_equal(coins, np.random.PCG64(seed).random_raw(count) >> 63)
+        split = CoinStream(seed)
+        first = split.take(core._BLOCK_ENTRIES + 7)
+        second = split.take(count - len(first))
+        assert np.array_equal(np.concatenate([first, second]), coins)
 
     def test_generate_dispatch(self):
         assert generate("transitive", 4) == transitive_tournament(4)
@@ -448,6 +459,27 @@ def _circulant_reference(n, arcs):
     return bytes(1 if (v - u) % n in arcs else 0 for u in range(n) for v in range(u + 1, n))
 
 
+# sizes around the row blocks of the core loops (``core._BLOCK_ENTRIES // n``
+# rows each): one block up to n = 256, several at n = 700
+BLOCK_SIZES = [1, 2, 63, 64, 65, 129, 200, 700]
+
+
+def _check_blocked_core(t):
+    # sign_array and out_words against edge_sign pair by pair (out_words:
+    # column v, word w, bit j set when v -> 64 w + j); relabel against the loop
+    n = t.n
+    signs = [[edge_sign(t, u, v) for v in range(n)] for u in range(n)]
+    assert sign_array(t).tolist() == signs
+    outs = [sum(1 << y for y, sign in enumerate(row) if sign > 0) for row in signs]
+    words = core.out_words(t)
+    assert words.dtype == np.dtype("<u8") and not words.flags.writeable
+    assert words.tolist() == [
+        [out >> 64 * w & (2**64 - 1) for out in outs] for w in range(-(-n // 64))
+    ]
+    perm = np.random.default_rng(n).permutation(n).tolist()
+    assert relabel(t, perm).bits == _relabel_reference(t, perm)
+
+
 class TestVectorizedCore:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
     def test_relabel_matches_pair_loop(self, n):
@@ -506,3 +538,53 @@ class TestVectorizedCore:
         for u in range(n):
             for v in range(n):
                 assert a[u, v] == edge_sign(t, u, v)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_blocked_core_matches_pair_loops(self, n):
+        assert core._BLOCK_ENTRIES // 700 < 700  # n = 700 spans several blocks
+        _check_blocked_core(random_tournament(n, n))
+
+    @pytest.mark.parametrize(
+        "t",
+        [transitive_tournament(700), rotational_tournament(701), paley_tournament(719)],
+        ids=["transitive", "rotational", "paley"],
+    )
+    def test_blocked_core_on_structured_families(self, t):
+        _check_blocked_core(t)
+
+
+class TestCoreMemory:
+    """Traced peaks at n = 1000, in bytes per n^2 (the sign matrix is 1):
+    the core layer holds at most one n x n array at a time."""
+
+    N = 1000
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - held) / self.N**2
+        finally:
+            tracemalloc.stop()
+
+    def test_random_tournament(self):
+        assert self.peak(lambda: random_tournament(self.N, 5)) <= 1.5
+
+    def test_sign_array(self):
+        t = random_tournament(self.N, 5)
+        sign_array.cache_clear()
+        assert self.peak(lambda: sign_array(t)) <= 2.1
+
+    def test_relabel_with_sign_array_cached(self):
+        t = random_tournament(self.N, 5)
+        sign_array(t)
+        perm = np.random.default_rng(0).permutation(self.N).tolist()
+        assert self.peak(lambda: relabel(t, perm)) <= 1.3
+
+    def test_out_words_with_sign_array_cached(self):
+        t = random_tournament(self.N, 5)
+        sign_array(t)
+        core.out_words.cache_clear()
+        assert self.peak(lambda: core.out_words(t)) <= 0.4

@@ -166,6 +166,27 @@ class TestFullSpectrum:
             assert np.allclose(s.singular_values, expected, atol=1e-8)
             assert s.singular_values[0] == s.lambda1_abs
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            random_tournament(40, 8),
+            random_tournament(41, 8),  # odd n: one modulus is zero
+            transitive_tournament(41),
+            rotational_tournament(45),
+            paley_tournament(43),
+        ],
+        ids=["random-even", "random-odd", "transitive", "rotational", "paley"],
+    )
+    def test_moduli_are_the_clamped_square_roots_bit_for_bit(self, t):
+        # negative and signed-zero Gram eigenvalues both become +0.0
+        eigs = np.linalg.eigvalsh(gram(t))[::-1]
+        expected = np.sqrt(np.clip(eigs, 0.0, None))
+        moduli = np.array(lambda1(t).singular_values)
+        assert moduli.tobytes() == expected.tobytes()
+        assert not np.signbit(moduli).any()
+        # lambda1's argument order: a signed zero comes out +0.0, as from clip
+        assert np.maximum(np.array([-0.0, -1e-300, 0.0]), 0.0).tobytes() == bytes(24)
+
     def test_single_vertex(self):
         s = lambda1(transitive_tournament(1))
         assert s.singular_values == (0.0,)
