@@ -40,11 +40,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactcount import (
-    BoundCheckResult,
     CycleCountReport,
     brute_force_count,
     cycle_parity,
-    ec_bound_check,
     even_cycles_trace,
     power_trace,
     total_cycles,
@@ -61,7 +59,6 @@ from . import verify
 
 __all__ = [
     "__version__",
-    "BoundCheckResult",
     "CertificateReport",
     "CoinStream",
     "CycleCountReport",
@@ -81,7 +78,6 @@ __all__ = [
     "disc_given_report",
     "disc_localsearch",
     "disc_sample",
-    "ec_bound_check",
     "edge_sign",
     "encode",
     "even_cycles_trace",

@@ -193,8 +193,9 @@ def power_trace(t: Tournament, k: int) -> int:
     too large to be exact, F = 0 and E is the growth bound.  Primes join the
     residue by the Chinese remainder theorem while M <= 2 E: each reduces
     the exact powers to signed residues and finishes L and R from them by
-    float64 BLAS products of residues.  A result above F + E, or past the
-    growth bound, raises InternalInvariantError.
+    float64 BLAS products of residues.  S = tr(G^m) >= 0 because G is
+    positive semidefinite, so a negative S raises InternalInvariantError, as
+    does a result above F + E or past the growth bound.
     """
     k = _check_count("exponent", k)
     n = t.n
@@ -240,6 +241,10 @@ def power_trace(t: Tournament, k: int) -> int:
     if total > estimate + radius:
         raise InternalInvariantError(
             f"tr(A^{k}) reconstructs outside the radius of its estimate (n={n})"
+        )
+    if total < 0:
+        raise InternalInvariantError(
+            f"tr(A^{k}) reconstructs with the wrong sign: tr(G^{m}) < 0 (n={n})"
         )
     trace = -total if m % 2 else total
     if abs(trace) > bound:
@@ -354,40 +359,3 @@ def brute_force_count(
     for first in rng:
         extend(first, first, 1, 0)
     return even, total - even
-
-
-@dataclass(frozen=True)
-class BoundCheckResult:
-    """Outcome of the even-count bound test for one even k."""
-
-    satisfied: bool
-    k: int
-    even: int
-    trace: int
-    bound: int  # ((n-1)**k + (n-1)) / 2, the even count of a perfectly balanced spectrum
-    side: str  # "at_least" for k = 0 mod 4, "at_most" for k = 2 mod 4
-
-
-def ec_bound_check(t: Tournament, k: int) -> BoundCheckResult:
-    """Check the one-sided even-count bound forced by the spectrum of A^k.
-
-    All eigenvalues of A^k share a sign for even k (non-negative when
-    k = 0 mod 4, non-positive when k = 2 mod 4), so tr(A^k) and the even
-    count sit on a known side of half the cycle total.  A violated result
-    indicates an arithmetic bug, never a property of the input.
-    """
-    k = _check_count("cycle length", k, 2)
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"bound check needs even k >= 4, got {k}")
-    report = even_cycles_trace(t, k)
-    bound = report.total // 2
-    if k % 4 == 0:
-        ok = report.trace >= 0 and report.even >= bound
-        side = "at_least"
-    else:
-        ok = report.trace <= 0 and report.even <= bound
-        side = "at_most"
-    return BoundCheckResult(
-        satisfied=ok, k=report.k, even=report.even, trace=report.trace,
-        bound=bound, side=side,
-    )

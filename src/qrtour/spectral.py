@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,15 +87,19 @@ def moment_crosscheck(t: Tournament, k: int) -> float:
     Eigenvalues +-i*sigma contribute (+-i)^k sigma^k, so for even k the trace
     equals (-1)^(k/2) * sum(sigma^k).  Returns
     |exact - float| / max(1, |exact|); a large value means the float
-    spectrum and the exact integer route disagree.
+    spectrum and the exact integer route disagree.  The float sum runs over
+    (sigma/c)^k, c = max(sigma_1, 1), and is scaled back by c^k in Fraction
+    arithmetic, so no k takes either side out of float range.
     """
     k = _check_count("cycle length", k, 2)
     if k % 2 != 0:
         raise ValueError(f"moment comparison needs even k >= 2, got {k}")
     exact = power_trace(t, k)
-    sign = -1.0 if (k // 2) % 2 else 1.0
-    approx = sign * float(np.sum(np.asarray(lambda1(t).singular_values) ** k))
-    return abs(exact - approx) / max(1, abs(exact))
+    moduli = np.asarray(lambda1(t).singular_values)  # descending
+    c = max(float(moduli[0]), 1.0)
+    sign = -1 if (k // 2) % 2 else 1
+    approx = sign * Fraction(float(np.sum((moduli / c) ** k))) * Fraction(c) ** k
+    return float(abs(exact - approx) / max(1, abs(exact)))
 
 
 @dataclass(frozen=True)

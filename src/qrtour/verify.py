@@ -1,11 +1,11 @@
 """Property-check suites over seeded tournaments.
 
-``bounds`` checks the even-cycle count bound: for even k, tr(A^k) has the
-sign of (-1)^(k/2), so the even count lies on a known side of half the
-total.  ``crosscheck`` checks trace counts against enumeration, exact
-moments against the spectrum, and the packed discrepancy queries against
-per-vertex degree differences.  Every draw comes from one CoinStream, so the
-checks are a pure function of (suite, trials, nmax, seed).
+``crosscheck`` checks trace counts against enumeration, exact moments
+against the spectrum, and the packed discrepancy queries against per-vertex
+degree differences.  The sign of an even-k trace needs no suite:
+``power_trace`` raises on a wrong one.  Every draw comes from one
+CoinStream, so the checks are a pure function of (suite, trials, nmax,
+seed).
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from .core import (
     paley_tournament,
     random_tournament,
     rotational_tournament,
-    transitive_tournament,
 )
 from .discrepancy import disc_given, witness_vectors
-from .exactcount import (
-    brute_force_count,
-    ec_bound_check,
-    even_cycles_trace,
-    total_cycles,
-)
+from .exactcount import brute_force_count, even_cycles_trace, total_cycles
 from .spectral import moment_crosscheck
 
 
@@ -35,25 +29,6 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     if detail:
         entry["detail"] = detail
     return entry
-
-
-def _bounds(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Even-count bound on random draws plus the named families."""
-    rng = CoinStream(seed)
-    tournaments = []
-    for _ in range(trials):
-        n = 2 + rng.below(max(nmax - 1, 1))
-        tournaments.append(random_tournament(n, rng.seed64()))
-    tournaments.append(transitive_tournament(max(nmax, 3)))
-    tournaments.append(rotational_tournament(max(nmax, 3) | 1))
-    tournaments.append(paley_tournament(19))
-    fail = ""
-    for t in tournaments:
-        for k in (4, 6, 8, 12):
-            res = ec_bound_check(t, k)
-            if not res.satisfied:
-                fail = fail or f"bound violated at n={t.n}, k={k}"
-    return [_check("even_count_bound", not fail, fail)]
 
 
 def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
@@ -103,7 +78,7 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
     return checks
 
 
-SUITES = {"bounds": _bounds, "crosscheck": _crosscheck}
+SUITES = {"crosscheck": _crosscheck}
 
 
 def run(suite: str, trials: int, nmax: int, seed: int) -> list[dict]:

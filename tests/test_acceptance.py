@@ -18,7 +18,6 @@ from qrtour import (
     decode,
     disc_exhaustive,
     disc_given,
-    ec_bound_check,
     encode,
     even_cycles_trace,
     lambda1,
@@ -64,12 +63,15 @@ def test_c02_cycle_total_formula():
 
 def test_c03_trace_sign_and_even_count_bound():
     # 1000 seeded random tournaments at n = 50; zero violations allowed
+    # (-1)**(k/2) tr(A^k) >= 0, so the even count lies on the matching side
+    # of total/2
     violations = 0
     for seed in range(1000):
         t = random_tournament(50, seed)
         for k in (4, 6, 8, 12):
-            res = ec_bound_check(t, k)
-            if not res.satisfied:
+            rep = even_cycles_trace(t, k)
+            sign = (-1) ** (k // 2)
+            if sign * rep.trace < 0 or sign * (2 * rep.even - rep.total) < 0:
                 violations += 1
     assert violations == 0
     _ok(3, "trace signs and even-count bounds hold on 1000 tournaments, k in {4,6,8,12}")

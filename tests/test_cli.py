@@ -215,7 +215,6 @@ class TestVerify:
         assert report["results"]["all_passed"] is True
         names = [c["check"] for c in report["results"]["checks"]]
         assert names == [
-            "even_count_bound",
             "trace_vs_enumeration",
             "exact_vs_spectral_moments",
             "witness_vs_definition",
@@ -223,13 +222,22 @@ class TestVerify:
 
     def test_single_suite(self, capsys):
         code, report = run_json(
-            capsys, "verify", "--suite", "bounds", "--trials", "3", "--nmax", "8"
+            capsys, "verify", "--suite", "crosscheck", "--trials", "3", "--nmax", "8"
         )
         assert code == 0
-        assert report["results"]["checks"] == [{"check": "even_count_bound", "pass": True}]
+        assert report["results"]["checks"] == [
+            {"check": "trace_vs_enumeration", "pass": True},
+            {"check": "exact_vs_spectral_moments", "pass": True},
+            {"check": "witness_vs_definition", "pass": True},
+        ]
 
     def test_claims_suite_is_gone(self, capsys):
         code, _ = run(capsys, "verify", "--suite", "claims")
+        assert code == 2
+
+    def test_bounds_suite_is_gone(self, capsys):
+        # power_trace checks the trace sign itself
+        code, _ = run(capsys, "verify", "--suite=bounds")
         assert code == 2
 
     def test_bad_trials(self, capsys):
@@ -238,7 +246,7 @@ class TestVerify:
 
     def test_failed_check_exits_1_with_report(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.verify, "run", lambda *a: [{"check": "x", "pass": False}])
-        code, report = run_json(capsys, "verify", "--suite", "bounds")
+        code, report = run_json(capsys, "verify", "--suite", "crosscheck")
         assert code == 1
         assert report["results"] == {
             "checks": [{"check": "x", "pass": False}], "all_passed": False
@@ -494,7 +502,7 @@ SHAPES = {
         ["load", "search"],
     ),
     "verify": (
-        ["verify", "--suite", "bounds", "--trials", "2", "--nmax", "6"],
+        ["verify", "--suite", "crosscheck", "--trials", "2", "--nmax", "6"],
         ["suite", "trials", "nmax", "seed"], ["checks", "all_passed"], ["verify"],
     ),
     "bench": (

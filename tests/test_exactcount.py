@@ -18,7 +18,6 @@ from qrtour import (
     ResourceLimitError,
     brute_force_count,
     cycle_parity,
-    ec_bound_check,
     even_cycles_trace,
     gram,
     moment_crosscheck,
@@ -41,7 +40,6 @@ TT3 = transitive_tournament(3)
 # every function that takes a cycle length k, called as (t, k)
 CYCLE_LENGTH_TAKERS = [
     even_cycles_trace,
-    ec_bound_check,
     moment_crosscheck,
     lambda t, k: total_cycles(t.n, k),
     brute_force_count,
@@ -283,6 +281,15 @@ class TestMatPowTrace:
             power_trace(t, k)
         for q in ORACLE_PRIMES:
             assert expected % q == modular_trace(t, k, q)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_negative_gram_trace_trips_sign_check(self, k, monkeypatch):
+        # at n = 5 the growth bound is below 2**53, so E = 0 and no residue
+        # is taken: S reconstructs as the estimate, -1, inside the radius
+        # and the growth bound
+        monkeypatch.setattr(exactcount, "_estimate", lambda *args: (-1, 0))
+        with pytest.raises(InternalInvariantError, match="wrong sign"):
+            power_trace(random_tournament(5, 2), k)
 
     def test_half_modulus_residue_error_trips_radius_check(self, monkeypatch):
         # k = 8 at n = 100 reconstructs from the 2**64 residue alone with
@@ -561,48 +568,18 @@ class TestBruteForce:
                 take(C3, k)
 
 
-class TestBoundCheck:
-    def test_c3_k4(self):
-        res = ec_bound_check(C3, 4)
-        assert res.satisfied and res.side == "at_least"
-        assert res.even == 18 and res.bound == 9
-
-    def test_c3_k6(self):
-        res = ec_bound_check(C3, 6)
-        assert res.satisfied and res.side == "at_most"
-        assert res.even == 6 and res.bound == 33
-
-    def test_rejects_odd_k(self):
-        with pytest.raises(ValueError):
-            ec_bound_check(C3, 5)
-
-    def test_rejects_k2(self):
-        with pytest.raises(ValueError):
-            ec_bound_check(C3, 2)
-
-    def test_numpy_integer_k(self):
-        res = ec_bound_check(C3, np.int64(4))
-        assert type(res.k) is int and res == ec_bound_check(C3, 4)
-
-    def test_random_instances_satisfy(self):
-        for seed in SEEDS:
-            t = random_tournament(50, seed)
-            for k in (4, 6, 8):
-                assert ec_bound_check(t, k).satisfied
-
-    def test_families_satisfy(self):
-        for t in [transitive_tournament(20), rotational_tournament(21), C3]:
-            for k in (4, 6, 8, 12):
-                assert ec_bound_check(t, k).satisfied
-
-
 def test_trace_sign_structure():
-    for seed in SEEDS:
-        t = random_tournament(20, seed)
-        for k in (4, 8, 12):
-            assert power_trace(t, k) >= 0
-        for k in (2, 6, 10):
-            assert power_trace(t, k) <= 0
+    # tr(A^k) has the sign of (-1)**(k/2), so the even count lies on the
+    # matching side of half the total
+    draws = [random_tournament(n, seed) for n in (20, 50) for seed in SEEDS]
+    families = [transitive_tournament(20), rotational_tournament(21), C3]
+    for t in draws + families:
+        for k in (2, 4, 6, 8, 10, 12):
+            rep = even_cycles_trace(t, k)
+            if k % 4:
+                assert rep.trace <= 0 and 2 * rep.even <= rep.total
+            else:
+                assert rep.trace >= 0 and 2 * rep.even >= rep.total
 
 
 def test_report_invariant_validation():

@@ -211,6 +211,21 @@ class TestMomentCrosscheck:
         with pytest.raises(ValueError):
             moment_crosscheck(C3, 3)
 
+    @pytest.mark.parametrize(
+        "t, k",
+        [(random_tournament(40, 1), 400), (paley_tournament(19), 500),
+         (rotational_tournament(21), 402)],
+        ids=["random-40-400", "paley-19-500", "rotational-21-402"],
+    )
+    def test_large_k_stays_in_float_range(self, t, k):
+        # sigma_1**k and tr(A^k) are far past float range
+        assert moment_crosscheck(t, k) <= 1e-8
+
+    def test_single_vertex_gap_is_zero(self):
+        # sigma_1 = 0 and every trace is 0
+        for k in (2, 4, 400):
+            assert moment_crosscheck(transitive_tournament(1), k) == 0.0
+
     def test_spectral_moment_sign_matches_trace_sign(self):
         for seed in SEEDS:
             t = random_tournament(12, seed)

@@ -15,6 +15,12 @@ def test_run_matches_cli_report(capsys):
     assert verify.run("all", 4, 10, 3) == report["results"]["checks"]
 
 
+def test_all_is_crosscheck():
+    # the trace sign needs no suite of its own: power_trace raises on it
+    assert list(verify.SUITES) == ["crosscheck"]
+    assert verify.run("all", 3, 8, 1) == verify.run("crosscheck", 3, 8, 1)
+
+
 @pytest.mark.parametrize(
     "suite, trials, nmax",
     [
