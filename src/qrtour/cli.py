@@ -1,5 +1,5 @@
 """Command-line interface: generation, counting, spectra, discrepancy,
-verification suites, and benchmarking, all emitting JSON run reports.
+the verify crosscheck, and benchmarking, all emitting JSON run reports.
 
 Exit codes are a stable contract for scripting:
   0 success, 2 usage/input error, 3 I/O failure, 4 resource guard exceeded,
@@ -151,7 +151,7 @@ def _cmd_disc(args, t, timings) -> DiscrepancyReport:
 
 def _cmd_verify(args, t, timings) -> dict:
     with _timed(timings, "verify"):
-        checks = verify.run(args.suite, args.trials, args.nmax, args.seed)
+        checks = verify.run(args.trials, args.nmax, args.seed)
     return {"checks": checks, "all_passed": all(c["pass"] for c in checks)}
 
 
@@ -300,12 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_disc)
 
-    p = sub.add_parser("verify", help="run property-check suites")
-    p.add_argument(
-        "--suite", choices=[*verify.SUITES, "all"], default="all"
+    p = sub.add_parser(
+        "verify", help="cross-check trace counts, moments and discrepancy queries"
     )
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--nmax", type=int, default=30)
+    p.add_argument("--trials", type=int, default=10, help="random tournaments drawn")
+    p.add_argument("--nmax", type=int, default=30, help="largest random size, at least 4")
     p.add_argument("--seed", type=_seed_type, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)

@@ -42,6 +42,7 @@ class CoinStream:
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` coins as a uint8 array of 0s and 1s."""
+        count = _check_count("count", count, 0)
         coins = np.empty(count, dtype=np.uint8)
         for s in range(0, count, _BLOCK_ENTRIES):
             raw = self._bitgen.random_raw(min(_BLOCK_ENTRIES, count - s))
@@ -51,7 +52,7 @@ class CoinStream:
 
     def below(self, bound: int) -> int:
         """One integer in [0, bound): the next raw output modulo ``bound``."""
-        return int(self._bitgen.random_raw() % bound)
+        return int(self._bitgen.random_raw() % _check_count("bound", bound))
 
     def seed64(self) -> int:
         """The next raw output, as an unsigned 64-bit seed."""
@@ -196,20 +197,18 @@ def out_words(t: Tournament) -> np.ndarray:
     Bit j of word w in column v is set when v -> 64 w + j; bits past n - 1
     are 0.  Words are stored word-major (one row per word, the transpose of
     one row per vertex), so a reduction over a vertex's words adds whole
-    contiguous rows.  n^2 / 8 bytes, cached like ``sign_array``, and packed
-    one block of rows at a time.
+    contiguous rows.  n^2 / 8 bytes, cached like ``sign_array``; rows are
+    packed one block at a time into an n^2 / 8-byte buffer, then transposed.
     """
     n = t.n
     a = sign_array(t)
-    words = np.zeros((-(-n // 64), n), dtype="<u8")
+    # one row of words per vertex; the bytes past ceil(n/8) stay 0
+    packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
     step = max(1, _BLOCK_ENTRIES // n)
-    # one block of vertices' rows, packed; the bytes past ceil(n/8) stay 0
-    packed = np.zeros((min(step, n), 8 * len(words)), dtype=np.uint8)
     for s in range(0, n, step):
-        rows = packed[: min(step, n - s)]
-        bits = a[s : s + step] > 0
-        rows[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
-        words[:, s : s + step] = rows.view("<u8").T
+        rows = np.packbits(a[s : s + step] > 0, axis=1, bitorder="little")
+        packed[s : s + step, : rows.shape[1]] = rows
+    words = np.ascontiguousarray(packed.view("<u8").T)
     words.setflags(write=False)
     return words
 

@@ -1,11 +1,10 @@
-"""Property-check suites over seeded tournaments.
+"""The crosscheck behind ``qrtour verify``, over seeded tournaments.
 
-``crosscheck`` checks trace counts against enumeration, exact moments
-against the spectrum, and the packed discrepancy queries against per-vertex
-degree differences.  The sign of an even-k trace needs no suite:
+It checks trace counts against enumeration, exact moments against the
+spectrum, and the packed discrepancy queries against per-vertex degree
+differences.  The sign of an even-k trace needs no check here:
 ``power_trace`` raises on a wrong one.  Every draw comes from one
-CoinStream, so the checks are a pure function of (suite, trials, nmax,
-seed).
+CoinStream, so the checks are a pure function of (trials, nmax, seed).
 """
 
 from __future__ import annotations
@@ -31,10 +30,16 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return entry
 
 
-def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
+def run(trials: int, nmax: int, seed: int) -> list[dict]:
     """Trace counts vs enumeration at small n; exact-vs-spectral moments,
-    and the discrepancy queries vs d_plus - d_minus per vertex, on random
-    draws plus the circulant and Paley families."""
+    and the discrepancy queries vs d_plus - d_minus per vertex, on
+    ``trials`` random draws of sizes 4..``nmax`` plus the circulant and
+    Paley families.
+
+    Returns one entry per check: ``{"check": name, "pass": bool}``, plus a
+    ``"detail"`` string naming the first failure.
+    """
+    trials, nmax = _check_count("trials", trials), _check_count("nmax", nmax, 4)
     rng = CoinStream(seed)
     fail = ""
     for n in range(3, 9):
@@ -49,8 +54,8 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
                     fail = fail or f"enumeration total mismatch at n={n}, k={k}"
     checks = [_check("trace_vs_enumeration", not fail, fail)]
     tournaments = []
-    for _ in range(min(trials, 10)):
-        n = 4 + rng.below(max(min(nmax, 60) - 3, 1))
+    for _ in range(trials):
+        n = 4 + rng.below(nmax - 3)
         tournaments.append(random_tournament(n, rng.seed64()))
     tournaments += [rotational_tournament(n) for n in (9, 15, 21, 33)]
     tournaments += [paley_tournament(p) for p in (7, 11, 19)]
@@ -76,20 +81,3 @@ def _crosscheck(trials: int, nmax: int, seed: int) -> list[dict]:
                 wfail = wfail or f"disc_given mismatch at n={t.n}"
     checks.append(_check("witness_vs_definition", not wfail, wfail))
     return checks
-
-
-SUITES = {"crosscheck": _crosscheck}
-
-
-def run(suite: str, trials: int, nmax: int, seed: int) -> list[dict]:
-    """Run one suite, or every suite in turn for ``suite="all"``.
-
-    Returns one entry per check: ``{"check": name, "pass": bool}``, plus a
-    ``"detail"`` string naming the first failure.  ``trials`` and ``nmax``
-    set the number and the largest size of the random draws.
-    """
-    if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
-    trials, nmax = _check_count("trials", trials), _check_count("nmax", nmax, 2)
-    names = list(SUITES) if suite == "all" else [suite]
-    return [check for name in names for check in SUITES[name](trials, nmax, seed)]

@@ -206,47 +206,36 @@ class TestDisc:
 
 
 class TestVerify:
-    def test_all_suites_pass(self, capsys):
+    def test_checks_pass(self, capsys):
         code, report = run_json(
-            capsys,
-            "verify", "--suite", "all", "--trials", "4", "--nmax", "10", "--seed", "3",
+            capsys, "verify", "--trials", "4", "--nmax", "10", "--seed", "3"
         )
         assert code == 0
-        assert report["results"]["all_passed"] is True
-        names = [c["check"] for c in report["results"]["checks"]]
-        assert names == [
-            "trace_vs_enumeration",
-            "exact_vs_spectral_moments",
-            "witness_vs_definition",
-        ]
+        assert report["results"] == {
+            "checks": [
+                {"check": "trace_vs_enumeration", "pass": True},
+                {"check": "exact_vs_spectral_moments", "pass": True},
+                {"check": "witness_vs_definition", "pass": True},
+            ],
+            "all_passed": True,
+        }
 
-    def test_single_suite(self, capsys):
-        code, report = run_json(
-            capsys, "verify", "--suite", "crosscheck", "--trials", "3", "--nmax", "8"
-        )
-        assert code == 0
-        assert report["results"]["checks"] == [
-            {"check": "trace_vs_enumeration", "pass": True},
-            {"check": "exact_vs_spectral_moments", "pass": True},
-            {"check": "witness_vs_definition", "pass": True},
-        ]
-
-    def test_claims_suite_is_gone(self, capsys):
-        code, _ = run(capsys, "verify", "--suite", "claims")
-        assert code == 2
-
-    def test_bounds_suite_is_gone(self, capsys):
-        # power_trace checks the trace sign itself
-        code, _ = run(capsys, "verify", "--suite=bounds")
+    @pytest.mark.parametrize("suite", ["crosscheck", "all", "bounds", "claims"])
+    def test_suite_option_is_gone(self, suite, capsys):
+        code, _ = run(capsys, "verify", "--suite", suite)
         assert code == 2
 
     def test_bad_trials(self, capsys):
         code, _ = run(capsys, "verify", "--trials", "0")
         assert code == 2
 
+    def test_nmax_below_the_smallest_draw(self, capsys):
+        code, _ = run(capsys, "verify", "--nmax", "3")
+        assert code == 2
+
     def test_failed_check_exits_1_with_report(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.verify, "run", lambda *a: [{"check": "x", "pass": False}])
-        code, report = run_json(capsys, "verify", "--suite", "crosscheck")
+        code, report = run_json(capsys, "verify")
         assert code == 1
         assert report["results"] == {
             "checks": [{"check": "x", "pass": False}], "all_passed": False
@@ -502,8 +491,8 @@ SHAPES = {
         ["load", "search"],
     ),
     "verify": (
-        ["verify", "--suite", "crosscheck", "--trials", "2", "--nmax", "6"],
-        ["suite", "trials", "nmax", "seed"], ["checks", "all_passed"], ["verify"],
+        ["verify", "--trials", "2", "--nmax", "6"],
+        ["trials", "nmax", "seed"], ["checks", "all_passed"], ["verify"],
     ),
     "bench": (
         ["bench", "--sizes", "6,8"],

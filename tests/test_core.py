@@ -296,6 +296,18 @@ class TestGenerators:
         second = split.take(count - len(first))
         assert np.array_equal(np.concatenate([first, second]), coins)
 
+    @pytest.mark.parametrize(
+        "draw, value",
+        [
+            ("below", 0), ("below", -3), ("below", 1.5), ("below", True),
+            ("take", -1), ("take", 2.0), ("take", True),
+        ],
+    )
+    def test_coin_stream_counts_follow_the_count_rule(self, draw, value):
+        # [0, bound) is empty for a bound below 1, and a float or bool is no count
+        with pytest.raises(ValueError, match="bound must be|count must be"):
+            getattr(CoinStream(1), draw)(value)
+
     def test_generate_dispatch(self):
         assert generate("transitive", 4) == transitive_tournament(4)
         assert generate("paley", 7) == paley_tournament(7)

@@ -1,10 +1,11 @@
-"""Tests for the property-check suites behind ``qrtour verify``."""
+"""Tests for the crosscheck behind ``qrtour verify``."""
 
 import json
 
 import pytest
 
 from qrtour import verify
+from qrtour.core import random_tournament
 from qrtour.discrepancy import disc_given, witness_vectors
 from qrtour.cli import main
 
@@ -12,29 +13,44 @@ from qrtour.cli import main
 def test_run_matches_cli_report(capsys):
     assert main(["verify", "--trials", "4", "--nmax", "10", "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert verify.run("all", 4, 10, 3) == report["results"]["checks"]
+    assert verify.run(4, 10, 3) == report["results"]["checks"]
 
 
-def test_all_is_crosscheck():
-    # the trace sign needs no suite of its own: power_trace raises on it
-    assert list(verify.SUITES) == ["crosscheck"]
-    assert verify.run("all", 3, 8, 1) == verify.run("crosscheck", 3, 8, 1)
+def _random_sizes(monkeypatch, trials, nmax):
+    """The sizes of the random tournaments ``verify.run`` draws."""
+    sizes = []
+
+    def recorded(n, seed):
+        sizes.append(n)
+        return random_tournament(n, seed)
+
+    monkeypatch.setattr(verify, "random_tournament", recorded)
+    assert all(c["pass"] for c in verify.run(trials, nmax, 0))
+    # the first 12 draws are the trace-vs-enumeration tournaments at n 3..8
+    return sizes[12:]
+
+
+def test_trials_draws_that_many(monkeypatch):
+    sizes = _random_sizes(monkeypatch, 12, 30)
+    assert len(sizes) == 12 and all(4 <= n <= 30 for n in sizes)
+
+
+def test_nmax_above_60_is_drawn(monkeypatch):
+    sizes = _random_sizes(monkeypatch, 4, 200)
+    assert len(sizes) == 4 and max(sizes) > 60 and max(sizes) <= 200
 
 
 @pytest.mark.parametrize(
-    "suite, trials, nmax",
-    [
-        ("all", 0, 10), ("all", 4, 1), ("nosuch", 4, 10), ("all", True, 10),
-        ("all", 4.0, 10), ("all", 4, True), ("all", 4, 10.0),
-    ],
+    "trials, nmax",
+    [(0, 10), (4, 1), (1, 3), (True, 10), (4.0, 10), (4, True), (4, 10.0)],
     ids=[
-        "trials-0", "nmax-1", "unknown-suite", "trials-bool", "trials-float",
+        "trials-0", "nmax-1", "nmax-3", "trials-bool", "trials-float",
         "nmax-bool", "nmax-float",
     ],
 )
-def test_run_rejects_bad_arguments(suite, trials, nmax):
+def test_run_rejects_bad_arguments(trials, nmax):
     with pytest.raises(ValueError):
-        verify.run(suite, trials, nmax, 0)
+        verify.run(trials, nmax, 0)
 
 
 @pytest.mark.parametrize("name", ["witness_vectors", "disc_given"])
@@ -49,7 +65,7 @@ def test_witness_check_catches_a_wrong_query(name, monkeypatch):
         return real(t, *sets) + 1
 
     monkeypatch.setattr(verify, name, shifted)
-    checks = {c["check"]: c for c in verify.run("crosscheck", 3, 12, 5)}
+    checks = {c["check"]: c for c in verify.run(3, 12, 5)}
     assert checks["witness_vs_definition"]["pass"] is False
     assert name in checks["witness_vs_definition"]["detail"]
     assert checks["trace_vs_enumeration"]["pass"] is True
