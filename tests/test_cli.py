@@ -206,7 +206,7 @@ class TestDisc:
 
 
 class TestVerify:
-    def test_checks_pass(self, capsys):
+    def test_all_suites_pass(self, capsys):
         code, report = run_json(
             capsys, "verify", "--trials", "4", "--nmax", "10", "--seed", "3"
         )
@@ -219,6 +219,17 @@ class TestVerify:
             ],
             "all_passed": True,
         }
+
+    def test_single_suite(self, capsys):
+        # the crosscheck is verify's only suite; it runs at the default seed
+        code, report = run_json(capsys, "verify", "--trials", "3", "--nmax", "8")
+        assert code == 0
+        assert report["parameters"] == {"trials": 3, "nmax": 8, "seed": 0}
+        assert report["results"]["checks"] == [
+            {"check": "trace_vs_enumeration", "pass": True},
+            {"check": "exact_vs_spectral_moments", "pass": True},
+            {"check": "witness_vs_definition", "pass": True},
+        ]
 
     @pytest.mark.parametrize("suite", ["crosscheck", "all", "bounds", "claims"])
     def test_suite_option_is_gone(self, suite, capsys):
