@@ -134,6 +134,7 @@ def _cmd_spectrum(args, t, timings) -> dict:
         "lambda1_abs": summary.lambda1_abs,
         "lambda1_upper": summary.lambda1_upper,
         "ratio": summary.lambda1_abs / t.n,
+        "solver": summary.solver,
     }
     if args.full:
         results["singular_values"] = list(summary.singular_values)

@@ -238,6 +238,36 @@ def _circulant(n: int, arc: np.ndarray) -> Tournament:
     return Tournament(n, b"".join(view[1 : n - u] for u in range(n)))
 
 
+def _circulant_arc(t: Tournament) -> np.ndarray | None:
+    """The ``arc`` of ``_circulant`` when t is circulant as labelled, else None.
+
+    t is circulant when u -> v iff arc[(v - u) mod n] is 1, for a uint8 arc
+    of length n with arc[0] = 0: then row u of the bit string is row 0's
+    first n - 1 - u bits, and arc[k] + arc[n - k] = 1 (exactly one of u -> v
+    and v -> u).  Even n admits no such arc.  Row 1 and the skew rule reject
+    most other tournaments in O(n) (a transitive one passes the row test).
+    Each row is compared, through a memoryview, with the start of the bit
+    string, which is row 0: one memcmp per row and no copy of the bits.
+    """
+    n = t.n
+    if n < 3 or n % 2 == 0:
+        return None
+    bits = memoryview(t.bits)
+    if not t.bits.startswith(bits[n - 1 : 2 * n - 3]):
+        return None
+    head = np.frombuffer(t.bits, dtype=np.uint8, count=n - 1)  # arc[1:]
+    if not (head ^ head[::-1]).all():
+        return None
+    start = 2 * n - 3
+    for u in range(2, n - 1):
+        if not t.bits.startswith(bits[start : start + n - 1 - u]):
+            return None
+        start += n - 1 - u
+    arc = np.zeros(n, dtype=np.uint8)
+    arc[1:] = head
+    return arc
+
+
 def rotational_tournament(n: int) -> Tournament:
     """Circulant tournament on odd n: i -> j iff (j - i) mod n in 1..(n-1)/2."""
     n = _check_count("vertex count", n)
@@ -333,8 +363,8 @@ def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
 
 def encode(t: Tournament) -> bytes:
     """Serialize to the .trn text format."""
-    text = (np.frombuffer(t.bits, dtype=np.uint8) + 0x30).tobytes()
-    return b"%s %d\n%s\n" % (_TRN_MAGIC, t.n, text)
+    text = np.frombuffer(t.bits, dtype=np.uint8) + 0x30
+    return b"".join((b"%s %d\n" % (_TRN_MAGIC, t.n), text, b"\n"))
 
 
 def decode(data: bytes) -> Tournament:

@@ -152,9 +152,16 @@ class TestSpectrum:
         code, report = run_json(capsys, "spectrum", str(path))
         assert code == 0
         res = report["results"]
-        assert set(res) == {"lambda1_abs", "lambda1_upper", "ratio"}
+        assert set(res) == {"lambda1_abs", "lambda1_upper", "ratio", "solver"}
+        assert res["solver"] == "fft"  # Paley tournaments are circulant
         assert abs(res["lambda1_abs"] - math.sqrt(7)) < 1e-7
         assert res["lambda1_abs"] <= res["lambda1_upper"]
+
+    def test_random_reports_eigvalsh(self, tmp_path, capsys):
+        path = tmp_path / "r9.trn"
+        run(capsys, "gen", "--type", "random", "--n", "9", "--seed", "1", "--out", str(path))
+        code, report = run_json(capsys, "spectrum", str(path))
+        assert code == 0 and report["results"]["solver"] == "eigvalsh"
 
     def test_full_lists_all_values(self, c3_file, capsys):
         code, report = run_json(capsys, "spectrum", c3_file, "--full")
@@ -458,7 +465,7 @@ class TestReportContract:
 ENVELOPE = ["command", "tool_version", "input_digest", "parameters", "results", "timings_ms"]
 COUNT_RESULTS = ["k", "method", "n", "total", "even", "odd", "trace", "even_fraction"]
 COUNT_PARAMETERS = ["file", "k", "method", "limit"]
-SPECTRUM_RESULTS = ["lambda1_abs", "lambda1_upper", "ratio"]
+SPECTRUM_RESULTS = ["lambda1_abs", "lambda1_upper", "ratio", "solver"]
 DISC_PARAMETERS = ["file", "method", "restarts", "seed"]
 DISC_RESULTS = [
     "method", "best_Y", "value", "normalized", "spectral_bound", "witness_signs"

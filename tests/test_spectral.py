@@ -1,4 +1,4 @@
-"""Tests for Gram construction, the eigvalsh-based spectra, and moments.
+"""Tests for Gram construction, the eigvalsh and FFT spectra, and moments.
 
 The frozen constants come from the closed-form spectra of the structured
 families (cyclic triangle: moduli {sqrt(3), sqrt(3), 0}; quadratic-residue
@@ -8,11 +8,17 @@ rotational tournament on odd n: the circulant eigenvalues
 """
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qrtour.core as core
+import qrtour.spectral as spectral
 from qrtour import (
+    InternalInvariantError,
+    Tournament,
     gram,
     lambda1,
     moment_crosscheck,
@@ -31,6 +37,27 @@ SEEDS = [0, 3, 11, 47]
 
 C3 = rotational_tournament(3)
 TT3 = transitive_tournament(3)
+
+
+def _flip(t, u, v):
+    """t with the arc between u < v reversed."""
+    bits = bytearray(t.bits)
+    bits[core.pair_index(t.n, u, v)] ^= 1
+    return Tournament(t.n, bytes(bits))
+
+
+def _rotational_moduli(n):
+    """The direct sums 2 |sum_{k <= (n-1)/2} sin(2 pi j k / n)|, j = 0..n-1."""
+    m = (n - 1) // 2
+    return [
+        abs(2 * math.fsum(math.sin(2 * math.pi * j * k / n) for k in range(1, m + 1)))
+        for j in range(n)
+    ]
+
+
+def _random_circulant(n, seed):
+    half = np.random.default_rng(seed).integers(0, 2, (n - 1) // 2)
+    return core._circulant(n, np.concatenate(([0], half, 1 - half[::-1])))
 
 
 class TestGram:
@@ -82,6 +109,7 @@ class TestGram:
 class TestLambda1:
     def test_c3(self):
         s = lambda1(C3)
+        assert s.solver == "fft"
         assert abs(s.lambda1_abs - math.sqrt(3)) < 1e-9
 
     def test_tt3(self):
@@ -101,6 +129,7 @@ class TestLambda1:
             for k in range(n)
         )
         s = lambda1(rotational_tournament(n))
+        assert s.solver == "fft"
         assert abs(s.lambda1_abs - expected) <= 1e-9 * expected
         assert s.lambda1_upper >= expected
 
@@ -154,12 +183,8 @@ class TestFullSpectrum:
             assert abs(total - n * (n - 1)) <= 1e-10 * n * (n - 1)
 
     def test_agrees_with_eigh(self):
-        for t in (
-            random_tournament(20, 8),
-            transitive_tournament(20),
-            rotational_tournament(21),
-            paley_tournament(19),
-        ):
+        # circulant inputs take the FFT route: TestCirculantRoute checks them
+        for t in (random_tournament(20, 8), transitive_tournament(20)):
             expected = np.sqrt(np.clip(np.linalg.eigvalsh(gram(t))[::-1], 0, None))
             s = lambda1(t)
             assert len(s.singular_values) == t.n
@@ -172,16 +197,29 @@ class TestFullSpectrum:
             random_tournament(40, 8),
             random_tournament(41, 8),  # odd n: one modulus is zero
             transitive_tournament(41),
-            rotational_tournament(45),
-            paley_tournament(43),
+            # none is circulant as labelled, so each takes eigvalsh
+            *(transitive_tournament(n) for n in (1, 2, 3, 9)),
+            random_tournament(2, 0),
+            core._circulant(10, np.arange(10) <= 5),  # even n, rows are prefixes
+            _flip(rotational_tournament(45), 3, 30),
+            _flip(paley_tournament(43), 0, 1),
         ],
-        ids=["random-even", "random-odd", "transitive", "rotational", "paley"],
+        ids=[
+            "random-even", "random-odd", "transitive", "transitive-1", "transitive-2",
+            "transitive-3", "transitive-9", "random-2", "even-10",
+            "rotational-45-flipped", "paley-43-flipped",
+        ],
     )
     def test_moduli_are_the_clamped_square_roots_bit_for_bit(self, t):
         # negative and signed-zero Gram eigenvalues both become +0.0
+        n = t.n
         eigs = np.linalg.eigvalsh(gram(t))[::-1]
         expected = np.sqrt(np.clip(eigs, 0.0, None))
-        moduli = np.array(lambda1(t).singular_values)
+        s = lambda1(t)
+        assert s.solver == "eigvalsh"
+        assert s.lambda1_abs == math.sqrt(eigs[0])
+        assert s.lambda1_upper == math.sqrt(eigs[0] + n * np.finfo(float).eps * n * (n - 1))
+        moduli = np.array(s.singular_values)
         assert moduli.tobytes() == expected.tobytes()
         assert not np.signbit(moduli).any()
         # lambda1's argument order: a signed zero comes out +0.0, as from clip
@@ -190,6 +228,89 @@ class TestFullSpectrum:
     def test_single_vertex(self):
         s = lambda1(transitive_tournament(1))
         assert s.singular_values == (0.0,)
+
+
+class TestCirculantRoute:
+    """Tournaments circulant as labelled take one FFT.  Inputs that fall
+    back to eigvalsh are in TestFullSpectrum's bit-for-bit test."""
+
+    @pytest.mark.parametrize("n", [3, 21, 45, 201])
+    def test_rotational_moduli_are_the_direct_sums(self, n):
+        s = lambda1(rotational_tournament(n))
+        assert s.solver == "fft"
+        want = sorted(_rotational_moduli(n), reverse=True)
+        assert max(abs(x - y) for x, y in zip(s.singular_values, want)) <= 1e-12 * n
+        assert s.singular_values[0] == s.lambda1_abs
+
+    @pytest.mark.parametrize("p", [3, 7, 19, 43, 103, 2003])
+    def test_paley_moduli_are_sqrt_p(self, p):
+        s = lambda1(paley_tournament(p))
+        assert s.solver == "fft"
+        *rest, zero = s.singular_values  # sigma_0, the only zero, sorts last
+        assert 0.0 <= zero <= 1e-12 * p
+        assert max(abs(x - math.sqrt(p)) for x in rest) <= 1e-12 * p
+
+    @pytest.mark.parametrize(
+        "t",
+        [rotational_tournament(n) for n in (3, 21, 45, 201)]
+        + [paley_tournament(p) for p in (19, 43, 199)]
+        + [_random_circulant(n, n) for n in (61, 301)],
+        ids=[
+            "rotational-3", "rotational-21", "rotational-45", "rotational-201",
+            "paley-19", "paley-43", "paley-199", "circulant-61", "circulant-301",
+        ],
+    )
+    def test_squared_moduli_match_eigvalsh(self, t):
+        s = lambda1(t)
+        assert s.solver == "fft"
+        want = np.linalg.eigvalsh(gram(t))[::-1]
+        assert np.max(np.abs(np.square(s.singular_values) - want)) <= 1e-8 * t.n
+        top = math.sqrt(want[0])
+        assert abs(s.lambda1_abs - top) <= 1e-12 * top
+
+    @pytest.mark.parametrize(
+        "t", [rotational_tournament(2001), paley_tournament(2003)], ids=["rotational", "paley"]
+    )
+    def test_memory_stays_below_one_byte_per_entry(self, t):
+        # the eigvalsh route holds about 17 n^2 bytes (Gram matrix and workspace)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert lambda1(t).solver == "fft"
+            assert tracemalloc.get_traced_memory()[1] - held <= t.n**2
+        finally:
+            tracemalloc.stop()
+
+    def test_paley_upper_bound_covers_sqrt_p(self):
+        for p in range(3, 2004, 4):
+            if core._is_prime(p):
+                upper = lambda1(paley_tournament(p)).lambda1_upper
+                assert Fraction(upper) ** 2 >= p, p
+
+    def test_rotational_upper_bound_covers_closed_form(self):
+        # sigma_1 = cot(pi / 2n), in long double; the bound's margin is
+        # 64 * ceil(log2 n) * 2^-53 * n, far above either rounding
+        pi = np.arctan(np.longdouble(1)) * 4
+        for n in range(3, 2002, 2):
+            arc = (np.arange(n) <= (n - 1) // 2).astype(np.uint8)
+            s = spectral._circulant_moduli(n, arc)
+            assert np.longdouble(s.lambda1_upper) >= 1 / np.tan(pi / (2 * n)), n
+            assert s.lambda1_abs <= s.lambda1_upper
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (lambda f: f * (1 + 1e-9), "square-sum"),
+            (lambda f: f + np.where(np.arange(len(f)) == 0, 1e-6j, 0), "frequency 0"),
+        ],
+        ids=["scaled", "nonzero-frequency-0"],
+    )
+    def test_invariant_failures_raise(self, monkeypatch, perturb, message):
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: perturb(fft(a)))
+        with pytest.raises(InternalInvariantError, match=message):
+            lambda1(rotational_tournament(45))
 
 
 class TestMomentCrosscheck:
