@@ -28,7 +28,6 @@ from .discrepancy import (
     DiscrepancyReport,
     disc_exhaustive,
     disc_given,
-    disc_given_report,
     disc_localsearch,
     disc_sample,
     spectral_upper_bound,
@@ -75,7 +74,6 @@ __all__ = [
     "decode",
     "disc_exhaustive",
     "disc_given",
-    "disc_given_report",
     "disc_localsearch",
     "disc_sample",
     "edge_sign",

@@ -2,8 +2,9 @@
 the verify crosscheck, and benchmarking, all emitting JSON run reports.
 
 Exit codes are a stable contract for scripting:
-  0 success, 2 usage/input error, 3 I/O failure, 4 resource guard exceeded,
-  5 internal invariant violation, 1 failed verification checks.
+  0 success, 2 usage/input error, 3 I/O failure, 4 resource guard exceeded
+  or memory exhausted, 5 internal invariant violation, 1 failed verification
+  checks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .discrepancy import (
     _local_search,
 )
 from .errors import InternalInvariantError, ResourceLimitError
-from .exactcount import DEFAULT_ENUMERATION_LIMIT, brute_force_count, even_cycles_trace
+from .exactcount import brute_force_count, even_cycles_trace
 from .spectral import lambda1
 
 EXIT_OK = 0
@@ -89,11 +90,8 @@ def _digest(data: bytes) -> str:
 
 
 def _cmd_gen(args, t, timings) -> dict:
-    size = args.p if args.type == "paley" else args.n
-    if size is None:
-        raise ValueError("--p is required for paley, --n for every other family")
     with _timed(timings, "build"):
-        t = generate(args.type, size, args.seed)
+        t = generate(args.type, args.n, args.seed)
         data = encode(t)
     with _timed(timings, "write"), open(args.out, "wb") as fh:
         fh.write(data)
@@ -101,29 +99,18 @@ def _cmd_gen(args, t, timings) -> dict:
 
 
 def _cmd_count(args, t, timings) -> dict:
-    _check_count("limit", args.limit)  # for every method, not only when enumerating
     results: dict = {"k": args.k, "method": args.method, "n": t.n}
-    if args.method in ("trace", "both"):
-        with _timed(timings, "trace"):
-            results.update(vars(even_cycles_trace(t, args.k)))
-    if args.method in ("brute", "both"):
+    with _timed(timings, "trace"):
+        results.update(vars(even_cycles_trace(t, args.k)))
+    if args.method == "both":
         with _timed(timings, "brute"):
-            even, odd = brute_force_count(t, args.k, limit=args.limit)
-        if args.method == "both":
-            if (even, odd) != (results["even"], results["odd"]):
-                raise InternalInvariantError(
-                    f"trace count ({results['even']}, {results['odd']}) disagrees "
-                    f"with enumeration ({even}, {odd})"
-                )
-            results["agreement"] = True
-        else:
-            results.update(
-                total=even + odd,
-                even=even,
-                odd=odd,
-                trace=None,
-                even_fraction=Fraction(even, even + odd) if even + odd else None,
+            even, odd = brute_force_count(t, args.k)
+        if (even, odd) != (results["even"], results["odd"]):
+            raise InternalInvariantError(
+                f"trace count ({results['even']}, {results['odd']}) disagrees "
+                f"with enumeration ({even}, {odd})"
             )
+        results["agreement"] = True
     return results
 
 
@@ -260,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["random", "transitive", "rotational", "paley"],
     )
-    p.add_argument("--n", type=int, help="vertex count")
-    p.add_argument("--p", type=int, help="prime modulus for the paley family")
+    p.add_argument(
+        "--n", type=int, required=True, help="vertex count (the prime p for paley)"
+    )
     p.add_argument("--seed", type=_seed_type, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -269,15 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact even/odd k-cycle counts")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--method", choices=["trace", "brute", "both"], default="trace"
-    )
-    p.add_argument(
-        "--limit",
-        type=int,
-        default=DEFAULT_ENUMERATION_LIMIT,
-        help="enumeration guard on n**k for the brute method",
-    )
+    p.add_argument("--method", choices=["trace", "both"], default="trace")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)
 
@@ -343,9 +323,8 @@ def _report(args) -> int:
     out = args.out
     if args.command == "gen":
         # gen's --out is the .trn file it wrote: a parameter, with the report
-        # on stdout; its n is the size built, also when --p gave it
-        del parameters["p"]
-        parameters.update(n=results["n"], out=out)
+        # on stdout
+        parameters["out"] = out
         out = None
     text = render_json({
         "command": args.command,
@@ -376,8 +355,8 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

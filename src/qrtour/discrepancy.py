@@ -31,7 +31,7 @@ _RESTART_CHUNK = 16  # local-search restarts climbed together, bounding their st
 class DiscrepancyReport:
     """Best subset found by one search method, with its certificates."""
 
-    method: str  # "exhaustive", "local_search", "sample", or "given"
+    method: str  # "exhaustive", "local_search" or "sample"
     best_Y: tuple[int, ...]
     value: int
     normalized: Fraction  # value / n^2
@@ -78,12 +78,13 @@ def spectral_upper_bound(t: Tournament) -> float:
 
 
 def _build_report(
-    t: Tournament, method: str, member: np.ndarray, expected_value: int | None = None
+    t: Tournament, method: str, member: np.ndarray, expected_value: int
 ) -> DiscrepancyReport:
-    """The report on Y, given by its membership vector, with its witness."""
+    """The report on Y, given by its membership vector, with its witness,
+    whose value must equal the search's ``expected_value``."""
     d = _diff_vector(t, member)
     value = int(np.abs(d).sum())
-    if expected_value is not None and value != expected_value:
+    if value != expected_value:
         raise InternalInvariantError(
             f"search value {expected_value} disagrees with witness value {value}"
         )
@@ -102,11 +103,6 @@ def _build_report(
         spectral_bound=bound,
         witness_signs=tuple(np.sign(d).tolist()),
     )
-
-
-def disc_given_report(t: Tournament, ys: Iterable[int]) -> DiscrepancyReport:
-    """Full report for a caller-chosen Y (method "given")."""
-    return _build_report(t, "given", _members(t.n, ys))
 
 
 def disc_exhaustive(t: Tournament) -> DiscrepancyReport:

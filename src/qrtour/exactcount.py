@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import InternalInvariantError, ResourceLimitError
 
-DEFAULT_ENUMERATION_LIMIT = 10**8
+ENUMERATION_LIMIT = 10**8  # brute_force_count's guard on n**k
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,22 +320,21 @@ def cycle_parity(t: Tournament, seq) -> str:
     return "even" if reversals % 2 == 0 else "odd"
 
 
-def brute_force_count(
-    t: Tournament, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> tuple[int, int]:
+def brute_force_count(t: Tournament, k: int) -> tuple[int, int]:
     """(even, odd) k-cycle counts by direct enumeration.
 
     Walks every sequence (v1..vk) with no immediate repeats, cyclically, and
     tallies the parity of reversed steps.  Refuses when n**k exceeds
-    ``limit``; this is the reference oracle for ``even_cycles_trace`` and is
+    ENUMERATION_LIMIT, which also bounds the recursion depth (k <= 26 at
+    n = 2); this is the reference oracle for ``even_cycles_trace`` and is
     deliberately independent of the matrix-power route.
     """
     k = _check_count("cycle length", k, 2)
-    limit = _check_count("limit", limit)
     n = t.n
-    if n**k > limit:
+    # n**27 > ENUMERATION_LIMIT for every n >= 2: no huge power is built
+    if n ** min(k, 27) > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"enumeration of {n}**{k} = {n ** k} sequences exceeds the limit {limit}"
+            f"enumeration of {n}**{k} sequences exceeds the limit {ENUMERATION_LIMIT}"
         )
     rev = [[1 if x < 0 else 0 for x in row] for row in sign_array(t).tolist()]
     even = 0

@@ -1,11 +1,14 @@
 """Tests for the command-line surface: flags, reports, and exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +60,7 @@ class TestGen:
 
     def test_paley_bad_modulus_is_usage_error(self, tmp_path, capsys):
         code, _ = run(
-            capsys, "gen", "--type", "paley", "--p", "6", "--out", str(tmp_path / "x.trn")
+            capsys, "gen", "--type", "paley", "--n", "6", "--out", str(tmp_path / "x.trn")
         )
         assert code == 2
 
@@ -71,6 +74,25 @@ class TestGen:
             )
             digests.append(report["results"]["digest"])
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "exc, shown",
+        [
+            (MemoryError(), "out of memory"),
+            (MemoryError("Unable to allocate 18.6 GiB"), "Unable to allocate 18.6 GiB"),
+        ],
+    )
+    def test_memory_error_exits_4(self, exc, shown, tmp_path, capsys, monkeypatch):
+        # an allocation too large for the machine (random n = 200000 asks for
+        # 2*10**10 coin bytes) is a resource limit, not a crash
+        def generate(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate", generate)
+        code = main(["gen", "--type", "random", "--n", "5", "--out", str(tmp_path / "x.trn")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == f"error: {shown}\n"
 
     def test_io_failure(self, tmp_path, capsys):
         code, _ = run(
@@ -109,10 +131,23 @@ class TestCount:
         }
 
     def test_brute_guard_exit(self, tmp_path, capsys):
-        path = tmp_path / "r30.trn"
-        run(capsys, "gen", "--type", "random", "--n", "30", "--seed", "1", "--out", str(path))
-        code, _ = run(capsys, "count", str(path), "--k", "8", "--method", "brute")
-        assert code == 4
+        self.check_guard_exit(30, 8, tmp_path, capsys)
+
+    def test_guard_exit_where_recursion_would_overflow(self, tmp_path, capsys):
+        # 1500 nested calls would pass Python's recursion limit
+        self.check_guard_exit(2, 1500, tmp_path, capsys)
+
+    @staticmethod
+    def check_guard_exit(n, k, tmp_path, capsys):
+        # n**k > 10**8 under --method both: exit 4 and one error line
+        path = tmp_path / "t.trn"
+        run(capsys, "gen", "--type", "random", "--n", str(n), "--seed", "1", "--out", str(path))
+        code = main(["count", str(path), "--k", str(k), "--method", "both"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == (
+            f"error: enumeration of {n}**{k} sequences exceeds the limit 100000000\n"
+        )
 
     def test_k_too_small(self, c3_file, capsys):
         code, _ = run(capsys, "count", c3_file, "--k", "1")
@@ -120,13 +155,32 @@ class TestCount:
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_bad_limit_is_a_usage_error(self, c3_file, capsys, limit):
-        # exit 2, not the resource guard's 4, also when nothing is enumerated
-        for method in ("brute", "trace", "both"):
+        # count has no --limit (the enumeration guard is fixed): any value is
+        # refused by argparse with exit 2, not the resource guard's 4
+        for method in ("trace", "both"):
             argv = ["count", c3_file, "--k", "4", "--method", method, "--limit", limit]
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"limit must be a positive integer, got {limit}" in captured.err
+            assert f"unrecognized arguments: --limit {limit}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "FILE", "--k", "4", "--method", "brute"],
+            ["gen", "--type", "paley", "--p", "7", "--out", "NEW"],
+            ["gen", "--type", "paley", "--p", "7", "--n", "9", "--out", "NEW"],
+        ],
+        ids=["count-brute", "gen-p", "gen-p-and-n"],
+    )
+    def test_removed_options_exit_2(self, argv, c3_file, tmp_path, capsys):
+        # each question has one spelling: --method both enumerates, under a
+        # fixed guard, and --n is paley's prime
+        new = tmp_path / "new.trn"
+        argv = [c3_file if a == "FILE" else str(new) if a == "NEW" else a for a in argv]
+        code, out = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert not new.exists()
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.trn"
@@ -148,7 +202,7 @@ class TestCount:
 class TestSpectrum:
     def test_paley7(self, tmp_path, capsys):
         path = tmp_path / "p7.trn"
-        run(capsys, "gen", "--type", "paley", "--p", "7", "--out", str(path))
+        run(capsys, "gen", "--type", "paley", "--n", "7", "--out", str(path))
         code, report = run_json(capsys, "spectrum", str(path))
         assert code == 0
         res = report["results"]
@@ -464,7 +518,7 @@ class TestReportContract:
 
 ENVELOPE = ["command", "tool_version", "input_digest", "parameters", "results", "timings_ms"]
 COUNT_RESULTS = ["k", "method", "n", "total", "even", "odd", "trace", "even_fraction"]
-COUNT_PARAMETERS = ["file", "k", "method", "limit"]
+COUNT_PARAMETERS = ["file", "k", "method"]
 SPECTRUM_RESULTS = ["lambda1_abs", "lambda1_upper", "ratio", "solver"]
 DISC_PARAMETERS = ["file", "method", "restarts", "seed"]
 DISC_RESULTS = [
@@ -475,16 +529,12 @@ DISC_RESULTS = [
 # timings_ms
 SHAPES = {
     "gen": (
-        ["gen", "--type", "paley", "--p", "7", "--out", "FILE"],
+        ["gen", "--type", "paley", "--n", "7", "--out", "FILE"],
         ["type", "n", "seed", "out"], ["path", "n", "digest"], ["build", "write"],
     ),
     "count-trace": (
         ["count", "FILE", "--k", "4"],
         COUNT_PARAMETERS, COUNT_RESULTS, ["load", "trace"],
-    ),
-    "count-brute": (
-        ["count", "FILE", "--k", "3", "--method", "brute"],
-        COUNT_PARAMETERS, COUNT_RESULTS, ["load", "brute"],
     ),
     "count-both": (
         ["count", "FILE", "--k", "4", "--method", "both"],
@@ -535,7 +585,7 @@ class TestReportShape:
 
     def test_gen_parameters_name_the_built_file(self, tmp_path, capsys):
         path = str(tmp_path / "p7.trn")
-        _, report = run_json(capsys, "gen", "--type", "paley", "--p", "7", "--out", path)
+        _, report = run_json(capsys, "gen", "--type", "paley", "--n", "7", "--out", path)
         assert report["parameters"] == {"type": "paley", "n": 7, "seed": 0, "out": path}
         assert report["input_digest"] is None
 
@@ -548,3 +598,44 @@ class TestReportShape:
         with open(c3_file, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert report["input_digest"] == "sha256:" + digest
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """README's ``## CLI`` block: each subcommand's line, comment dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## CLI") :]
+    start = section.index("```\n") + len("```\n")
+    lines = section[start : section.index("```", start)].splitlines()
+    return {line.split()[1]: line.split("#")[0] for line in lines}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    action = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+class TestReadmeSynopsis:
+    # README's CLI block names every option and choice the parser takes, and
+    # no other, so that it cannot drift from the parser
+
+    def test_one_line_per_subcommand(self):
+        assert list(_readme_synopsis()) == list(_subparsers())
+
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_options_and_choices(self, command):
+        line = _readme_synopsis()[command]
+        # each option with the word after it, "--k K" or "--method trace|both"
+        documented = dict(re.findall(r"(--[a-z][a-z-]*) ?([^\s\]]*)", line))
+        taken = {
+            option: action.choices
+            for action in _subparsers()[command]._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help", "--out")
+        }
+        documented.pop("--out", None)
+        assert set(documented) == set(taken)
+        for option, word in documented.items():
+            listed = word.strip("{}").split("|") if "|" in word else None
+            assert listed == taken[option], option

@@ -16,7 +16,6 @@ from qrtour import (
     d_plus,
     decode,
     disc_given,
-    disc_given_report,
     edge_sign,
     encode,
     generate,
@@ -54,7 +53,6 @@ VERTEX_TAKERS = [
     lambda t, v: disc_given(t, [0, v], [1]),
     lambda t, v: disc_given(t, [0], [1, v]),
     lambda t, v: witness_vectors(t, [2, v]),
-    lambda t, v: disc_given_report(t, [2, v]),
     lambda t, v: relabel(t, [v, 1, 2, 3, 4, 5]),
     lambda t, v: cycle_parity(t, [0, 1, v]),
 ]

@@ -10,12 +10,12 @@ import pytest
 
 from qrtour import (
     CoinStream,
+    InternalInvariantError,
     ResourceLimitError,
     d_minus,
     d_plus,
     disc_exhaustive,
     disc_given,
-    disc_given_report,
     disc_localsearch,
     disc_sample,
     edge_sign,
@@ -187,17 +187,16 @@ class TestSubsetValidation:
             lambda t: disc_given(t, [0.7, 2.2], range(6)),
             lambda t: witness_vectors(t, [4.99]),
             lambda t: witness_vectors(t, [0, 2.5, 5]),
-            lambda t: disc_given_report(t, [4.99]),
             lambda t: disc_given(t, range(6), (y for y in [1, 2.5, 3])),
             lambda t: witness_vectors(t, {3, 4.5, 0}),
-            lambda t: disc_given_report(t, [5, 2.5, 5, 1, 2.5]),
+            lambda t: witness_vectors(t, [5, 2.5, 5, 1, 2.5]),
             lambda t: witness_vectors(t, np.array([1.0, 2.0])),
             lambda t: disc_given(t, [], [0.5]),
         ],
         ids=[
             "d_plus", "d_minus", "disc_given_Y", "disc_given_X", "witness",
-            "witness_inner_float", "report", "generator", "set",
-            "unsorted_duplicates", "float_array", "empty_X",
+            "witness_inner_float", "generator", "set", "unsorted_duplicates",
+            "float_array", "empty_X",
         ],
     )
     def test_rejects_float_entries(self, call):
@@ -216,7 +215,6 @@ class TestSubsetValidation:
             (lambda t: disc_given(t, [True, False], range(6)), "True"),
             (lambda t: disc_given(t, range(6), [1, True]), "True"),
             (lambda t: witness_vectors(t, [True, 3]), "True"),
-            (lambda t: disc_given_report(t, [False]), "False"),
             (lambda t: witness_vectors(t, (y for y in [4, True, 2])), "True"),
             (lambda t: d_plus(t, 1, [5, 3, True, 5]), "True"),
             # the entries of a bool array are numpy bools
@@ -226,7 +224,7 @@ class TestSubsetValidation:
         ids=[
             "edge_sign_u", "edge_sign_v", "d_plus", "d_plus_vertex", "d_minus",
             "disc_given_Y", "disc_given_X_all_bool", "disc_given_Y_equal_int",
-            "witness", "report", "generator", "unsorted_duplicates",
+            "witness", "generator", "unsorted_duplicates",
             "numpy_bool_array", "empty_Y",
         ],
     )
@@ -262,7 +260,6 @@ class TestSubsetValidation:
         ys = np.array([1, 3, 3], dtype=np.int64)
         assert disc_given(t, np.arange(6), ys) == disc_given(t, range(6), [1, 3])
         assert d_plus(t, 0, ys) == d_plus(t, 0, [1, 3])
-        assert disc_given_report(t, ys).best_Y == (1, 3)
 
 
 class TestWitnessVectors:
@@ -380,9 +377,6 @@ class TestPackedRoute:
             assert x == tuple(int(v) for v in np.sign(d))
             assert value == np.abs(d).sum()
             assert disc_given(t, range(n), ys) == value
-            rep = disc_given_report(t, ys)
-            assert (rep.value, rep.witness_signs) == (value, x)
-            assert rep.best_Y == tuple(sorted(ys))
             for xs in ((), *draws, (n // 2,)):
                 assert disc_given(t, xs, ys) == np.abs(d[list(xs)]).sum()
             # the same sets in other forms, Y and X alike, give the same answers
@@ -390,7 +384,6 @@ class TestPackedRoute:
             for form in SUBSET_FORMS.values():
                 assert witness_vectors(t, form(ys)) == (x, value)
                 assert disc_given(t, form(draws[0]), form(ys)) == given
-            assert disc_given_report(t, SUBSET_FORMS["unsorted_duplicates"](ys)) == rep
 
     @pytest.mark.parametrize("n", PACKED_SIZES)
     def test_words_hold_out_neighbourhoods(self, n):
@@ -676,8 +669,12 @@ class TestSpectralBound:
             assert disc_exhaustive(t).value <= spectral_upper_bound(t) + 1e-6
 
 
-def test_given_report():
-    rep = disc_given_report(C3, {0})
-    assert rep.method == "given"
-    assert rep.best_Y == (0,) and rep.value == 2
-    assert rep.witness_signs == (0, -1, 1)
+def test_report_refuses_a_value_its_witness_does_not_give():
+    # Y = {0} of C3 has discrepancy 2; a search claiming 3 is an internal error
+    member = np.array([True, False, False])
+    rep = discrepancy._build_report(C3, "sample", member, 2)
+    assert rep.best_Y == (0,) and rep.witness_signs == (0, -1, 1)
+    with pytest.raises(InternalInvariantError, match="search value 3 disagrees"):
+        discrepancy._build_report(C3, "sample", member, 3)
+    with pytest.raises(TypeError):  # every report is checked against a search
+        discrepancy._build_report(C3, "sample", member)

@@ -538,22 +538,26 @@ class TestBruteForce:
             brute_force_count(random_tournament(30, 0), 8)
         assert "100000000" in str(exc.value)
 
-    def test_guard_is_adjustable(self):
-        t = random_tournament(3, 0)
-        with pytest.raises(ResourceLimitError):
-            brute_force_count(t, 4, limit=10)
+    @pytest.mark.parametrize("n, k", [(10, 9), (2, 27), (2, 1500), (2, 15000)])
+    def test_guard_refuses_before_enumerating(self, n, k, monkeypatch):
+        # n**k > 10**8 is refused before the sign matrix is read, so deep
+        # recursion and huge powers never happen; 2**15000 has more digits
+        # than Python converts to a string
+        t = random_tournament(n, 0)
+        monkeypatch.setattr(exactcount, "sign_array", None)
+        with pytest.raises(ResourceLimitError) as exc:
+            brute_force_count(t, k)
+        assert str(exc.value) == (
+            f"enumeration of {n}**{k} sequences exceeds the limit 100000000"
+        )
+
+    def test_guard_admits_the_limit(self):
+        # n**k <= 10**8 enumerates; k = 26 at n = 2 is the deepest recursion
+        assert brute_force_count(transitive_tournament(2), 26) == (0, 2)
 
     def test_rejects_short_cycles(self):
         with pytest.raises(ValueError):
             brute_force_count(C3, 1)
-
-    @pytest.mark.parametrize("limit", [-1, 0, True, 1e8, "100"])
-    def test_limit_follows_the_count_rule(self, limit):
-        # bad input, not a guard that fired
-        with pytest.raises(ValueError) as exc:
-            brute_force_count(C3, 4, limit=limit)
-        assert str(exc.value) == f"limit must be a positive integer, got {limit!r}"
-        assert brute_force_count(C3, 4, limit=np.int64(81)) == (18, 0)
 
     def test_guard_takes_numpy_integers(self):
         # 30**np.int64(20) wraps to a negative int64; the guard must see 30**20
