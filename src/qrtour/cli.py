@@ -38,7 +38,7 @@ from .discrepancy import (
     _local_search,
 )
 from .errors import InternalInvariantError, ResourceLimitError
-from .exactcount import brute_force_count, even_cycles_trace
+from .exactcount import _check_enumeration, brute_force_count, even_cycles_trace
 from .spectral import lambda1
 
 EXIT_OK = 0
@@ -63,12 +63,13 @@ def _json_default(value):
 
 
 def render_json(value) -> str:
-    """Indented JSON; floats in shortest round-trip form, NaN and inf refused.
+    """One line of JSON; floats in shortest round-trip form, NaN and inf refused.
 
     A Fraction renders as its numerator, denominator and 12-digit decimal,
-    and a report dataclass as its fields.
+    and a report dataclass as its fields.  Without ``indent`` stock ``json``
+    runs its C encoder.
     """
-    return json.dumps(value, indent=2, allow_nan=False, default=_json_default)
+    return json.dumps(value, allow_nan=False, default=_json_default)
 
 
 @contextlib.contextmanager
@@ -99,6 +100,8 @@ def _cmd_gen(args, t, timings) -> dict:
 
 
 def _cmd_count(args, t, timings) -> dict:
+    if args.method == "both":
+        _check_enumeration(t.n, args.k)  # refuse before any trace work
     results: dict = {"k": args.k, "method": args.method, "n": t.n}
     with _timed(timings, "trace"):
         results.update(vars(even_cycles_trace(t, args.k)))
@@ -335,8 +338,9 @@ def _report(args) -> int:
         "timings_ms": timings,
     }) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        # binary mode: the report is ASCII, so no text layer is needed
+        with open(out, "wb") as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
     if args.command == "verify" and not results["all_passed"]:

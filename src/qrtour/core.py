@@ -176,10 +176,14 @@ def sign_array(t: Tournament) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.int8)
     signs = np.frombuffer(t.bits, dtype=np.int8) * 2
     signs -= 1  # in place: one n(n-1)/2 temporary
+    src = memoryview(signs).cast("B")
     start = 0
-    for u in range(n - 1):  # row u holds the pairs (u, v), v > u
-        a[u, u + 1 :] = signs[start : start + n - 1 - u]
-        start += n - 1 - u
+    # one buffer copy per row: cheaper than a numpy slice assignment
+    with memoryview(a).cast("B") as dst:
+        for u in range(n - 1):  # row u holds the pairs (u, v), v > u
+            stop = start + n - 1 - u
+            dst[u * (n + 1) + 1 : (u + 1) * n] = src[start:stop]
+            start = stop
     step = max(1, _BLOCK_ENTRIES // n)
     for s in range(0, n, step):
         # columns s.. below the diagonal are still 0: subtract the transposed

@@ -320,6 +320,18 @@ def cycle_parity(t: Tournament, seq) -> str:
     return "even" if reversals % 2 == 0 else "odd"
 
 
+def _check_enumeration(n: int, k: int) -> int:
+    """The cycle length k, checked; ResourceLimitError when
+    ``brute_force_count`` would walk n**k > ENUMERATION_LIMIT sequences."""
+    k = _check_count("cycle length", k, 2)
+    # n**27 > ENUMERATION_LIMIT for every n >= 2: no huge power is built
+    if n ** min(k, 27) > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration of {n}**{k} sequences exceeds the limit {ENUMERATION_LIMIT}"
+        )
+    return k
+
+
 def brute_force_count(t: Tournament, k: int) -> tuple[int, int]:
     """(even, odd) k-cycle counts by direct enumeration.
 
@@ -329,13 +341,8 @@ def brute_force_count(t: Tournament, k: int) -> tuple[int, int]:
     n = 2); this is the reference oracle for ``even_cycles_trace`` and is
     deliberately independent of the matrix-power route.
     """
-    k = _check_count("cycle length", k, 2)
     n = t.n
-    # n**27 > ENUMERATION_LIMIT for every n >= 2: no huge power is built
-    if n ** min(k, 27) > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration of {n}**{k} sequences exceeds the limit {ENUMERATION_LIMIT}"
-        )
+    k = _check_enumeration(n, k)
     rev = [[1 if x < 0 else 0 for x in row] for row in sign_array(t).tolist()]
     even = 0
     total = 0

@@ -137,6 +137,13 @@ class TestCount:
         # 1500 nested calls would pass Python's recursion limit
         self.check_guard_exit(2, 1500, tmp_path, capsys)
 
+    def test_guard_refuses_before_the_trace(self, tmp_path, capsys, monkeypatch):
+        def trace(*args):
+            raise AssertionError("the trace ran before the guard")
+
+        monkeypatch.setattr(cli, "even_cycles_trace", trace)
+        self.check_guard_exit(30, 16, tmp_path, capsys)
+
     @staticmethod
     def check_guard_exit(n, k, tmp_path, capsys):
         # n**k > 10**8 under --method both: exit 4 and one error line
@@ -598,6 +605,39 @@ class TestReportShape:
         with open(c3_file, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert report["input_digest"] == "sha256:" + digest
+
+
+def _readme_envelope() -> list[str]:
+    """The envelope keys README lists, in its order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme[readme.index("keys in this order:\n\n") :].split("\n\n")[1]
+    return re.findall(r"^- `(\w+)`", listing, re.M)
+
+
+class TestOneLineReport:
+    # a report is one line of JSON plus "\n", on stdout and in --out alike
+    CASES = {
+        "count": ["count", "FILE", "--k", "5"],
+        "spectrum-full": ["spectrum", "FILE", "--full"],
+        "disc-local": ["disc", "FILE", "--method", "local", "--restarts", "2"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line_on_stdout_and_in_out(self, case, c3_file, tmp_path, capsys):
+        argv = [c3_file if a == "FILE" else a for a in self.CASES[case]]
+        code, text = run(capsys, *argv)
+        out = tmp_path / "report.json"
+        assert (code, main([*argv, "--out", str(out)])) == (0, 0)
+        assert capsys.readouterr().out == ""
+        for data in (text, out.read_bytes().decode()):
+            assert data.endswith("\n")
+            assert data.count("\n") == 1
+            report = json.loads(data)
+            assert list(report) == _readme_envelope() == ENVELOPE
+            if case == "count":  # a Fraction keeps its three fields
+                assert report["results"]["even_fraction"] == {
+                    "numerator": 1, "denominator": 2, "decimal": "0.5"
+                }
 
 
 def _readme_synopsis() -> dict[str, str]:
