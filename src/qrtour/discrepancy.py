@@ -22,7 +22,7 @@ from .core import (
 from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
 
-EXHAUSTIVE_MAX_N = 24  # the Gray-code sweep is 2^n * n work
+EXHAUSTIVE_MAX_N = 24  # the mask-order sweep is 2^n * n work
 _BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
 _RESTART_CHUNK = 16  # local-search restarts climbed together, bounding their state
 
@@ -105,17 +105,24 @@ def _build_report(
     )
 
 
+def _subsets(cols: np.ndarray) -> np.ndarray:
+    """Difference vectors of every subset of the m columns ``cols`` (n x m):
+    column j of the n x 2^m result sums the columns at the set bits of j."""
+    table = np.zeros((len(cols), 1), dtype=np.int8)
+    for k in range(cols.shape[1]):
+        table = np.concatenate((table, table + cols[:, k : k + 1]), axis=1)
+    return table
+
+
 def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
     """Exact maximum of disc_given(V, Y) over all 2^n subsets Y.
 
-    Visits subsets in Gray-code order, one block of 2^b at a time, where the
-    low b = min(n, _BLOCK_BITS) vertices vary inside a block and the high
-    vertices stay fixed.  A table holds the difference vectors of the 2^b
-    low subsets in Gray order; each block adds the high vertices' vector to
-    every column and scores the block with one numpy reduction, and between
-    blocks one high vertex flips, an O(n) update.  The reflected Gray code
-    walks the low half backwards in odd blocks, so those read the table
-    reversed.  Ties keep the lowest Gray index: the first maximum inside a
+    Visits Y in bit-mask order (vertex i in Y when bit i is set), one block
+    of 2^b masks at a time, where b = min(n, _BLOCK_BITS).  Two tables hold
+    the difference vectors of the subsets of the low b vertices and of the
+    high n - b vertices; block h adds high subset h to every low column and
+    scores the block's 2^b subsets, masks h << b | j, with one numpy
+    reduction.  Ties keep the smallest mask: the first maximum inside a
     block, and a later block only on a strictly larger value.
     Refuses n > EXHAUSTIVE_MAX_N.
     """
@@ -125,34 +132,20 @@ def disc_exhaustive(t: Tournament) -> DiscrepancyReport:
             f"exhaustive sweep is guarded to n <= {EXHAUSTIVE_MAX_N}, got {n}; "
             "use the local-search method instead"
         )
-    # int8 is exact: every difference is a sum of at most n-1 signs
+    # int8 is exact: every difference is a sum of at most n-1 signs.
+    # Vertex-major (n x 2^b), so the reduction adds contiguous rows
     a = sign_array(t)
     b = min(n, _BLOCK_BITS)
-    # column j is the difference vector of the j-th low subset in Gray
-    # order.  The reflected code on k+1 bits is the code on k bits followed
-    # by its reverse with vertex k added, so each doubling appends that.
-    # Vertex-major (n x 2^b), so the reduction adds contiguous rows; the
-    # reversed table is copied for the same reason
-    table = np.zeros((n, 1), dtype=np.int8)
-    for k in range(b):
-        table = np.concatenate((table, table[:, ::-1] + a[:, k : k + 1]), axis=1)
-    reflected = np.ascontiguousarray(table[:, ::-1])
-    high = np.zeros((n, 1), dtype=np.int8)
+    low = _subsets(a[:, :b])
+    high = _subsets(a[:, b:])
     best_value = -1
-    best_index = 0
-    for h in range(1 << (n - b)):
-        if h:
-            # step h of the Gray code flips the lowest set bit of h
-            flipped = (h & -h).bit_length() - 1
-            col = a[:, b + flipped : b + flipped + 1]
-            high += col if (h ^ (h >> 1)) >> flipped & 1 else -col
-        block = reflected if h & 1 else table
-        values = np.abs(block + high).sum(axis=0, dtype=np.int32)
+    best_mask = 0
+    for h in range(high.shape[1]):
+        values = np.abs(low + high[:, h : h + 1]).sum(axis=0, dtype=np.int32)
         j = int(values.argmax())
         if values[j] > best_value:
             best_value = int(values[j])
-            best_index = h << b | j
-    best_mask = best_index ^ (best_index >> 1)
+            best_mask = h << b | j
     member = (best_mask >> np.arange(n) & 1).astype(bool)
     return _build_report(t, "exhaustive", member, best_value)
 

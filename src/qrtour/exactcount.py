@@ -339,14 +339,16 @@ def brute_force_count(t: Tournament, k: int) -> tuple[int, int]:
     tallies the parity of reversed steps.  Refuses when n**k exceeds
     ENUMERATION_LIMIT, which also bounds the recursion depth (k <= 26 at
     n = 2); this is the reference oracle for ``even_cycles_trace`` and is
-    deliberately independent of the matrix-power route.
+    deliberately independent of the matrix-power route: its table of
+    reversed steps reads each arc through ``edge_sign``, never through
+    ``sign_array``.
     """
     n = t.n
     k = _check_enumeration(n, k)
-    rev = [[1 if x < 0 else 0 for x in row] for row in sign_array(t).tolist()]
+    rng = range(n)
+    rev = [[int(edge_sign(t, u, v) < 0) for v in rng] for u in rng]
     even = 0
     total = 0
-    rng = range(n)
 
     def extend(first: int, prev: int, pos: int, parity: int) -> None:
         nonlocal even, total

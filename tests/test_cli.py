@@ -15,14 +15,19 @@ import pytest
 
 import qrtour.cli as cli
 import qrtour.discrepancy as discrepancy
+import qrtour.exactcount as exactcount
 from qrtour import (
+    Tournament,
+    brute_force_count,
     disc_exhaustive,
     disc_localsearch,
+    encode,
     even_cycles_trace,
     random_tournament,
     rotational_tournament,
 )
 from qrtour.cli import build_parser, main, render_json
+from qrtour.core import pair_index, sign_array
 
 
 def run(capsys, *argv):
@@ -118,6 +123,21 @@ class TestCount:
         res = report["results"]
         assert res["even"] == 18 and res["total"] == 18
         assert res["agreement"] is True
+
+    def test_enumeration_reads_arcs_independently(self, tmp_path, capsys, monkeypatch):
+        # a wrong sign matrix under the trace must not also reach the
+        # enumeration: with sign_array answering for t with arc (0, 5)
+        # flipped, the two routes count different tournaments and disagree
+        t = random_tournament(6, 3)
+        bits = bytearray(t.bits)
+        bits[pair_index(6, 0, 5)] ^= 1
+        flipped = Tournament(6, bytes(bits))
+        assert brute_force_count(flipped, 4) != brute_force_count(t, 4)
+        path = tmp_path / "t.trn"
+        path.write_bytes(encode(t))
+        monkeypatch.setattr(exactcount, "sign_array", lambda _: sign_array(flipped))
+        code, out = run(capsys, "count", str(path), "--k", "4", "--method", "both")
+        assert (code, out) == (5, "")
 
     def test_odd_k(self, c3_file, capsys):
         code, report = run_json(capsys, "count", c3_file, "--k", "5")

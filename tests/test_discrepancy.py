@@ -39,17 +39,16 @@ def disc_by_definition(t, xs, ys):
     return sum(abs(d_plus(t, v, ys) - d_minus(t, v, ys)) for v in xs)
 
 
-def gray_sweep_oracle(t):
+def mask_sweep_oracle(t):
     """(value, best_Y) of the exhaustive sweep, by brute force.
 
-    Row i of the mask matrix M is the i-th subset in Gray order; every
+    Row i of the mask matrix M is the subset with bit mask i; every
     subset's value comes from one product with the sign matrix, and the
-    first maximum (lowest Gray index) wins.
+    first maximum (smallest mask) wins.
     """
     n = t.n
     a = np.array([[edge_sign(t, u, v) for v in range(n)] for u in range(n)])
-    i = np.arange(1 << n)
-    m = ((i ^ (i >> 1))[:, None] >> np.arange(n)) & 1
+    m = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     values = np.abs(m @ a.T).sum(axis=1)
     best = int(values.argmax())
     return int(values[best]), tuple(int(v) for v in np.flatnonzero(m[best]))
@@ -444,13 +443,15 @@ class TestExhaustive:
     @pytest.mark.parametrize("block_bits", [None, 2, 3], ids=["default", "b2", "b3"])
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_matches_gray_oracle(self, family, block_bits, monkeypatch):
-        # small blocks put many block boundaries and reflected (odd) blocks
-        # into every n, so best_Y and the tie rule are checked across them
+        # named for the Gray-order sweep it first checked, and kept so its
+        # results compare across versions.  Small blocks put many block
+        # boundaries into every n, so best_Y and the smallest-mask tie rule
+        # are checked across them
         if block_bits is not None:
             monkeypatch.setattr(discrepancy, "_BLOCK_BITS", block_bits)
         for t in ORACLE_FAMILIES[family]:
             rep = disc_exhaustive(t)
-            assert (rep.value, rep.best_Y) == gray_sweep_oracle(t), t.n
+            assert (rep.value, rep.best_Y) == mask_sweep_oracle(t), t.n
 
     def test_dominates_random_pairs(self):
         for seed in SEEDS:

@@ -233,10 +233,9 @@ class TestMatPowTrace:
         (191, 7): (0, 0), (192, 7): (0, 0),
     }
 
-    @pytest.mark.parametrize("n, k", list(ROUTE_CALLS))
-    @pytest.mark.parametrize("family", ["random", "transitive"])
-    def test_prime_route_boundaries(self, family, n, k, monkeypatch):
-        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
+    @pytest.fixture
+    def route_calls(self, monkeypatch):
+        """Counts of power_trace's calls of _dot_wrap and _dot_mod, as they happen."""
         calls = {"_dot_wrap": 0, "_dot_mod": 0}
         for name in calls:
             real = getattr(exactcount, name)
@@ -246,12 +245,36 @@ class TestMatPowTrace:
                 return real(*args)
 
             monkeypatch.setattr(exactcount, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n, k", list(ROUTE_CALLS))
+    @pytest.mark.parametrize("family", ["random", "transitive"])
+    def test_prime_route_boundaries(self, family, n, k, route_calls):
+        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
         trace = power_trace(t, k)
         fits = n * (n - 1) ** (k - 1) < 2**53
         assert fits == (n in (456, 191, 99))
-        assert (calls["_dot_wrap"], calls["_dot_mod"]) == self.ROUTE_CALLS[n, k]
+        assert (route_calls["_dot_wrap"], route_calls["_dot_mod"]) == self.ROUTE_CALLS[n, k]
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
+
+    # (takes the 2**64 residue, takes primes) at p = 1019: E = 0 at k=4, the
+    # residue alone at k=8, the residue plus primes at k=12 and the
+    # per-prime tail, with no residue, at k=16
+    PALEY_ROUTES = {4: (False, False), 8: (True, False), 12: (True, True), 16: (False, True)}
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 12, 16])
+    @pytest.mark.parametrize("p", [103, 503, 1019])
+    def test_paley_closed_form(self, p, k, route_calls):
+        # Paley's A is regular with A A^T = p I - J, so G = A^T A has
+        # eigenvalue p on the p-1 dimensions orthogonal to the all-ones
+        # vector and 0 on it: tr(A^k) = (-1)**(k/2) tr(G^(k/2)) is exact at
+        # every n, with no code shared with power_trace
+        t = paley_tournament(p)
+        assert power_trace(t, k) == (-1) ** (k // 2) * (p - 1) * p ** (k // 2)
+        if p == 1019 and k in self.PALEY_ROUTES:
+            taken = (route_calls["_dot_wrap"] > 0, route_calls["_dot_mod"] > 0)
+            assert taken == self.PALEY_ROUTES[k]
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize("n, k", [(100, 8), (100, 10), (313, 12), (87, 16), (150, 16)])
@@ -540,11 +563,12 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n, k", [(10, 9), (2, 27), (2, 1500), (2, 15000)])
     def test_guard_refuses_before_enumerating(self, n, k, monkeypatch):
-        # n**k > 10**8 is refused before the sign matrix is read, so deep
+        # n**k > 10**8 is refused before any arc is read, so deep
         # recursion and huge powers never happen; 2**15000 has more digits
         # than Python converts to a string
         t = random_tournament(n, 0)
         monkeypatch.setattr(exactcount, "sign_array", None)
+        monkeypatch.setattr(exactcount, "edge_sign", None)
         with pytest.raises(ResourceLimitError) as exc:
             brute_force_count(t, k)
         assert str(exc.value) == (
