@@ -398,11 +398,14 @@ def decode(data: bytes) -> Tournament:
             f"expected {expected} orientation bits, found {end - body_start}",
             body_start,
         )
-    # '0'/'1' become 0/1; every other byte wraps to a value above 1
+    # '0'/'1' become 0/1; every other byte wraps to a value above 1, which
+    # Tournament refuses: its check is the one scan of the bits
     bits = np.frombuffer(data, dtype=np.uint8, count=expected, offset=body_start) - 0x30
-    if bits.max(initial=0) > 1:
+    try:
+        t = Tournament(n, bits.tobytes())
+    except ValueError:
         i = body_start + int(np.argmax(bits > 1))
-        raise ParseError(f"illegal character {chr(data[i])!r} in bit string", i)
+        raise ParseError(f"illegal character {chr(data[i])!r} in bit string", i) from None
     if end + 1 != len(data):
         raise ParseError("trailing data after final newline", end + 1)
-    return Tournament(n, bits.tobytes())
+    return t

@@ -20,10 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    _BLOCK_ENTRIES, Tournament, _check_count, _is_prime, edge_sign, sign_array
-)
+from .core import _BLOCK_ENTRIES, Tournament, _check_count, _is_prime, edge_sign
 from .errors import InternalInvariantError, ResourceLimitError
+from .spectral import gram
 
 ENUMERATION_LIMIT = 10**8  # brute_force_count's guard on n**k
 
@@ -114,19 +113,6 @@ def _estimate(left: np.ndarray, right: np.ndarray, bound: int) -> tuple[int, int
     return estimate, -(-size * bound // (2**53 - size))
 
 
-def _gram(t: Tournament) -> np.ndarray:
-    """Gram matrix G = A^T A = -A^2 as a float64 array.
-
-    One float32 BLAS product, widened to float64.  Each entry sums at most
-    n-1 products of +-1 signs (the diagonal of A is zero), so every partial
-    sum is an integer of magnitude at most n-1, which float32 holds exactly
-    while n <= 2**24 (any tournament whose n(n-1)/2 orientation bits fit in
-    memory), and the result equals the integer product.
-    """
-    a = sign_array(t).astype(np.float32)
-    return (a.T @ a).astype(np.float64)
-
-
 def _halving(j: int, memo: dict, product) -> np.ndarray:
     """G^j = G^ceil(j/2) G^floor(j/2), recursively, from the powers in ``memo``.
 
@@ -177,11 +163,11 @@ def power_trace(t: Tournament, k: int) -> int:
     (n-1)**(2 lo) in magnitude, and an entry of G^hi is at most
     (n-1)**(2 hi - 1).
 
-    G comes from ``_gram``.  G and its powers are then formed once, in plain
-    float64, while every partial sum plus the largest prime p stays below
-    2**53 (so that ``_mod``'s q*p is exact as well): the exact powers are
-    those on the halving frontier of L and R, which are L and R themselves
-    when both are exact.
+    G comes from ``spectral.gram``, which checks its diagonal.  G and its
+    powers are then formed once, in plain float64, while every partial sum
+    plus the largest prime p stays below 2**53 (so that ``_mod``'s q*p is
+    exact as well): the exact powers are those on the halving frontier of
+    L and R, which are L and R themselves when both are exact.
 
     The sum S = sum_ij L_ij R_ij comes from one reconstruction: an integer
     estimate F, a radius E with |S - F| <= E, and the residue of S modulo
@@ -206,7 +192,7 @@ def power_trace(t: Tournament, k: int) -> int:
     bound = n * (n - 1) ** (k - 1)
     bits = n.bit_length()
     room = 2**53 - _prime(bits, 0)
-    powers = {1: _gram(t)}
+    powers = {1: gram(t)}
     m = k // 2
     lo, hi = m // 2, m - m // 2
     e = _exact_exponent(n, hi, room)
@@ -320,18 +306,6 @@ def cycle_parity(t: Tournament, seq) -> str:
     return "even" if reversals % 2 == 0 else "odd"
 
 
-def _check_enumeration(n: int, k: int) -> int:
-    """The cycle length k, checked; ResourceLimitError when
-    ``brute_force_count`` would walk n**k > ENUMERATION_LIMIT sequences."""
-    k = _check_count("cycle length", k, 2)
-    # n**27 > ENUMERATION_LIMIT for every n >= 2: no huge power is built
-    if n ** min(k, 27) > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration of {n}**{k} sequences exceeds the limit {ENUMERATION_LIMIT}"
-        )
-    return k
-
-
 def brute_force_count(t: Tournament, k: int) -> tuple[int, int]:
     """(even, odd) k-cycle counts by direct enumeration.
 
@@ -344,7 +318,12 @@ def brute_force_count(t: Tournament, k: int) -> tuple[int, int]:
     ``sign_array``.
     """
     n = t.n
-    k = _check_enumeration(n, k)
+    k = _check_count("cycle length", k, 2)
+    # n**27 > ENUMERATION_LIMIT for every n >= 2: no huge power is built
+    if n ** min(k, 27) > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration of {n}**{k} sequences exceeds the limit {ENUMERATION_LIMIT}"
+        )
     rng = range(n)
     rev = [[int(edge_sign(t, u, v) < 0) for v in rng] for u in rng]
     even = 0

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import Tournament, _check_count, _circulant_arc
+from .core import Tournament, _circulant_arc, sign_array
 from .errors import InternalInvariantError
-from .exactcount import _gram, power_trace
 
 
 @dataclass(frozen=True)
@@ -42,17 +40,21 @@ class SpectralSummary:
 
 
 def gram(t: Tournament) -> np.ndarray:
-    """Gram matrix -A^2 = A^T A as a read-only float64 array.
+    """Gram matrix G = A^T A = -A^2 as a read-only float64 array.
 
-    One float32 BLAS product, widened to float64, which equals the integer
-    product (see ``exactcount._gram``).  The diagonal is constantly n-1
-    (each vertex meets every other vertex).
+    One float32 BLAS product, widened to float64.  Each entry sums at most
+    n-1 products of +-1 signs (the diagonal of A is zero), so every partial
+    sum is an integer of magnitude at most n-1, which float32 holds exactly
+    while n <= 2**24 (any tournament whose n(n-1)/2 orientation bits fit in
+    memory), and the result equals the integer product.  The diagonal must
+    be n-1 (each vertex meets every other vertex); a wrong one raises
+    InternalInvariantError.  Symmetry is not scanned: numpy forms a.T @ a
+    with BLAS syrk, which computes one triangle and copies it into the
+    other, and ``eigvalsh`` reads one triangle anyway.
     """
-    g = _gram(t)
-    n = t.n
-    if not np.array_equal(g, g.T):
-        raise InternalInvariantError("Gram matrix is not symmetric")
-    if not np.all(np.diag(g) == n - 1):
+    a = sign_array(t).astype(np.float32)
+    g = (a.T @ a).astype(np.float64)
+    if not np.all(np.diag(g) == t.n - 1):
         raise InternalInvariantError("Gram diagonal must equal n-1")
     g.setflags(write=False)
     return g
@@ -120,9 +122,9 @@ def _circulant_moduli(n: int, arc: np.ndarray) -> SpectralSummary:
     ``lambda1_upper`` is max sigma^ + delta, delta = eps * n, rounded up:
     delta is a float exactly, and one step up from the rounded sum is at
     least the exact sum.  Its invariants stand in for ``gram``'s checks: the
-    sum of squares is n(n-1) within the same error (plus 2 * n * u for the
-    float sum), sigma^_0 (true value sum a_d = 0) is at most delta, and no
-    modulus exceeds n; a failure raises ``InternalInvariantError``.
+    sum of squares, tr(G), is n(n-1) within the same error (plus 2 * n * u
+    for the float sum), sigma^_0 (true value sum a_d = 0) is at most delta,
+    and no modulus exceeds n; a failure raises ``InternalInvariantError``.
     """
     a = arc * 2.0 - 1.0
     a[0] = 0.0
@@ -146,27 +148,6 @@ def _circulant_moduli(n: int, arc: np.ndarray) -> SpectralSummary:
         singular_values=tuple(moduli.tolist()),
         solver="fft",
     )
-
-
-def moment_crosscheck(t: Tournament, k: int) -> float:
-    """Relative gap between exact tr(A^k) and the spectral moment sum.
-
-    Eigenvalues +-i*sigma contribute (+-i)^k sigma^k, so for even k the trace
-    equals (-1)^(k/2) * sum(sigma^k).  Returns
-    |exact - float| / max(1, |exact|); a large value means the float
-    spectrum and the exact integer route disagree.  The float sum runs over
-    (sigma/c)^k, c = max(sigma_1, 1), and is scaled back by c^k in Fraction
-    arithmetic, so no k takes either side out of float range.
-    """
-    k = _check_count("cycle length", k, 2)
-    if k % 2 != 0:
-        raise ValueError(f"moment comparison needs even k >= 2, got {k}")
-    exact = power_trace(t, k)
-    moduli = np.asarray(lambda1(t).singular_values)  # descending
-    c = max(float(moduli[0]), 1.0)
-    sign = -1 if (k // 2) % 2 else 1
-    approx = sign * Fraction(float(np.sum((moduli / c) ** k))) * Fraction(c) ** k
-    return float(abs(exact - approx) / max(1, abs(exact)))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
 """The crosscheck behind ``qrtour verify``, over seeded tournaments.
 
 It checks trace counts against enumeration, exact moments against the
-spectrum, and the packed discrepancy queries against per-vertex degree
-differences.  The sign of an even-k trace needs no check here:
-``power_trace`` raises on a wrong one.  Every draw comes from one
+spectrum (``moment_crosscheck``, the one place where the exact and the
+spectral layers meet), and the packed discrepancy queries against
+per-vertex degree differences.  The sign of an even-k trace needs no check
+here: ``power_trace`` raises on a wrong one.  Every draw comes from one
 CoinStream, so the checks are a pure function of (trials, nmax, seed).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
+
 from .core import (
     CoinStream,
+    Tournament,
     _check_count,
     d_minus,
     d_plus,
@@ -19,8 +25,29 @@ from .core import (
     rotational_tournament,
 )
 from .discrepancy import disc_given, witness_vectors
-from .exactcount import brute_force_count, even_cycles_trace, total_cycles
-from .spectral import moment_crosscheck
+from .exactcount import brute_force_count, even_cycles_trace, power_trace, total_cycles
+from .spectral import lambda1
+
+
+def moment_crosscheck(t: Tournament, k: int) -> float:
+    """Relative gap between exact tr(A^k) and the spectral moment sum.
+
+    Eigenvalues +-i*sigma contribute (+-i)^k sigma^k, so for even k the trace
+    equals (-1)^(k/2) * sum(sigma^k).  Returns
+    |exact - float| / max(1, |exact|); a large value means the float
+    spectrum and the exact integer route disagree.  The float sum runs over
+    (sigma/c)^k, c = max(sigma_1, 1), and is scaled back by c^k in Fraction
+    arithmetic, so no k takes either side out of float range.
+    """
+    k = _check_count("cycle length", k, 2)
+    if k % 2 != 0:
+        raise ValueError(f"moment comparison needs even k >= 2, got {k}")
+    exact = power_trace(t, k)
+    moduli = np.asarray(lambda1(t).singular_values)  # descending
+    c = max(float(moduli[0]), 1.0)
+    sign = -1 if (k // 2) % 2 else 1
+    approx = sign * Fraction(float(np.sum((moduli / c) ** k))) * Fraction(c) ** k
+    return float(abs(exact - approx) / max(1, abs(exact)))
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:

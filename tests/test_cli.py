@@ -15,7 +15,7 @@ import pytest
 
 import qrtour.cli as cli
 import qrtour.discrepancy as discrepancy
-import qrtour.exactcount as exactcount
+import qrtour.spectral as spectral
 from qrtour import (
     Tournament,
     brute_force_count,
@@ -135,7 +135,7 @@ class TestCount:
         assert brute_force_count(flipped, 4) != brute_force_count(t, 4)
         path = tmp_path / "t.trn"
         path.write_bytes(encode(t))
-        monkeypatch.setattr(exactcount, "sign_array", lambda _: sign_array(flipped))
+        monkeypatch.setattr(spectral, "sign_array", lambda _: sign_array(flipped))
         code, out = run(capsys, "count", str(path), "--k", "4", "--method", "both")
         assert (code, out) == (5, "")
 
@@ -565,7 +565,7 @@ SHAPES = {
     ),
     "count-both": (
         ["count", "FILE", "--k", "4", "--method", "both"],
-        COUNT_PARAMETERS, [*COUNT_RESULTS, "agreement"], ["load", "trace", "brute"],
+        COUNT_PARAMETERS, [*COUNT_RESULTS, "agreement"], ["load", "brute", "trace"],
     ),
     "spectrum": (
         ["spectrum", "FILE"], ["file", "full"], SPECTRUM_RESULTS, ["load", "solve"],

@@ -413,6 +413,11 @@ class TestTrnFormat:
             decode(b"TRN1 3\n1a1\n")
         assert exc.value.position == 8
 
+    def test_decode_names_illegal_byte_before_trailing_data(self):
+        with pytest.raises(ParseError) as exc:
+            decode(b"TRN1 3\n1a1\nx")
+        assert str(exc.value) == "illegal character 'a' in bit string (at byte 8)"
+
     def test_decode_rejects_missing_trailing_newline(self):
         with pytest.raises(ParseError):
             decode(b"TRN1 3\n101")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qrtour.exactcount as exactcount
+import qrtour.spectral as spectral
 from qrtour import (
     InternalInvariantError,
     ResourceLimitError,
@@ -30,7 +31,8 @@ from qrtour import (
     total_cycles,
     transitive_tournament,
 )
-from qrtour.core import sign_array
+from qrtour.cli import main
+from qrtour.core import encode, sign_array
 
 SEEDS = [0, 1, 7, 42, 99]
 
@@ -60,6 +62,59 @@ def reference_trace(t, k):
     for _ in range(k - 1):
         m = [[sum(row[w] * a[w][j] for w in range(n)) for j in range(n)] for row in m]
     return sum(m[i][i] for i in range(n))
+
+
+def rotational_trace(n, k):
+    """tr(A^k), k even, for the rotational tournament on odd n.
+
+    A is circulant with first row c (c_d = 1 for 1 <= d <= (n-1)/2, -1
+    above, c_0 = 0), so A^j is circulant with first row c^{*j}, the j-th
+    cyclic convolution power of c, and tr(A^k) = n (c^{*k})_0 =
+    n sum_d x_d x_{-d} with x = c^{*(k/2)}.  Each product multiplies rows
+    packed into Python integers, one ``size``-byte digit per entry
+    (Kronecker substitution), biased by ``half`` so that every digit is
+    nonnegative: every |digit| is at most sum_d |x_d| <= (n-1)**(k/2) < half.
+    """
+    h = (n - 1) // 2
+    c = [0] + [1] * h + [-1] * h
+    size = ((n - 1) ** (k // 2)).bit_length() // 8 + 1  # bytes per digit
+    half = 1 << (8 * size - 1)
+
+    def bias(count):
+        return half * ((1 << 8 * size * count) - 1) // ((1 << 8 * size) - 1)
+
+    def pack(row):
+        data = b"".join((v + half).to_bytes(size, "little") for v in row)
+        return int.from_bytes(data, "little") - bias(len(row))
+
+    def unpack(value, count):
+        data = (value + bias(count)).to_bytes(size * count, "little")
+        return [
+            int.from_bytes(data[i : i + size], "little") - half
+            for i in range(0, len(data), size)
+        ]
+
+    x, packed_c = c, pack(c)
+    for _ in range(k // 2 - 1):
+        linear = unpack(pack(x) * packed_c, 2 * n - 1)
+        x = [a + b for a, b in zip(linear, linear[n:] + [0])]  # wrap mod n
+    return n * sum(x[d] * x[-d % n] for d in range(n))
+
+
+def transitive_trace(n, k):
+    """tr(A^k) for the transitive tournament on n vertices.
+
+    A closed k-walk meets at most k vertices, and its sign depends only on
+    the order of the vertices it meets, so tr(A^k) is a polynomial in n of
+    degree at most k: Newton's forward-difference form through
+    n = 1..k+1, from ``reference_trace``, gives it at any n.
+    """
+    diffs = [reference_trace(transitive_tournament(m), k) for m in range(1, k + 2)]
+    total = 0
+    for j in range(k + 1):
+        total += math.comb(n - 1, j) * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
 
 
 # three primes below 2**20: int64 products of residues stay below 2**63
@@ -152,11 +207,27 @@ class TestMatPowTrace:
         def refuse(*args):
             raise AssertionError("a closed-form trace formed a matrix")
 
-        monkeypatch.setattr(exactcount, "sign_array", refuse)
+        monkeypatch.setattr(exactcount, "gram", refuse)
         monkeypatch.setattr(exactcount, "_halving", refuse)
         for k in (1, 3, 17, np.int64(5)):
             assert power_trace(t, k) == 0
         assert power_trace(t, 2) == -n * (n - 1)
+
+    def test_wrong_gram_diagonal_raises_on_every_trace(self, tmp_path, capsys, monkeypatch):
+        # a sign matrix with A[0,0] = 1 gives G[0,0] = n, not n-1: the one
+        # Gram builder refuses it on the trace route too, where it would
+        # otherwise make tr(A^8) 301256523 instead of 299548318
+        t = random_tournament(30, 1)
+        a = sign_array(t).copy()
+        a[0, 0] = 1
+        monkeypatch.setattr(spectral, "sign_array", lambda _: a)
+        for k in (4, 16):
+            with pytest.raises(InternalInvariantError, match="Gram diagonal"):
+                power_trace(t, k)
+        path = tmp_path / "t.trn"
+        path.write_bytes(encode(t))
+        assert main(["count", str(path), "--k", "8"]) == 5
+        assert capsys.readouterr().out == ""
 
     def test_large_power_exceeds_int64(self):
         # C3 eigenvalue moduli are {sqrt(3), sqrt(3), 0}, so
@@ -258,10 +329,16 @@ class TestMatPowTrace:
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
-    # (takes the 2**64 residue, takes primes) at p = 1019: E = 0 at k=4, the
-    # residue alone at k=8, the residue plus primes at k=12 and the
+    # (takes the 2**64 residue, takes primes) at n = 1000-1019: E = 0 at
+    # k=4, the residue alone at k=8, the residue plus primes at k=12 and the
     # per-prime tail, with no residue, at k=16
-    PALEY_ROUTES = {4: (False, False), 8: (True, False), 12: (True, True), 16: (False, True)}
+    ROUTES_NEAR_1000 = {
+        4: (False, False), 8: (True, False), 12: (True, True), 16: (False, True)
+    }
+
+    @staticmethod
+    def routes_taken(route_calls):
+        return route_calls["_dot_wrap"] > 0, route_calls["_dot_mod"] > 0
 
     @pytest.mark.parametrize("k", [4, 6, 8, 12, 16])
     @pytest.mark.parametrize("p", [103, 503, 1019])
@@ -272,9 +349,32 @@ class TestMatPowTrace:
         # every n, with no code shared with power_trace
         t = paley_tournament(p)
         assert power_trace(t, k) == (-1) ** (k // 2) * (p - 1) * p ** (k // 2)
-        if p == 1019 and k in self.PALEY_ROUTES:
-            taken = (route_calls["_dot_wrap"] > 0, route_calls["_dot_mod"] > 0)
-            assert taken == self.PALEY_ROUTES[k]
+        if p == 1019 and k in self.ROUTES_NEAR_1000:
+            assert self.routes_taken(route_calls) == self.ROUTES_NEAR_1000[k]
+
+    # n = 2001 stops at k = 8: power_trace alone takes about 2 s at k = 12
+    # and k = 16 there
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in (101, 501, 1001, 2001) for k in (4, 8, 12, 16)
+         if n < 2001 or k < 12],
+    )
+    def test_rotational_convolution_power(self, n, k, route_calls):
+        # an exact large-n oracle that shares no code with power_trace
+        assert power_trace(rotational_tournament(n), k) == rotational_trace(n, k)
+        if n == 1001:
+            assert self.routes_taken(route_calls) == self.ROUTES_NEAR_1000[k]
+
+    @pytest.mark.parametrize("k", [4, 8, 12, 16])
+    @pytest.mark.parametrize("n", [1000, 1554])
+    def test_transitive_polynomial(self, n, k, route_calls):
+        # G^3 is not exact past n = 1553, so k = 12 at n = 1554 takes the
+        # per-prime tail, with no residue
+        assert power_trace(transitive_tournament(n), k) == transitive_trace(n, k)
+        if n == 1000:
+            assert self.routes_taken(route_calls) == self.ROUTES_NEAR_1000[k]
+        elif k == 12:
+            assert self.routes_taken(route_calls) == (False, True)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize("n, k", [(100, 8), (100, 10), (313, 12), (87, 16), (150, 16)])
@@ -567,7 +667,7 @@ class TestBruteForce:
         # recursion and huge powers never happen; 2**15000 has more digits
         # than Python converts to a string
         t = random_tournament(n, 0)
-        monkeypatch.setattr(exactcount, "sign_array", None)
+        monkeypatch.setattr(spectral, "sign_array", None)
         monkeypatch.setattr(exactcount, "edge_sign", None)
         with pytest.raises(ResourceLimitError) as exc:
             brute_force_count(t, k)
