@@ -19,10 +19,11 @@ from .errors import ParseError
 
 _TRN_MAGIC = b"TRN1"
 _SEED_MAX = 2**64
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements orientation bytes
 
-# Entries per block of the blocked loops here and in ``exactcount``, so that
-# no temporary grows with n^2: a loop over an n x n array takes
-# ``_BLOCK_ENTRIES // n`` rows (or columns) at a time.
+# Entries per block of the blocked loops here, in ``exactcount`` and in
+# ``discrepancy``, so that no temporary grows with n^2: a loop over an n x n
+# array takes ``_BLOCK_ENTRIES // n`` rows (or columns) at a time.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -248,28 +249,24 @@ def _circulant_arc(t: Tournament) -> np.ndarray | None:
     t is circulant when u -> v iff arc[(v - u) mod n] is 1, for a uint8 arc
     of length n with arc[0] = 0: then row u of the bit string is row 0's
     first n - 1 - u bits, and arc[k] + arc[n - k] = 1 (exactly one of u -> v
-    and v -> u).  Even n admits no such arc.  Row 1 and the skew rule reject
-    most other tournaments in O(n) (a transitive one passes the row test).
-    Each row is compared, through a memoryview, with the start of the bit
+    and v -> u).  Even n admits no such arc.  The skew rule on row 0 rejects
+    most other tournaments in O(n), transitive ones included; then each row
+    from 1 on is compared, through a memoryview, with the start of the bit
     string, which is row 0: one memcmp per row and no copy of the bits.
     """
     n = t.n
     if n < 3 or n % 2 == 0:
         return None
+    head = t.bits[: n - 1]  # row 0: arc[1:]
+    if head.translate(_FLIP) != head[::-1]:
+        return None
     bits = memoryview(t.bits)
-    if not t.bits.startswith(bits[n - 1 : 2 * n - 3]):
-        return None
-    head = np.frombuffer(t.bits, dtype=np.uint8, count=n - 1)  # arc[1:]
-    if not (head ^ head[::-1]).all():
-        return None
-    start = 2 * n - 3
-    for u in range(2, n - 1):
+    start = n - 1
+    for u in range(1, n - 1):
         if not t.bits.startswith(bits[start : start + n - 1 - u]):
             return None
         start += n - 1 - u
-    arc = np.zeros(n, dtype=np.uint8)
-    arc[1:] = head
-    return arc
+    return np.insert(np.frombuffer(head, dtype=np.uint8), 0, 0)  # arc[0] = 0
 
 
 def rotational_tournament(n: int) -> Tournament:

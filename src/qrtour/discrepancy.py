@@ -17,14 +17,13 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    CoinStream, Tournament, _check_count, _members, out_words, sign_array
+    _BLOCK_ENTRIES, CoinStream, Tournament, _check_count, _members, out_words, sign_array
 )
 from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import lambda1
 
 EXHAUSTIVE_MAX_N = 24  # the mask-order sweep is 2^n * n work
 _BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
-_RESTART_CHUNK = 16  # local-search restarts climbed together, bounding their state
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,9 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
 
 
 def spectral_upper_bound(t: Tournament) -> float:
-    """n * |lambda1(A)|, rounded up: an upper bound for every disc_given(X, Y)."""
+    """n * lambda1_upper, an upper bound for every disc_given(X, Y): the product
+    rounds to nearest, not up, inside the margin ``lambda1_upper`` carries,
+    about n * 2^-53 relative on eigvalsh (n >= 2) and 64 * 2^-53 on FFT."""
     return t.n * lambda1(t).lambda1_upper
 
 
@@ -255,7 +256,7 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _best_of_chunks(
     t: Tournament, count: int, seed: int, score
 ) -> tuple[np.ndarray, int]:
-    """Best Y among ``count`` rows scored _RESTART_CHUNK at a time, and its value.
+    """Best Y among ``count`` rows scored _BLOCK_ENTRIES // n at a time, and its value.
 
     Row i is a membership vector: the i-th run of n coins of the seed's stream.
     ``score(a, member)`` takes the float32 sign matrix a, made once here, and
@@ -268,9 +269,10 @@ def _best_of_chunks(
     coins = CoinStream(seed)
     best_value = -1
     best_member = None
-    for done in range(0, count, _RESTART_CHUNK):
-        rows = min(_RESTART_CHUNK, count - done)
-        member, values = score(a, coins.take(rows * n).reshape(rows, n).astype(bool))
+    step = max(1, _BLOCK_ENTRIES // n)
+    for done in range(0, count, step):
+        rows = coins.take(min(step, count - done) * n).reshape(-1, n)
+        member, values = score(a, rows.astype(bool))
         j = int(values.argmax())
         if values[j] > best_value:
             best_value = int(values[j])
@@ -283,7 +285,7 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
 
     Deterministic in (t, restarts, seed).  The result is a lower bound on
     the true maximum; ties across restarts keep the earliest restart.
-    Restarts run together, _RESTART_CHUNK at a time, each from the next
+    Restarts run together in chunks (``_best_of_chunks``), each from the next
     n coins of the seed's stream: alternating ascent first, which takes
     the long strides cheaply, then the single-flip climb, so every result
     is a single-flip local maximum worth at least its start.
@@ -302,9 +304,8 @@ def _local_search(t: Tournament, restarts: int, seed: int) -> tuple[np.ndarray, 
 def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:
     """Best of ``samples`` uniformly drawn subsets; a cheap lower bound.
 
-    Draws _RESTART_CHUNK subsets at a time, each from the next n coins of
-    the seed's stream, and scores them with one product; ties keep the
-    earliest draw.
+    Each subset is the next n coins of the seed's stream; a chunk of them is
+    scored with one product, and ties keep the earliest draw.
     """
     samples = _check_count("samples", samples)
 

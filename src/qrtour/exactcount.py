@@ -169,19 +169,19 @@ def power_trace(t: Tournament, k: int) -> int:
     exact as well): the exact powers are those on the halving frontier of
     L and R, which are L and R themselves when both are exact.
 
-    The sum S = sum_ij L_ij R_ij comes from one reconstruction: an integer
-    estimate F, a radius E with |S - F| <= E, and the residue of S modulo
-    some M > 2 E give S as the one integer in [F - E, F - E + M) with that
-    residue.  When L and R are exact, F is their float64 dot product and E
-    its error bound (see ``_estimate``); E is 0 while the growth bound is
-    below 2**53, and then no residue is taken.  Otherwise the first residue
-    is S mod 2**64, from one int64 pass (``_dot_wrap``).  When a factor is
-    too large to be exact, F = 0 and E is the growth bound.  Primes join the
-    residue by the Chinese remainder theorem while M <= 2 E: each reduces
-    the exact powers to signed residues and finishes L and R from them by
-    float64 BLAS products of residues.  S = tr(G^m) >= 0 because G is
-    positive semidefinite, so a negative S raises InternalInvariantError, as
-    does a result above F + E or past the growth bound.
+    S = sum_ij L_ij R_ij = tr(G^m) is reconstructed in one interval: with
+    |S - F| <= E for an integer estimate F, S >= 0 as G is positive
+    semidefinite, and S <= bound (the growth bound), S lies in [low, high] =
+    [max(0, F - E), min(bound, F + E)].  Given the residue of S modulo some
+    M > 2 E >= high - low, S is the one integer in [low, low + M) with that
+    residue; a result above high raises InternalInvariantError.  When L and
+    R are exact, F is their float64 dot product and E its error bound (see
+    ``_estimate``): 0 while the growth bound is below 2**53, and then no
+    residue is taken (M = 1); otherwise the first residue is S mod 2**64,
+    from one int64 pass (``_dot_wrap``).  When a factor is too large to be
+    exact, F = 0 and E = bound.  Primes join the residue by the Chinese
+    remainder theorem while M <= 2 E: each reduces the exact powers to
+    signed residues and finishes L and R by float64 BLAS products of them.
     """
     k = _check_count("exponent", k)
     n = t.n
@@ -220,24 +220,14 @@ def power_trace(t: Tournament, k: int) -> int:
         del residues, factors
         residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-    # the one integer in [estimate - radius, estimate - radius + modulus)
-    # congruent to the residue
-    low = estimate - radius
+    low, high = max(0, estimate - radius), min(bound, estimate + radius)
     total = low + (residue - low) % modulus
-    if total > estimate + radius:
+    if total > high:
         raise InternalInvariantError(
-            f"tr(A^{k}) reconstructs outside the radius of its estimate (n={n})"
+            f"tr(G^{m}) reconstructs to {total}, outside [{low}, {high}]: past the "
+            f"radius of its estimate, the growth bound or with the wrong sign (n={n})"
         )
-    if total < 0:
-        raise InternalInvariantError(
-            f"tr(A^{k}) reconstructs with the wrong sign: tr(G^{m}) < 0 (n={n})"
-        )
-    trace = -total if m % 2 else total
-    if abs(trace) > bound:
-        raise InternalInvariantError(
-            f"|tr(A^{k})| exceeds the n*(n-1)**(k-1) growth bound (n={n})"
-        )
-    return trace
+    return -total if m % 2 else total
 
 
 def total_cycles(n: int, k: int) -> int:

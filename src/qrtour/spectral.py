@@ -65,7 +65,8 @@ def lambda1(t: Tournament) -> SpectralSummary:
 
     A tournament that is circulant as labelled (``core._circulant_arc``)
     takes one FFT (see ``_circulant_moduli``); every other one takes one
-    ``eigvalsh`` call on the Gram matrix.
+    ``eigvalsh`` call on the Gram matrix.  Both end in one summary and one
+    check, |lambda1| <= n (on the FFT route the square-sum check fires first).
 
     LAPACK's symmetric eigensolver is backward stable: its eigenvalues are
     exact for G + E with ||E||_2 <= p(n) * eps * ||G||_2, p a modest
@@ -77,21 +78,22 @@ def lambda1(t: Tournament) -> SpectralSummary:
     """
     n = t.n
     arc = _circulant_arc(t)
-    if arc is not None:
-        return _circulant_moduli(n, arc)
-    eigs = np.linalg.eigvalsh(gram(t))  # ascending
-    top = float(eigs[-1])
-    margin = n * np.finfo(np.float64).eps * n * (n - 1)
-    lam = math.sqrt(top)
+    if arc is None:
+        eigs = np.linalg.eigvalsh(gram(t))  # ascending
+        margin = n * np.finfo(np.float64).eps * n * (n - 1)
+        upper = math.sqrt(float(eigs[-1]) + margin)
+        # maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
+        moduli = np.sqrt(np.maximum(eigs[::-1], 0.0))
+    else:
+        moduli, upper = _circulant_moduli(n, arc)
+    lam = float(moduli[0])
     if lam > n:
         raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
-    # maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
-    moduli = np.sqrt(np.maximum(eigs[::-1], 0.0))
     return SpectralSummary(
         lambda1_abs=lam,
-        lambda1_upper=math.sqrt(top + margin),
+        lambda1_upper=upper,
         singular_values=tuple(moduli.tolist()),
-        solver="eigvalsh",
+        solver="eigvalsh" if arc is None else "fft",
     )
 
 
@@ -111,20 +113,20 @@ def lambda1(t: Tournament) -> SpectralSummary:
 _FFT_ERROR = 64
 
 
-def _circulant_moduli(n: int, arc: np.ndarray) -> SpectralSummary:
-    """The moduli of a circulant A with first row a = 2 * arc - 1, a_0 = 0.
+def _circulant_moduli(n: int, arc: np.ndarray) -> tuple[np.ndarray, float]:
+    """(moduli, upper) of a circulant A with first row a = 2 * arc - 1, a_0 = 0.
 
     A[u, v] = a[(v - u) mod n] has eigenvalues lambda_j = sum_d a_d w^(dj),
     w = exp(2 pi i / n), one for each Fourier vector, and a_(n-d) = -a_d
     makes them purely imaginary; so sigma_j = |Im(fft(a))_j|.  With eps as
     above, |sigma^_j - sigma_j| <= ||lambda^ - lambda||_2 <= eps * ||lambda||_2,
-    and ||lambda||_2 = sqrt(n(n-1)) by Parseval (n * ||a||_2^2).  So
-    ``lambda1_upper`` is max sigma^ + delta, delta = eps * n, rounded up:
-    delta is a float exactly, and one step up from the rounded sum is at
-    least the exact sum.  Its invariants stand in for ``gram``'s checks: the
-    sum of squares, tr(G), is n(n-1) within the same error (plus 2 * n * u
-    for the float sum), sigma^_0 (true value sum a_d = 0) is at most delta,
-    and no modulus exceeds n; a failure raises ``InternalInvariantError``.
+    and ||lambda||_2 = sqrt(n(n-1)) by Parseval (n * ||a||_2^2).  So the
+    upper bound is max sigma^ + delta, delta = eps * n, rounded up: delta
+    is a float exactly, and one step up from the rounded sum is at least
+    the exact sum.  Its invariants stand in for ``gram``'s checks: the sum
+    of squares, tr(G), is n(n-1) within the same error (plus 2 * n * u for
+    the float sum), and sigma^_0 (true value sum a_d = 0) is at most delta;
+    a failure raises ``InternalInvariantError``.
     """
     a = arc * 2.0 - 1.0
     a[0] = 0.0
@@ -139,15 +141,7 @@ def _circulant_moduli(n: int, arc: np.ndarray) -> SpectralSummary:
     if sigma[0] > delta:
         raise InternalInvariantError(f"FFT modulus at frequency 0 is {sigma[0]}, not 0")
     moduli = np.sort(sigma)[::-1]
-    lam = float(moduli[0])
-    if lam > n:
-        raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
-    return SpectralSummary(
-        lambda1_abs=lam,
-        lambda1_upper=math.nextafter(lam + delta, math.inf),
-        singular_values=tuple(moduli.tolist()),
-        solver="fft",
-    )
+    return moduli, math.nextafter(float(moduli[0]) + delta, math.inf)
 
 
 @dataclass(frozen=True)

@@ -514,9 +514,10 @@ class TestLocalSearch:
         # across chunk boundaries; every fourth input keeps them quick
         inputs = LOCAL_FAMILIES[family]
         if chunk is not None:
-            monkeypatch.setattr(discrepancy, "_RESTART_CHUNK", chunk)
             inputs = inputs[::4]
         for t in inputs:
+            if chunk is not None:
+                monkeypatch.setattr(discrepancy, "_BLOCK_ENTRIES", chunk * t.n)
             for restarts in (1, 2, 8, 9):
                 for seed in (0, 5):
                     # restarts 1, 2 and 8 replay the first climbs of 9
@@ -608,10 +609,10 @@ class TestSample:
     @pytest.mark.parametrize("family", LOCAL_FAMILIES)
     def test_matches_one_draw_at_a_time(self, family, chunk, monkeypatch):
         # chunks of 1 and 3 draws put the earliest-draw tie rule across
-        # chunk boundaries; 16 and 17 draws fill one default chunk and pass it
-        if chunk is not None:
-            monkeypatch.setattr(discrepancy, "_RESTART_CHUNK", chunk)
+        # chunk boundaries; by default every count here fits one chunk
         for t in LOCAL_FAMILIES[family][::3]:
+            if chunk is not None:
+                monkeypatch.setattr(discrepancy, "_BLOCK_ENTRIES", chunk * t.n)
             for samples in (1, 5, 16, 17, 40):
                 for seed in (0, 5):
                     rep = disc_sample(t, samples=samples, seed=seed)

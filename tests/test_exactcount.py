@@ -405,6 +405,54 @@ class TestMatPowTrace:
         for q in ORACLE_PRIMES:
             assert expected % q == modular_trace(t, k, q)
 
+    # estimates F on and past each end of the radius, below 0 and past the
+    # growth bound, the last two clipping [max(0, F - E), min(bound, F + E)]
+    # at 0 or at the bound; True where that interval holds S
+    CLIPPED_ESTIMATES = {
+        "below-radius": (lambda s, e, bound: s - e - 1, False),
+        "low-end": (lambda s, e, bound: s - e, True),
+        "high-end": (lambda s, e, bound: s + e, True),
+        "above-radius": (lambda s, e, bound: s + e + 1, False),
+        "negative": (lambda s, e, bound: -e - 1, False),
+        "past-bound": (lambda s, e, bound: bound + 1, False),
+    }
+
+    @pytest.mark.parametrize("where", list(CLIPPED_ESTIMATES))
+    @pytest.mark.parametrize("n, k", [(100, 8), (87, 16)])
+    def test_clipped_interval(self, n, k, where, route_calls, monkeypatch):
+        # both (n, k) reconstruct from the 2**64 residue alone; power_trace
+        # returns S = tr(G^(k/2)) exactly when S is the one integer of its
+        # class modulo 2**64 in the interval, and raises otherwise
+        t = random_tournament(n, 4)
+        expected = power_trace(t, k)
+        total = -expected if k // 2 % 2 else expected
+        bound = n * (n - 1) ** (k - 1)
+        offset, holds = self.CLIPPED_ESTIMATES[where]
+        real = exactcount._estimate
+        radii = []
+
+        def placed(*args):
+            radius = real(*args)[1]
+            radii.append(radius)
+            return offset(total, radius, bound), radius
+
+        monkeypatch.setattr(exactcount, "_estimate", placed)
+        route_calls.update(_dot_wrap=0, _dot_mod=0)
+        try:
+            got = power_trace(t, k)
+        except InternalInvariantError:
+            got = None
+        assert (route_calls["_dot_wrap"], route_calls["_dot_mod"]) == (1, 0)
+        radius = radii[-1]
+        assert 0 < 2 * radius < 2**64
+        f = offset(total, radius, bound)
+        low, high = max(0, f - radius), min(bound, f + radius)
+        # at most one integer of the class, since 2**64 > 2 E >= high - low
+        first = low + (total - low) % 2**64
+        in_class = [first] if first <= high else []
+        assert (in_class == [total]) == holds
+        assert got == (expected if in_class == [total] else None)
+
     @pytest.mark.parametrize("k", [4, 6])
     def test_negative_gram_trace_trips_sign_check(self, k, monkeypatch):
         # at n = 5 the growth bound is below 2**53, so E = 0 and no residue

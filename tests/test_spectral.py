@@ -144,6 +144,21 @@ class TestLambda1:
             got = lambda1(t).lambda1_abs
             assert abs(got - expected) / expected < 1e-8
 
+    def test_modulus_above_n_raises_on_eigvalsh(self, monkeypatch):
+        # the true eigenvalues with the top one raised to (n + 1)^2: a
+        # |lambda1| of n + 1, which no tournament on n vertices has
+        t = random_tournament(20, 1)
+        eigvalsh = np.linalg.eigvalsh
+
+        def raised(g):
+            eigs = eigvalsh(g)
+            eigs[-1] = (t.n + 1) ** 2
+            return eigs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", raised)
+        with pytest.raises(InternalInvariantError, match="exceeds n = 20"):
+            lambda1(t)
+
     def test_invariant_under_reverse_and_relabel(self):
         t = random_tournament(16, 9)
         base = lambda1(t).lambda1_abs
@@ -294,9 +309,9 @@ class TestCirculantRoute:
         pi = np.arctan(np.longdouble(1)) * 4
         for n in range(3, 2002, 2):
             arc = (np.arange(n) <= (n - 1) // 2).astype(np.uint8)
-            s = spectral._circulant_moduli(n, arc)
-            assert np.longdouble(s.lambda1_upper) >= 1 / np.tan(pi / (2 * n)), n
-            assert s.lambda1_abs <= s.lambda1_upper
+            moduli, upper = spectral._circulant_moduli(n, arc)
+            assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
+            assert moduli[0] <= upper
 
     @pytest.mark.parametrize(
         "perturb, message",
