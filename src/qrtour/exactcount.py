@@ -248,14 +248,12 @@ class CycleCountReport:
     even_fraction: Fraction | None  # None when there are no k-cycles at all
 
     def __post_init__(self):
-        if self.even < 0 or self.odd < 0 or self.even + self.odd != self.total:
-            raise InternalInvariantError("cycle counts are inconsistent")
-        if self.k % 2 == 0:
-            if self.trace != 2 * self.even - self.total:
-                raise InternalInvariantError("trace identity violated for even k")
-        else:
-            if self.trace != 0 or self.even != self.odd:
-                raise InternalInvariantError("odd-k structure violated")
+        counted = min(self.even, self.odd) >= 0 and self.even + self.odd == self.total
+        if not counted or self.trace != self.even - self.odd or self.k % 2 and self.trace:
+            raise InternalInvariantError(
+                f"k={self.k}: even={self.even}, odd={self.odd}, total={self.total} "
+                f"and trace={self.trace} break tr(A^k) = even - odd, 0 for odd k"
+            )
 
 
 def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
@@ -264,8 +262,7 @@ def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
     tr(A^k) = even - odd, so even = (tr(A^k) + total) / 2.  For odd k the
     trace vanishes by skew-symmetry (reversal pairs each even cycle with an
     odd one), so even = total / 2.  ``CycleCountReport`` raises
-    InternalInvariantError on a trace of the wrong parity, or a nonzero one
-    for odd k.
+    InternalInvariantError when its four numbers break either fact.
     """
     k = _check_count("cycle length", k, 2)
     trace = power_trace(t, k)

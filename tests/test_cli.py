@@ -278,6 +278,8 @@ class TestDisc:
         )
         assert code == 0
         assert report["results"]["value"] >= 8
+        # one name for the method, the one --method takes
+        assert report["results"]["method"] == report["parameters"]["method"] == "local"
 
     def test_exhaustive_guard(self, tmp_path, capsys):
         path = tmp_path / "big.trn"
@@ -382,7 +384,7 @@ class TestBench:
         code, report = run_json(capsys, "bench", "--sizes", "12", "--repeat", "2")
         assert code == 0
         assert searches == [(8, 0)] * 4
-        assert reports == ["local_search"] * 2
+        assert reports == ["local"] * 2
         assert list(report["results"]["rows"][0])[-3:] == [
             "search_ms", "local_ms", "local_value"
         ]

@@ -680,3 +680,24 @@ def test_report_refuses_a_value_its_witness_does_not_give():
         discrepancy._build_report(C3, "sample", member, 3)
     with pytest.raises(TypeError):  # every report is checked against a search
         discrepancy._build_report(C3, "sample", member)
+
+
+def test_report_refuses_a_value_above_either_cap(monkeypatch):
+    # Y = {0} of C3 has discrepancy 2: first a spectral bound below it
+    member = np.array([True, False, False])
+    monkeypatch.setattr(discrepancy, "spectral_upper_bound", lambda t: 1.5)
+    with pytest.raises(InternalInvariantError, match="discrepancy 2 exceeds"):
+        discrepancy._build_report(C3, "sample", member, 2)
+    # then no spectral cap, and a witness worth n*n > n(n-1)
+    monkeypatch.setattr(discrepancy, "spectral_upper_bound", lambda t: float("inf"))
+    monkeypatch.setattr(discrepancy, "_diff_vector", lambda t, member: np.full(t.n, t.n))
+    with pytest.raises(InternalInvariantError, match="discrepancy 9 exceeds"):
+        discrepancy._build_report(C3, "sample", member, 9)
+
+
+def test_climb_refuses_to_outrun_its_step_bound():
+    # an all-ones matrix is no sign matrix, so the gain identity predicts
+    # flips that do not raise the value
+    member = np.zeros((1, 12), dtype=bool)
+    with pytest.raises(InternalInvariantError, match="outran its step bound"):
+        discrepancy._climb(np.ones((12, 12), np.float32), member)

@@ -759,7 +759,39 @@ def test_trace_sign_structure():
 
 
 def test_report_invariant_validation():
+    # C3's 2-, 3- and 4-cycles: valid reports, as even_cycles_trace gives them
+    for k, total, even, odd, trace in [(2, 6, 0, 6, -6), (3, 6, 3, 3, 0), (4, 18, 18, 0, 18)]:
+        rep = exactcount.CycleCountReport(
+            k=k, total=total, even=even, odd=odd, trace=trace,
+            even_fraction=Fraction(even, total),
+        )
+        assert rep == even_cycles_trace(C3, k)
     with pytest.raises(InternalInvariantError):
         exactcount.CycleCountReport(
             k=4, total=10, even=4, odd=5, trace=0, even_fraction=None
+        )
+
+
+@pytest.mark.parametrize(
+    "k, total, even, odd, trace",
+    [
+        (4, 2, -1, 3, -4),
+        (4, 2, 3, -1, 4),
+        (4, 10, 4, 5, -1),
+        (4, 10, 6, 4, 0),
+        (3, 10, 6, 4, 2),
+        (3, 10, 6, 4, 0),
+    ],
+    ids=[
+        "negative-even", "negative-odd", "sum-not-total", "even-k-trace",
+        "odd-k-nonzero-trace", "odd-k-unbalanced",
+    ],
+)
+def test_report_refuses_each_broken_fact(k, total, even, odd, trace):
+    facts = [even >= 0, odd >= 0, even + odd == total, trace == even - odd]
+    facts.append(k % 2 == 0 or trace == 0)
+    assert facts.count(False) == 1  # each case breaks one fact and keeps the others
+    with pytest.raises(InternalInvariantError):
+        exactcount.CycleCountReport(
+            k=k, total=total, even=even, odd=odd, trace=trace, even_fraction=None
         )

@@ -1,5 +1,6 @@
 """Tests for the crosscheck behind ``qrtour verify``."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from qrtour import verify
 from qrtour.core import random_tournament
 from qrtour.discrepancy import disc_given, witness_vectors
+from qrtour.exactcount import brute_force_count, total_cycles
+from qrtour.spectral import lambda1
 from qrtour.cli import main
 
 
@@ -69,3 +72,40 @@ def test_witness_check_catches_a_wrong_query(name, monkeypatch):
     assert checks["witness_vs_definition"]["pass"] is False
     assert name in checks["witness_vs_definition"]["detail"]
     assert checks["trace_vs_enumeration"]["pass"] is True
+
+
+def _shift_count(t, k):
+    even, odd = brute_force_count(t, k)
+    return even + 1, odd
+
+
+def _shift_total(n, k):
+    return total_cycles(n, k) + 1
+
+
+def _shift_modulus(t):
+    s = lambda1(t)
+    top, *rest = s.singular_values
+    return dataclasses.replace(s, singular_values=(top + 1, *rest))
+
+
+@pytest.mark.parametrize(
+    "name, shifted, check, detail",
+    [
+        ("brute_force_count", _shift_count, "trace_vs_enumeration", "trace vs enumeration"),
+        ("total_cycles", _shift_total, "trace_vs_enumeration", "enumeration total"),
+        ("lambda1", _shift_modulus, "exact_vs_spectral_moments", "moment gap"),
+    ],
+    ids=["brute_force_count", "total_cycles", "lambda1"],
+)
+def test_each_check_reports_its_failure(name, shifted, check, detail, monkeypatch, capsys):
+    # one value off: the check fails with its detail, and the others pass
+    monkeypatch.setattr(verify, name, shifted)
+    checks = verify.run(1, 8, 0)
+    for c in checks:
+        assert c["pass"] is (c["check"] != check)
+    failed = next(c for c in checks if c["check"] == check)
+    assert failed["detail"].startswith(detail)
+    # the command runs the same real check and exits 1
+    assert main(["verify", "--trials", "1", "--nmax", "8", "--seed", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["checks"] == checks
