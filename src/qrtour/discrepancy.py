@@ -176,16 +176,13 @@ def _alternate(a: np.ndarray, member: np.ndarray) -> np.ndarray:
 
 
 def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-improvement single-flip ascent from every row of ``member`` at once.
+    """Steepest single-flip ascent from every row of ``member`` at once.
 
-    Each row climbs as a flip-by-flip search would: scan u = 0..n-1, flip u
-    whenever that strictly raises sum |d| (d is the row's difference
-    vector), and repeat until a full pass flips nothing.  A rejected
-    candidate leaves the state unchanged, so each step here takes the first
-    improving u cyclically from one past the row's last flip, and a row
-    stops when no u improves.  All n gains come from one identity that is
-    exact in integers: with s_u = -1 for u in Y (else +1) and
-    g = sign(d) @ A, flipping u changes sum |d| by
+    Each step flips, in every live row, the u whose flip raises sum |d| the
+    most (d is the row's difference vector; ties go to the smallest u), and
+    a row retires when no flip strictly raises it.  All n gains come from
+    one identity that is exact in integers: with s_u = -1 for u in Y (else
+    +1) and g = sign(d) @ A, flipping u changes sum |d| by
     s_u g_u + #{i: d_i = 0} - [d_u = 0], since A[i, u] = +-1 for i != u.
     After a flip, g changes only through the columns where some row's
     sign(d) changed.  ``a`` is the float32 sign matrix: every partial sum
@@ -200,8 +197,6 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sgn = np.sign(d)
     g = sgn @ a
     s = np.where(member, np.float32(-1), np.float32(1))
-    start = np.zeros(rows, dtype=np.intp)
-    vertices = np.arange(n)
     live = np.arange(rows)  # the original row of each row still climbing
     values = np.zeros(rows, dtype=np.int64)
     # each step raises sum |d| <= n(n-1) by at least 1 in every live row, or
@@ -216,22 +211,16 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         zero = d == 0
         gain = s * g
         gain += zero.sum(axis=1, keepdims=True, dtype=np.float32)
-        up = gain > zero
-        # argmax finds the first True: an improving u at or after start,
-        # else the first improving u of the next pass
-        scan = np.concatenate((up & (vertices >= start[:, None]), up), axis=1)
-        first = scan.argmax(axis=1)
+        gain -= zero
+        u = gain.argmax(axis=1)
         at = np.arange(live.size)
-        stuck = ~scan[at, first]
+        stuck = gain[at, u] <= 0
         if stuck.any():
             member[live[stuck]] = s[stuck] < 0
             values[live[stuck]] = np.abs(d[stuck]).sum(axis=1, dtype=np.int64)
             keep = ~stuck
-            live, d, sgn, g, s, start = (
-                live[keep], d[keep], sgn[keep], g[keep], s[keep], start[keep]
-            )
+            live, d, sgn, g, s = live[keep], d[keep], sgn[keep], g[keep], s[keep]
             continue
-        u = first % n
         step = s[at, u]
         d -= step[:, None] * a[u]  # d += step * A[:, u]
         s[at, u] = -step
@@ -239,7 +228,6 @@ def _climb(a: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cols = np.flatnonzero((new != sgn).any(axis=0))
         g += (new[:, cols] - sgn[:, cols]) @ a[cols]
         sgn = new
-        start = u + 1
     return member, values
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -245,7 +245,7 @@ class CycleCountReport:
     even: int
     odd: int
     trace: int
-    even_fraction: Fraction | None  # None when there are no k-cycles at all
+    even_fraction: Fraction | None = field(init=False)  # None when there are no k-cycles
 
     def __post_init__(self):
         counted = min(self.even, self.odd) >= 0 and self.even + self.odd == self.total
@@ -254,6 +254,8 @@ class CycleCountReport:
                 f"k={self.k}: even={self.even}, odd={self.odd}, total={self.total} "
                 f"and trace={self.trace} break tr(A^k) = even - odd, 0 for odd k"
             )
+        frac = Fraction(self.even, self.total) if self.total else None
+        object.__setattr__(self, "even_fraction", frac)
 
 
 def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
@@ -268,10 +270,7 @@ def even_cycles_trace(t: Tournament, k: int) -> CycleCountReport:
     trace = power_trace(t, k)
     total = total_cycles(t.n, k)
     even = (trace + total) // 2
-    frac = Fraction(even, total) if total else None
-    return CycleCountReport(
-        k=k, total=total, even=even, odd=total - even, trace=trace, even_fraction=frac
-    )
+    return CycleCountReport(k=k, total=total, even=even, odd=total - even, trace=trace)
 
 
 def cycle_parity(t: Tournament, seq) -> str:

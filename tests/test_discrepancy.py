@@ -60,9 +60,9 @@ def flip_oracle_climbs(t, restarts, seed, alternate=True):
 
     Each restart draws n coins for its start Y.  With ``alternate``, it
     first takes x = sign(d) and Y' = {u : sum over v of x_v A[v, u] > 0}
-    for as long as Y' strictly raises sum |d|.  Then it scans u = 0..n-1,
-    repeating until a full pass takes no flip, and flips u whenever that
-    strictly raises sum |d|.
+    for as long as Y' strictly raises sum |d|.  Then, round by round, it
+    scores the flip of every u = 0..n-1 and takes the first that reaches the
+    strict maximum, until no flip raises sum |d|.
     """
     n = t.n
     cols = [[edge_sign(t, v, u) for v in range(n)] for u in range(n)]
@@ -80,17 +80,18 @@ def flip_oracle_climbs(t, restarts, seed, alternate=True):
             if cand_value <= value:
                 break
             member, diff, value = cand_member, cand, cand_value
-        improved = True
-        while improved:
-            improved = False
+        while True:
+            flip = None  # the first u whose flip reaches the strict maximum
             for u in range(n):
                 step = -1 if member[u] else 1
                 cand = [x + step * c for x, c in zip(diff, cols[u])]
                 cand_value = sum(abs(x) for x in cand)
                 if cand_value > value:
-                    member[u] = not member[u]
-                    diff, value = cand, cand_value
-                    improved = True
+                    flip, flip_diff, value = u, cand, cand_value
+            if flip is None:
+                break
+            member[flip] = not member[flip]
+            diff = flip_diff
         climbs.append((value, member, diff))
     return climbs
 

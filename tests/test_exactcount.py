@@ -761,15 +761,17 @@ def test_trace_sign_structure():
 def test_report_invariant_validation():
     # C3's 2-, 3- and 4-cycles: valid reports, as even_cycles_trace gives them
     for k, total, even, odd, trace in [(2, 6, 0, 6, -6), (3, 6, 3, 3, 0), (4, 18, 18, 0, 18)]:
-        rep = exactcount.CycleCountReport(
-            k=k, total=total, even=even, odd=odd, trace=trace,
-            even_fraction=Fraction(even, total),
-        )
+        rep = exactcount.CycleCountReport(k=k, total=total, even=even, odd=odd, trace=trace)
         assert rep == even_cycles_trace(C3, k)
-    with pytest.raises(InternalInvariantError):
+        assert rep.even_fraction == Fraction(even, total)
+    # the fraction is derived from the counts, never passed
+    with pytest.raises(TypeError):
         exactcount.CycleCountReport(
-            k=4, total=10, even=4, odd=5, trace=0, even_fraction=None
+            k=4, total=18, even=18, odd=0, trace=18, even_fraction=Fraction(1, 2)
         )
+    assert even_cycles_trace(random_tournament(2, 0), 3).even_fraction is None
+    with pytest.raises(InternalInvariantError):
+        exactcount.CycleCountReport(k=4, total=10, even=4, odd=5, trace=0)
 
 
 @pytest.mark.parametrize(
@@ -792,6 +794,4 @@ def test_report_refuses_each_broken_fact(k, total, even, odd, trace):
     facts.append(k % 2 == 0 or trace == 0)
     assert facts.count(False) == 1  # each case breaks one fact and keeps the others
     with pytest.raises(InternalInvariantError):
-        exactcount.CycleCountReport(
-            k=k, total=total, even=even, odd=odd, trace=trace, even_fraction=None
-        )
+        exactcount.CycleCountReport(k=k, total=total, even=even, odd=odd, trace=trace)
