@@ -35,7 +35,6 @@ from .discrepancy import (
     disc_localsearch,
     disc_sample,
     witness_vectors,
-    _local_search,
 )
 from .errors import InternalInvariantError, ResourceLimitError
 from .exactcount import brute_force_count, even_cycles_trace
@@ -184,8 +183,6 @@ def _cmd_bench(args, t, timings) -> dict:
                 "query_ms": lambda t=t, xs=xs, ys=ys: (
                     disc_given(t, xs, ys), witness_vectors(t, ys)
                 ),
-                # the search alone; local_ms adds the report's spectral bound
-                "search_ms": lambda t=t: _local_search(t, 8, 0),
                 "local_ms": lambda t=t: disc_localsearch(t, restarts=8, seed=0),
             })
         # laps run round-robin over the sizes, so that a slow stretch of the

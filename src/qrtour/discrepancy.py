@@ -269,14 +269,9 @@ def disc_localsearch(t: Tournament, restarts: int, seed: int) -> DiscrepancyRepo
     is a single-flip local maximum worth at least its start.
     """
     restarts = _check_count("restarts", restarts)
-    return _build_report(t, "local", *_local_search(t, restarts, seed))
-
-
-def _local_search(t: Tournament, restarts: int, seed: int) -> tuple[np.ndarray, int]:
-    """The best Y of ``disc_localsearch`` and its value, without the report."""
-    return _best_of_chunks(
+    return _build_report(t, "local", *_best_of_chunks(
         t, restarts, seed, lambda a, member: _climb(a, _alternate(a, member))
-    )
+    ))
 
 
 def disc_sample(t: Tournament, samples: int, seed: int) -> DiscrepancyReport:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import qrtour.cli as cli
-import qrtour.discrepancy as discrepancy
 import qrtour.spectral as spectral
 from qrtour import (
     Tournament,
@@ -349,13 +348,18 @@ class TestBench:
         assert code == 0
         rows = report["results"]["rows"]
         assert [r["n"] for r in rows] == [8, 12, 16]
+        for row in rows:
+            assert list(row) == [
+                "n", "count_ms", "spectrum_ms", "codec_ms", "relabel_ms",
+                "query_ms", "local_ms", "local_value",
+            ]
 
     def test_repeat_statistics(self, capsys):
         code, report = run_json(capsys, "bench", "--sizes", "10", "--k", "4", "--repeat", "3")
         assert code == 0
         row = report["results"]["rows"][0]
         for name in (
-            "count_ms", "spectrum_ms", "codec_ms", "relabel_ms", "search_ms", "local_ms"
+            "count_ms", "spectrum_ms", "codec_ms", "relabel_ms", "query_ms", "local_ms"
         ):
             stats = row[name]
             assert stats["min"] <= stats["median"] <= stats["max"]
@@ -367,27 +371,6 @@ class TestBench:
             assert list(row)[-2:] == ["local_ms", "local_value"]
             t = random_tournament(row["n"], 0)
             assert row["local_value"] == disc_localsearch(t, restarts=8, seed=0).value
-
-    def test_search_row_times_the_search_alone(self, capsys, monkeypatch):
-        # search_ms runs the search local_ms runs, without its report
-        searches, reports = [], []
-        real_search, real_report = discrepancy._local_search, discrepancy._build_report
-        monkeypatch.setattr(
-            discrepancy, "_local_search",
-            lambda *a: searches.append(a[1:]) or real_search(*a),
-        )
-        monkeypatch.setattr(cli, "_local_search", discrepancy._local_search)
-        monkeypatch.setattr(
-            discrepancy, "_build_report",
-            lambda *a: reports.append(a[1]) or real_report(*a),
-        )
-        code, report = run_json(capsys, "bench", "--sizes", "12", "--repeat", "2")
-        assert code == 0
-        assert searches == [(8, 0)] * 4
-        assert reports == ["local"] * 2
-        assert list(report["results"]["rows"][0])[-3:] == [
-            "search_ms", "local_ms", "local_value"
-        ]
 
     def test_query_row_times_one_disc_given_and_one_witness(self, capsys, monkeypatch):
         calls = []
