@@ -243,22 +243,25 @@ def _circulant(n: int, arc: np.ndarray) -> Tournament:
     return Tournament(n, b"".join(view[1 : n - u] for u in range(n)))
 
 
-def _circulant_arc(t: Tournament) -> np.ndarray | None:
-    """The ``arc`` of ``_circulant`` when t is circulant as labelled, else None.
+def _toeplitz_arc(t: Tournament) -> np.ndarray | None:
+    """The ``arc`` of ``_circulant`` when an FFT diagonalises t as labelled, else None.
 
-    t is circulant when u -> v iff arc[(v - u) mod n] is 1, for a uint8 arc
+    t is Toeplitz when u -> v (u < v) iff arc[v - u] is 1, for a uint8 arc
     of length n with arc[0] = 0: then row u of the bit string is row 0's
-    first n - 1 - u bits, and arc[k] + arc[n - k] = 1 (exactly one of u -> v
-    and v -> u).  Even n admits no such arc.  The skew rule on row 0 rejects
-    most other tournaments in O(n), transitive ones included; then each row
-    from 1 on is compared, through a memoryview, with the start of the bit
-    string, which is row 0: one memcmp per row and no copy of the bits.
+    first n - 1 - u bits.  Two rules on row 0 admit an FFT, and no arc fits
+    both: t is circulant when arc[k] + arc[n - k] = 1 (exactly one of u -> v
+    and v -> u, which even n admits for no arc), and skew-circulant when
+    arc[n - k] = arc[k] (the transitive tournament and its reversal among
+    them).  Those rules reject most other tournaments in O(n); then each
+    row from 1 on is compared, through a memoryview, with the start of the
+    bit string, which is row 0: one memcmp per row and no copy of the bits.
     """
     n = t.n
-    if n < 3 or n % 2 == 0:
+    if n < 2:
         return None
     head = t.bits[: n - 1]  # row 0: arc[1:]
-    if head.translate(_FLIP) != head[::-1]:
+    mirror = head[::-1]
+    if head != mirror and head.translate(_FLIP) != mirror:
         return None
     bits = memoryview(t.bits)
     start = n - 1

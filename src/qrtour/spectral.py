@@ -5,10 +5,12 @@ conjugate pairs +-i*sigma; all spectral quantities used here depend only on
 the moduli sigma.  Those are obtained from the Gram matrix -A^2 = A^T A,
 which is real symmetric positive semidefinite with eigenvalues sigma^2, so
 one dense symmetric eigensolve (LAPACK, via ``numpy.linalg.eigvalsh``)
-yields every modulus and no complex arithmetic is needed.  A tournament
-that is circulant as labelled (the rotational and Paley families among
-them) skips that solve: the DFT diagonalises A, and one FFT of its first
-row gives every modulus.
+yields every modulus and no complex arithmetic is needed.  A Toeplitz
+tournament that is circulant as labelled (the rotational and Paley
+families among them) or skew-circulant (the transitive family) skips that
+solve: the DFT diagonalises a circulant A, a skew-circulant A sits inside
+the circulant of twice its size, and one FFT of a first row gives every
+modulus.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tournament, _circulant_arc, sign_array
+from .core import Tournament, _toeplitz_arc, sign_array
 from .errors import InternalInvariantError
 
 
@@ -63,10 +65,11 @@ def gram(t: Tournament) -> np.ndarray:
 def lambda1(t: Tournament) -> SpectralSummary:
     """Every eigenvalue modulus of A, and |lambda_1| with its upper bound.
 
-    A tournament that is circulant as labelled (``core._circulant_arc``)
-    takes one FFT (see ``_circulant_moduli``); every other one takes one
-    ``eigvalsh`` call on the Gram matrix.  Both end in one summary and one
-    check, |lambda1| <= n (on the FFT route the square-sum check fires first).
+    A Toeplitz tournament that is circulant or skew-circulant as labelled
+    (``core._toeplitz_arc``) takes one FFT, of length n or 2n (see
+    ``_fft_moduli``); every other one takes one ``eigvalsh`` call on the
+    Gram matrix.  Both end in one summary and one check, |lambda1| <= n
+    (on the FFT route the square-sum check fires first).
 
     LAPACK's symmetric eigensolver is backward stable: its eigenvalues are
     exact for G + E with ||E||_2 <= p(n) * eps * ||G||_2, p a modest
@@ -77,7 +80,7 @@ def lambda1(t: Tournament) -> SpectralSummary:
     cannot produce a NaN modulus.
     """
     n = t.n
-    arc = _circulant_arc(t)
+    arc = _toeplitz_arc(t)
     if arc is None:
         eigs = np.linalg.eigvalsh(gram(t))  # ascending
         margin = n * np.finfo(np.float64).eps * n * (n - 1)
@@ -85,7 +88,7 @@ def lambda1(t: Tournament) -> SpectralSummary:
         # maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
         moduli = np.sqrt(np.maximum(eigs[::-1], 0.0))
     else:
-        moduli, upper = _circulant_moduli(n, arc)
+        moduli, upper = _fft_moduli(n, arc)
     lam = float(moduli[0])
     if lam > n:
         raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
@@ -97,49 +100,66 @@ def lambda1(t: Tournament) -> SpectralSummary:
     )
 
 
-# The relative 2-norm error of numpy's complex FFT of length n is taken to
-# be at most _FFT_ERROR * ceil(log2 n) * u, u = 2^-53.  Higham (Accuracy and
+# The relative 2-norm error of numpy's complex FFT of length m (n for a
+# circulant, 2n for a skew-circulant) is taken to be at most
+# _FFT_ERROR * ceil(log2 m) * u, u = 2^-53.  Higham (Accuracy and
 # Stability of Numerical Algorithms, 2nd ed., Thm 24.2) bounds a radix-2
-# FFT by about 7 * log2(n) * u.  On a length with a large prime factor
+# FFT by about 7 * log2(m) * u.  On a length with a large prime factor
 # pocketfft runs Bluestein's algorithm: three such transforms of a length
-# below 4n, and log2(4n) <= 2 * ceil(log2 n) for n >= 3, so 3 * 7 * 2 = 42
-# plus the chirp products stays below 64.  Below n = 50 it runs its mixed
+# below 4m, and log2(4m) <= 2 * ceil(log2 m) for m >= 3, so 3 * 7 * 2 = 42
+# plus the chirp products stays below 64.  Below m = 50 it runs its mixed
 # radix passes instead, where a generic pass of prime length p < 50 has the
 # worst case p^1.5 * u, still below 64 * log2(p) * u.  Like the eigvalsh
 # route's p(n) = n, this is an argument about the algorithm.  Measured
 # against long double references, the error stays below
-# 0.72 * ceil(log2 n) * u: rotational on every odd n <= 2001 and on odd n
-# sampled up to 16383, Paley on every p < 16384, random circulant n <= 2003.
+# 0.72 * ceil(log2 m) * u: rotational on every odd n <= 2001 and on odd n
+# sampled up to 16383, Paley on every p < 16384, random circulant n <= 2003,
+# and transitive (m = 2n) on every n <= 2001.
 _FFT_ERROR = 64
 
 
-def _circulant_moduli(n: int, arc: np.ndarray) -> tuple[np.ndarray, float]:
-    """(moduli, upper) of a circulant A with first row a = 2 * arc - 1, a_0 = 0.
+def _fft_moduli(n: int, arc: np.ndarray) -> tuple[np.ndarray, float]:
+    """(moduli, upper) of a Toeplitz A with first row a = 2 * arc - 1, a_0 = 0.
 
-    A[u, v] = a[(v - u) mod n] has eigenvalues lambda_j = sum_d a_d w^(dj),
-    w = exp(2 pi i / n), one for each Fourier vector, and a_(n-d) = -a_d
-    makes them purely imaginary; so sigma_j = |Im(fft(a))_j|.  With eps as
-    above, |sigma^_j - sigma_j| <= ||lambda^ - lambda||_2 <= eps * ||lambda||_2,
-    and ||lambda||_2 = sqrt(n(n-1)) by Parseval (n * ||a||_2^2).  So the
-    upper bound is max sigma^ + delta, delta = eps * n, rounded up: delta
-    is a float exactly, and one step up from the rounded sum is at least
-    the exact sum.  Its invariants stand in for ``gram``'s checks: the sum
-    of squares, tr(G), is n(n-1) within the same error (plus 2 * n * u for
-    the float sum), and sigma^_0 (true value sum a_d = 0) is at most delta;
-    a failure raises ``InternalInvariantError``.
+    Circulant (a_(n-d) = -a_d): A[u, v] = a[(v - u) mod n] has eigenvalues
+    lambda_j = sum_d a_d w^(dj), w = exp(2 pi i / n), one for each Fourier
+    vector, purely imaginary; so sigma_j = |Im(fft(a))_j|.  Skew-circulant
+    (a_(n-d) = a_d): A is the top-left block of the length-2n circulant with
+    first row (a, -a), whose odd frequencies are 2 lambda_j, the
+    eigenvalues of A, and whose even frequencies are 0; so sigma_j is half
+    the odd-frequency |Im|.  That row holds the exact entries of A, so with
+    eps as above at m = 2n the error of the lambda_j is at most half that of
+    the transform.  Either way |sigma^_j - sigma_j| <= ||lambda^ - lambda||_2
+    <= eps * ||lambda||_2, and ||lambda||_2 = sqrt(n(n-1)) by Parseval
+    (n * ||a||_2^2).  So the upper bound is max sigma^ + delta, delta =
+    eps * n, rounded up: delta is a float exactly, and one step up from the
+    rounded sum is at least the exact sum.  Its invariants stand in for
+    ``gram``'s checks: the sum of squares, tr(G), is n(n-1) within the same
+    error (plus 2 * n * u for the float sum), and what is 0 in exact
+    arithmetic stays within delta: sigma^_0 of a circulant (true value
+    sum a_d = 0), and half of every even frequency of a skew-circulant,
+    which the transform's error bounds by 2 * delta before halving; a
+    failure raises ``InternalInvariantError``.
     """
     a = arc * 2.0 - 1.0
     a[0] = 0.0
-    sigma = np.abs(np.fft.fft(a).imag)
+    if arc[1] == arc[n - 1]:  # skew-circulant
+        f = np.fft.fft(np.concatenate((a, -a)))
+        sigma = np.abs(f[1::2].imag) / 2
+        zero, where = np.abs(f[::2]).max() / 2, "even frequency"  # in units of sigma
+    else:
+        f = np.fft.fft(a)
+        sigma = np.abs(f.imag)
+        zero, where = sigma[0], "frequency 0"
     u = 2.0**-53
-    eps = _FFT_ERROR * (n - 1).bit_length() * u  # bit_length: ceil(log2 n)
+    eps = _FFT_ERROR * (len(f) - 1).bit_length() * u  # bit_length: ceil(log2 m)
     delta = eps * n  # >= eps * sqrt(n(n-1)); exact, like eps
     nn = n * (n - 1)
     gap = abs(float(np.dot(sigma, sigma)) - nn)
     if gap > (eps * (2 + eps) + 2 * n * u) * nn:
         raise InternalInvariantError(f"FFT moduli square-sum off n(n-1) = {nn} by {gap}")
-    if sigma[0] > delta:
-        raise InternalInvariantError(f"FFT modulus at frequency 0 is {sigma[0]}, not 0")
+    if zero > delta:
+        raise InternalInvariantError(f"FFT modulus at {where} is {zero}, not 0")
     moduli = np.sort(sigma)[::-1]
     return moduli, math.nextafter(float(moduli[0]) + delta, math.inf)
 

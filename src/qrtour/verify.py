@@ -23,6 +23,7 @@ from .core import (
     paley_tournament,
     random_tournament,
     rotational_tournament,
+    transitive_tournament,
 )
 from .discrepancy import disc_given, witness_vectors
 from .exactcount import brute_force_count, even_cycles_trace, power_trace, total_cycles
@@ -60,8 +61,8 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 def run(trials: int, nmax: int, seed: int) -> list[dict]:
     """Trace counts vs enumeration at small n; exact-vs-spectral moments,
     and the discrepancy queries vs d_plus - d_minus per vertex, on
-    ``trials`` random draws of sizes 4..``nmax`` plus the circulant and
-    Paley families.
+    ``trials`` random draws of sizes 4..``nmax`` plus the rotational, Paley
+    and transitive families, the last at an even and an odd n.
 
     Returns one entry per check: ``{"check": name, "pass": bool}``, plus a
     ``"detail"`` string naming the first failure.
@@ -86,6 +87,7 @@ def run(trials: int, nmax: int, seed: int) -> list[dict]:
         tournaments.append(random_tournament(n, rng.seed64()))
     tournaments += [rotational_tournament(n) for n in (9, 15, 21, 33)]
     tournaments += [paley_tournament(p) for p in (7, 11, 19)]
+    tournaments += [transitive_tournament(n) for n in (8, 9)]
     mfail = ""
     for t in tournaments:
         for k in (2, 4, 6, 8, 10):

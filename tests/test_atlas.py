@@ -24,6 +24,8 @@ from qrtour import (
     brute_force_count,
     disc_exhaustive,
     even_cycles_trace,
+    gram,
+    lambda1,
     power_trace,
     spectral_upper_bound,
 )
@@ -103,6 +105,23 @@ def test_trace_matches_enumeration(n):
 def test_exhaustive_below_spectral_cap(n):
     for t in _classes(n):
         assert disc_exhaustive(t).value <= spectral_upper_bound(t)
+
+
+# classes that take lambda1's FFT route as canonically labelled: the transitive
+# class for n >= 2 and the rotational class at n = 3 and 5; the rest take eigvalsh
+FFT_COUNTS = [0, 1, 2, 1, 2, 1]  # n = 1..6
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_spectrum_on_either_route(n):
+    routes = []
+    for t in _classes(n):
+        s = lambda1(t)
+        want = np.linalg.eigvalsh(gram(t))[::-1]
+        assert np.max(np.abs(np.square(s.singular_values) - want)) <= 1e-12, t.bits
+        assert s.lambda1_abs <= s.lambda1_upper
+        routes.append(s.solver)
+    assert routes.count("fft") == FFT_COUNTS[n - 1]
 
 
 def _mean_trace4(n: int) -> int:

@@ -624,61 +624,95 @@ def _random_circulant(n, seed):
     return core._circulant(n, arc), arc
 
 
+def _random_skew_circulant(n, seed):
+    # arc[d] for d <= n/2 from coins, arc[n-d] the same bit
+    half = np.random.default_rng(seed).integers(0, 2, n // 2)
+    arc = np.concatenate(([0], half, half[: (n - 1) // 2][::-1]))
+    return core._circulant(n, arc), arc
+
+
 class TestCirculantArc:
+    """``core._toeplitz_arc``: the circulant and the skew-circulant rule."""
+
     @pytest.mark.parametrize("n", [3, 5, 9, 45, 301])
     def test_rotational(self, n):
-        arc = core._circulant_arc(rotational_tournament(n))
+        arc = core._toeplitz_arc(rotational_tournament(n))
         assert arc.dtype == np.uint8
         assert arc.tolist() == [0] + [1] * ((n - 1) // 2) + [0] * ((n - 1) // 2)
 
     @pytest.mark.parametrize("p", [3, 7, 43, 307])
     def test_paley(self, p):
         residues = {x * x % p for x in range(1, p)}
-        assert core._circulant_arc(paley_tournament(p)).tolist() == [
+        assert core._toeplitz_arc(paley_tournament(p)).tolist() == [
             int(d in residues) for d in range(p)
         ]
 
     @pytest.mark.parametrize("n, seed", [(3, 0), (7, 1), (9, 2), (61, 3), (201, 4)])
     def test_random_circulant_round_trips(self, n, seed):
         t, arc = _random_circulant(n, seed)
-        assert core._circulant_arc(t).tolist() == arc.tolist()
-        assert core._circulant(n, core._circulant_arc(t)) == t
+        assert core._toeplitz_arc(t).tolist() == arc.tolist()
+        assert core._circulant(n, core._toeplitz_arc(t)) == t
 
     def test_rotation_reversal_and_scaling_stay_circulant(self):
         t = paley_tournament(43)
         shifted = relabel(t, [(v + 5) % 43 for v in range(43)])
-        assert core._circulant_arc(shifted).tolist() == core._circulant_arc(t).tolist()
-        flipped = [0, *(1 - b for b in core._circulant_arc(t)[1:])]
-        assert core._circulant_arc(reverse(t)).tolist() == flipped
+        assert core._toeplitz_arc(shifted).tolist() == core._toeplitz_arc(t).tolist()
+        flipped = [0, *(1 - b for b in core._toeplitz_arc(t)[1:])]
+        assert core._toeplitz_arc(reverse(t)).tolist() == flipped
         # 3 is no square mod 43: v -> 3v maps Paley onto its reversal
         scaled = relabel(t, [(v * 3) % 43 for v in range(43)])
-        assert core._circulant_arc(scaled).tolist() == flipped
+        assert core._toeplitz_arc(scaled).tolist() == flipped
+
+    @pytest.mark.parametrize(
+        "t, arc",
+        [
+            (transitive_tournament(2), [0, 1]),
+            (random_tournament(2, 0), None),  # either orientation qualifies
+            (transitive_tournament(3), [0, 1, 1]),  # every row is a prefix of row 0
+            (transitive_tournament(41), [0] + [1] * 40),
+            (reverse(transitive_tournament(40)), [0] * 40),
+            *(_random_skew_circulant(n, n) for n in (9, 40, 41, 200)),
+        ],
+        ids=[
+            "n2", "random-2", "transitive-3", "transitive-41", "reversed-40",
+            "skew-9", "skew-40", "skew-41", "skew-200",
+        ],
+    )
+    def test_skew_circulant(self, t, arc):
+        got = core._toeplitz_arc(t)
+        n = t.n
+        assert got.dtype == np.uint8 and got[0] == 0
+        assert got[1:].tolist() == got[1:][::-1].tolist()  # arc[n - d] = arc[d]
+        if arc is not None:
+            assert np.array_equal(got, arc)
+        assert core._circulant(n, got) == t
 
     @pytest.mark.parametrize(
         "t",
         [
             transitive_tournament(1),
-            transitive_tournament(2),
-            transitive_tournament(3),  # every row is a prefix of row 0
-            transitive_tournament(41),
             random_tournament(41, 1),
             random_tournament(40, 1),
             core._circulant(10, np.arange(10) <= 5),  # rows are prefixes; even n
-            _flip(rotational_tournament(45), 0, 1),  # breaks row 0's skew rule
+            core._circulant(11, np.arange(11) <= 3),  # rows are prefixes; neither rule
+            _flip(transitive_tournament(41), 0, 1),  # breaks row 0's skew-circulant rule
+            _flip(transitive_tournament(41), 3, 30),  # breaks row 3 only
+            _flip(rotational_tournament(45), 0, 1),  # breaks row 0's circulant rule
             _flip(rotational_tournament(45), 1, 10),  # breaks row 1 only
             _flip(rotational_tournament(45), 20, 44),  # breaks a late row only
             _flip(paley_tournament(43), 30, 31),
             relabel(paley_tournament(43), [1, 0, *range(2, 43)]),
         ],
         ids=[
-            "n1", "n2", "transitive-3", "transitive-41", "random-41", "random-40",
-            "even-prefix-rows", "rotational-45-row0", "rotational-45-row1",
+            "n1", "random-41", "random-40",
+            "even-prefix-rows", "odd-prefix-rows", "transitive-41-row0",
+            "transitive-41-row3", "rotational-45-row0", "rotational-45-row1",
             "rotational-45-late-row",
             "paley-43-late-row", "paley-43-swap-0-1",
         ],
     )
     def test_rejects(self, t):
-        assert core._circulant_arc(t) is None
+        assert core._toeplitz_arc(t) is None
 
     def test_compares_rows_without_copying_the_bits(self):
         t = rotational_tournament(2001)
@@ -686,7 +720,7 @@ class TestCirculantArc:
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            core._circulant_arc(t)
+            core._toeplitz_arc(t)
             assert tracemalloc.get_traced_memory()[1] - held < 16 * t.n
         finally:
             tracemalloc.stop()

@@ -4,7 +4,9 @@ The frozen constants come from the closed-form spectra of the structured
 families (cyclic triangle: moduli {sqrt(3), sqrt(3), 0}; quadratic-residue
 tournament on p vertices: sqrt(p) with multiplicity p-1, plus one zero;
 rotational tournament on odd n: the circulant eigenvalues
-2i * sum_{j=1}^{(n-1)/2} sin(2 pi j k / n), k = 0..n-1).
+2i * sum_{j=1}^{(n-1)/2} sin(2 pi j k / n), k = 0..n-1; transitive
+tournament on n vertices: the skew-circulant moduli |cot((2j-1) pi / 2n)|,
+j = 1..n).
 """
 
 import math
@@ -58,6 +60,17 @@ def _rotational_moduli(n):
 def _random_circulant(n, seed):
     half = np.random.default_rng(seed).integers(0, 2, (n - 1) // 2)
     return core._circulant(n, np.concatenate(([0], half, 1 - half[::-1])))
+
+
+def _random_skew_circulant(n, seed):
+    half = np.random.default_rng(seed).integers(0, 2, n // 2)
+    return core._circulant(n, np.concatenate(([0], half, half[: (n - 1) // 2][::-1])))
+
+
+def _transitive_moduli(n):
+    """|cot((2j - 1) pi / 2n)|, j = 1..n, in descending order."""
+    j = np.arange(1, n + 1)
+    return np.sort(np.abs(1 / np.tan((2 * j - 1) * np.pi / (2 * n))))[::-1]
 
 
 class TestGram:
@@ -198,7 +211,7 @@ class TestFullSpectrum:
             assert abs(total - n * (n - 1)) <= 1e-10 * n * (n - 1)
 
     def test_agrees_with_eigh(self):
-        # circulant inputs take the FFT route: TestCirculantRoute checks them
+        # one input per route; TestCirculantRoute checks the FFT route more closely
         for t in (random_tournament(20, 8), transitive_tournament(20)):
             expected = np.sqrt(np.clip(np.linalg.eigvalsh(gram(t))[::-1], 0, None))
             s = lambda1(t)
@@ -211,18 +224,19 @@ class TestFullSpectrum:
         [
             random_tournament(40, 8),
             random_tournament(41, 8),  # odd n: one modulus is zero
-            transitive_tournament(41),
-            # none is circulant as labelled, so each takes eigvalsh
-            *(transitive_tournament(n) for n in (1, 2, 3, 9)),
-            random_tournament(2, 0),
+            # none is circulant or skew-circulant as labelled, so each takes eigvalsh
+            transitive_tournament(1),
             core._circulant(10, np.arange(10) <= 5),  # even n, rows are prefixes
+            core._circulant(11, np.arange(11) <= 3),  # odd n, rows are prefixes
             _flip(rotational_tournament(45), 3, 30),
             _flip(paley_tournament(43), 0, 1),
+            _flip(transitive_tournament(41), 3, 30),
+            _flip(transitive_tournament(40), 0, 1),
         ],
         ids=[
-            "random-even", "random-odd", "transitive", "transitive-1", "transitive-2",
-            "transitive-3", "transitive-9", "random-2", "even-10",
-            "rotational-45-flipped", "paley-43-flipped",
+            "random-even", "random-odd", "transitive-1", "even-10", "odd-11",
+            "rotational-45-flipped", "paley-43-flipped", "transitive-41-flipped",
+            "transitive-40-flipped",
         ],
     )
     def test_moduli_are_the_clamped_square_roots_bit_for_bit(self, t):
@@ -246,8 +260,9 @@ class TestFullSpectrum:
 
 
 class TestCirculantRoute:
-    """Tournaments circulant as labelled take one FFT.  Inputs that fall
-    back to eigvalsh are in TestFullSpectrum's bit-for-bit test."""
+    """Tournaments circulant or skew-circulant as labelled take one FFT.
+    Inputs that fall back to eigvalsh are in TestFullSpectrum's bit-for-bit
+    test."""
 
     @pytest.mark.parametrize("n", [3, 21, 45, 201])
     def test_rotational_moduli_are_the_direct_sums(self, n):
@@ -265,14 +280,28 @@ class TestCirculantRoute:
         assert 0.0 <= zero <= 1e-12 * p
         assert max(abs(x - math.sqrt(p)) for x in rest) <= 1e-12 * p
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 40, 41, 300])
+    def test_transitive_moduli_are_cotangents(self, n):
+        s = lambda1(transitive_tournament(n))
+        assert s.solver == "fft"
+        assert np.max(np.abs(np.array(s.singular_values) - _transitive_moduli(n))) <= 1e-12 * n
+        assert s.singular_values[0] == s.lambda1_abs
+
     @pytest.mark.parametrize(
         "t",
         [rotational_tournament(n) for n in (3, 21, 45, 201)]
         + [paley_tournament(p) for p in (19, 43, 199)]
-        + [_random_circulant(n, n) for n in (61, 301)],
+        + [_random_circulant(n, n) for n in (61, 301)]
+        + [transitive_tournament(n) for n in (2, 3, 9, 41)]
+        + [random_tournament(2, 0), reverse(transitive_tournament(40))]
+        + [_random_skew_circulant(n, n) for n in (60, 61, 300, 301)],
         ids=[
             "rotational-3", "rotational-21", "rotational-45", "rotational-201",
             "paley-19", "paley-43", "paley-199", "circulant-61", "circulant-301",
+            "transitive-2", "transitive-3", "transitive-9", "transitive-41",
+            "random-2", "reversed-transitive-40",
+            "skew-circulant-60", "skew-circulant-61", "skew-circulant-300",
+            "skew-circulant-301",
         ],
     )
     def test_squared_moduli_match_eigvalsh(self, t):
@@ -284,7 +313,9 @@ class TestCirculantRoute:
         assert abs(s.lambda1_abs - top) <= 1e-12 * top
 
     @pytest.mark.parametrize(
-        "t", [rotational_tournament(2001), paley_tournament(2003)], ids=["rotational", "paley"]
+        "t",
+        [rotational_tournament(2001), paley_tournament(2003), transitive_tournament(2000)],
+        ids=["rotational", "paley", "transitive"],
     )
     def test_memory_stays_below_one_byte_per_entry(self, t):
         # the eigvalsh route holds about 17 n^2 bytes (Gram matrix and workspace)
@@ -309,7 +340,16 @@ class TestCirculantRoute:
         pi = np.arctan(np.longdouble(1)) * 4
         for n in range(3, 2002, 2):
             arc = (np.arange(n) <= (n - 1) // 2).astype(np.uint8)
-            moduli, upper = spectral._circulant_moduli(n, arc)
+            moduli, upper = spectral._fft_moduli(n, arc)
+            assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
+            assert moduli[0] <= upper
+
+    def test_transitive_upper_bound_covers_closed_form(self):
+        # sigma_1 = cot(pi / 2n) again, now from the length-2n transform
+        pi = np.arctan(np.longdouble(1)) * 4
+        for n in range(2, 2002):
+            arc = (np.arange(n) > 0).astype(np.uint8)
+            moduli, upper = spectral._fft_moduli(n, arc)
             assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
             assert moduli[0] <= upper
 
@@ -326,6 +366,22 @@ class TestCirculantRoute:
         monkeypatch.setattr(np.fft, "fft", lambda a: perturb(fft(a)))
         with pytest.raises(InternalInvariantError, match=message):
             lambda1(rotational_tournament(45))
+
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (lambda f: f * (1 + 1e-9), "square-sum"),
+            (lambda f: f + np.where(np.arange(len(f)) == 0, 1e-6, 0), "even frequency"),
+            (lambda f: f + np.where(np.arange(len(f)) == 6, 1e-6j, 0), "even frequency"),
+        ],
+        ids=["scaled", "nonzero-frequency-0", "nonzero-frequency-6"],
+    )
+    def test_skew_invariant_failures_raise(self, monkeypatch, perturb, message, n):
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: perturb(fft(a)))
+        with pytest.raises(InternalInvariantError, match=message):
+            lambda1(transitive_tournament(n))
 
 
 class TestMomentCrosscheck:
