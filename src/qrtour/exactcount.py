@@ -8,7 +8,9 @@ even number of its k steps run against the stored edge orientation.
 The diagonal of A^k (A the skew-symmetric +-1 sign matrix) counts even minus
 odd k-cycles rooted at each vertex, which yields the closed form used by
 ``even_cycles_trace``; ``brute_force_count`` is the independent enumeration
-oracle for it.
+oracle for it.  ``power_trace`` reconstructs tr(A^k) exactly from powers
+of G = -A^2, held as n x n matrices or, for circulant and skew-circulant
+input, as first rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, Tournament, _check_count, _is_prime, edge_sign
+from .core import (
+    _BLOCK_ENTRIES,
+    Tournament,
+    _check_count,
+    _is_prime,
+    _toeplitz_arc,
+    edge_sign,
+)
 from .errors import InternalInvariantError, ResourceLimitError
 from .spectral import gram
 
@@ -71,19 +80,19 @@ def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
 
 
 def _dot_wrap(left: np.ndarray, right: np.ndarray) -> int:
-    """sum_ij left_ij right_ij mod 2**64, in row blocks.
+    """sum_ij left_ij right_ij mod 2**64, in row blocks of 2-D arrays.
 
     The float64 entries are integers below 2**53 in magnitude, so each
     converts to int64 exactly; viewed as uint64, the products and sums wrap
     modulo 2**64, so the wrapped total is the residue of the exact sum.
     """
-    n = left.shape[0]
+    rows, n = left.shape
     step = max(1, _BLOCK_ENTRIES // n)
-    lb = np.empty((min(step, n), n), dtype=np.int64)
+    lb = np.empty((min(step, rows), n), dtype=np.int64)
     rb = np.empty_like(lb)
     total = 0
-    for s in range(0, n, step):
-        x = lb[: min(step, n - s)]
+    for s in range(0, rows, step):
+        x = lb[: min(step, rows - s)]
         x[...] = left[s : s + step]
         x = x.view(np.uint64)
         if right is left:
@@ -128,6 +137,27 @@ def _halving(j: int, memo: dict, product) -> np.ndarray:
     return memo[j]
 
 
+def _convolution(n: int, skew: bool):
+    """First row of X Y from the first rows x, y of n x n circulant X, Y
+    (skew-circulant when ``skew``): a cyclic or negacyclic convolution.  x
+    may be the n x 1 transpose of a 1 x n row.
+
+    The linear convolution's entry v sums x_w y_(v-w) over w <= v and its
+    entry v + n the terms over w > v; folding the second onto the first (a
+    difference for a skew-circulant) gives (X Y)_0v = sum_w x_w Y_wv term
+    by term, so its partial sums are partial sums of a matrix-product entry
+    and the exactness arguments of ``_exact_exponent`` and ``_prime`` hold.
+    """
+    fold = np.subtract if skew else np.add
+
+    def product(x, y):
+        z = np.convolve(x.ravel(), y.ravel())
+        fold(z[: n - 1], z[n:], out=z[: n - 1])
+        return z[None, :n]
+
+    return product
+
+
 def _frontier(j: int, e: int) -> set[int]:
     """Exponents at most e where the halving recursion from G^j bottoms out."""
     if j <= e:
@@ -163,25 +193,38 @@ def power_trace(t: Tournament, k: int) -> int:
     (n-1)**(2 lo) in magnitude, and an entry of G^hi is at most
     (n-1)**(2 hi - 1).
 
-    G comes from ``spectral.gram``, which checks its diagonal.  G and its
-    powers are then formed once, in plain float64, while every partial sum
-    plus the largest prime p stays below 2**53 (so that ``_mod``'s q*p is
-    exact as well): the exact powers are those on the halving frontier of
+    G and its powers take one of two forms.  In general G comes from
+    ``spectral.gram``, which checks its diagonal, and its powers are n x n
+    BLAS products.  When t is circulant or skew-circulant as labelled
+    (``core._toeplitz_arc``; arc[1] = arc[n-1] marks skew, as in
+    ``spectral.lambda1``), so is every power of G, and each is kept as its
+    1 x n first row: G's is -(a conv a), a = 2 arc - 1 with a_0 = 0, whose
+    first entry must be n - 1, and ``_convolution`` multiplies them.  Then
+    L R has a constant diagonal and R is symmetric, so tr(L R) = n S with
+    S = sum_v l_v r_v = (G^m)_00 for the first rows l and r.  G^m is
+    positive semidefinite and a closed k-step walk from one vertex has at
+    most (n-1)**(k-1) choices, so S and sum_v |l_v r_v| lie in
+    [0, (n-1)**(k-1)].
+
+    The powers are then formed once, in plain float64, while every partial
+    sum plus the largest prime p stays below 2**53 (so that ``_mod``'s q*p
+    is exact as well): the exact powers are those on the halving frontier of
     L and R, which are L and R themselves when both are exact.
 
-    S = sum_ij L_ij R_ij = tr(G^m) is reconstructed in one interval: with
-    |S - F| <= E for an integer estimate F, S >= 0 as G is positive
-    semidefinite, and S <= bound (the growth bound), S lies in [low, high] =
-    [max(0, F - E), min(bound, F + E)].  Given the residue of S modulo some
-    M > 2 E >= high - low, S is the one integer in [low, low + M) with that
-    residue; a result above high raises InternalInvariantError.  When L and
-    R are exact, F is their float64 dot product and E its error bound (see
-    ``_estimate``): 0 while the growth bound is below 2**53, and then no
-    residue is taken (M = 1); otherwise the first residue is S mod 2**64,
-    from one int64 pass (``_dot_wrap``).  When a factor is too large to be
-    exact, F = 0 and E = bound.  Primes join the residue by the Chinese
-    remainder theorem while M <= 2 E: each reduces the exact powers to
-    signed residues and finishes L and R by float64 BLAS products of them.
+    S, the entrywise sum of L R in either form, is reconstructed in one
+    interval: with |S - F| <= E for an integer estimate F, S >= 0 and S <=
+    bound (the growth bound, divided by n for first rows), S lies in
+    [low, high] = [max(0, F - E), min(bound, F + E)].  Given the residue of
+    S modulo some M > 2 E >= high - low, S is the one integer in
+    [low, low + M) with that residue; a result above high raises
+    InternalInvariantError.  When L and R are exact, F is their float64 dot
+    product and E its error bound (see ``_estimate``): 0 while the bound is
+    below 2**53, and then no residue is taken (M = 1); otherwise the first
+    residue is S mod 2**64, from one int64 pass (``_dot_wrap``).  When a
+    factor is too large to be exact, F = 0 and E = bound.  Primes join the
+    residue by the Chinese remainder theorem while M <= 2 E: each reduces
+    the exact powers to signed residues and finishes L and R by float64
+    products of them, each reduced at once.
     """
     k = _check_count("exponent", k)
     n = t.n
@@ -189,15 +232,24 @@ def power_trace(t: Tournament, k: int) -> int:
         return 0
     if k == 2:
         return -n * (n - 1)
-    bound = n * (n - 1) ** (k - 1)
+    arc = _toeplitz_arc(t)
+    if arc is None:
+        scale, multiply, powers = 1, np.matmul, {1: gram(t)}
+    else:
+        scale, multiply = n, _convolution(n, arc[1] == arc[n - 1])
+        a = arc * 2.0 - 1.0
+        a[0] = 0.0
+        powers = {1: -multiply(a, a)}
+        if powers[1][0, 0] != n - 1:
+            raise InternalInvariantError("Gram diagonal must equal n-1")
+    bound = n * (n - 1) ** (k - 1) // scale
     bits = n.bit_length()
     room = 2**53 - _prime(bits, 0)
-    powers = {1: gram(t)}
     m = k // 2
     lo, hi = m // 2, m - m // 2
     e = _exact_exponent(n, hi, room)
     need = _frontier(hi, e) | _frontier(lo, e)
-    exact = {j: _halving(j, powers, np.matmul) for j in need}
+    exact = {j: _halving(j, powers, multiply) for j in need}
     del powers  # free the intermediate powers
     if hi <= e:
         factors = exact[lo], exact[hi]
@@ -212,7 +264,7 @@ def power_trace(t: Tournament, k: int) -> int:
         index += 1
 
         def product(x, y):  # x may be a transposed view, y never is
-            return _mod(x @ y, p, np.empty_like(y))
+            return _mod(multiply(x, y), p, np.empty_like(y))
 
         residues = {j: _mod(x, p, buffers[j]) for j, x in exact.items()}
         factors = [_halving(j, residues, product) for j in (lo, hi)]
@@ -224,10 +276,11 @@ def power_trace(t: Tournament, k: int) -> int:
     total = low + (residue - low) % modulus
     if total > high:
         raise InternalInvariantError(
-            f"tr(G^{m}) reconstructs to {total}, outside [{low}, {high}]: past the "
-            f"radius of its estimate, the growth bound or with the wrong sign (n={n})"
+            f"tr(G^{m}) reconstructs to {scale * total}, outside "
+            f"[{scale * low}, {scale * high}]: past the radius of its estimate, the "
+            f"growth bound or with the wrong sign (n={n})"
         )
-    return -total if m % 2 else total
+    return -scale * total if m % 2 else scale * total
 
 
 def total_cycles(n: int, k: int) -> int:

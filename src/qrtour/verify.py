@@ -59,10 +59,11 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 
 
 def run(trials: int, nmax: int, seed: int) -> list[dict]:
-    """Trace counts vs enumeration at small n; exact-vs-spectral moments,
-    and the discrepancy queries vs d_plus - d_minus per vertex, on
-    ``trials`` random draws of sizes 4..``nmax`` plus the rotational, Paley
-    and transitive families, the last at an even and an odd n.
+    """Trace counts vs enumeration at small n, random and structured;
+    exact-vs-spectral moments, and the discrepancy queries vs d_plus -
+    d_minus per vertex, on ``trials`` random draws of sizes 4..``nmax`` plus
+    the rotational, Paley and transitive families, the last at an even and
+    an odd n.
 
     Returns one entry per check: ``{"check": name, "pass": bool}``, plus a
     ``"detail"`` string naming the first failure.
@@ -70,16 +71,18 @@ def run(trials: int, nmax: int, seed: int) -> list[dict]:
     trials, nmax = _check_count("trials", trials), _check_count("nmax", nmax, 4)
     rng = CoinStream(seed)
     fail = ""
-    for n in range(3, 9):
-        for _ in range(2):
-            t = random_tournament(n, rng.seed64())
-            for k in range(2, 7):
-                rep = even_cycles_trace(t, k)
-                even, odd = brute_force_count(t, k)
-                if (rep.even, rep.odd) != (even, odd):
-                    fail = fail or f"trace vs enumeration mismatch at n={n}, k={k}"
-                if even + odd != total_cycles(n, k):
-                    fail = fail or f"enumeration total mismatch at n={n}, k={k}"
+    small = [random_tournament(n, rng.seed64()) for n in range(3, 9) for _ in range(2)]
+    small += [rotational_tournament(n) for n in (3, 5, 7)]
+    small += [paley_tournament(p) for p in (3, 7)]
+    small += [transitive_tournament(n) for n in range(2, 9)]
+    for t in small:
+        for k in range(2, 7):
+            rep = even_cycles_trace(t, k)
+            even, odd = brute_force_count(t, k)
+            if (rep.even, rep.odd) != (even, odd):
+                fail = fail or f"trace vs enumeration mismatch at n={t.n}, k={k}"
+            if even + odd != total_cycles(t.n, k):
+                fail = fail or f"enumeration total mismatch at n={t.n}, k={k}"
     checks = [_check("trace_vs_enumeration", not fail, fail)]
     tournaments = []
     for _ in range(trials):

@@ -19,6 +19,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import qrtour.exactcount as exactcount
 from qrtour import (
     Tournament,
     brute_force_count,
@@ -122,6 +123,24 @@ def test_spectrum_on_either_route(n):
         assert s.lambda1_abs <= s.lambda1_upper
         routes.append(s.solver)
     assert routes.count("fft") == FFT_COUNTS[n - 1]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_first_row_traces_on_fft_classes(n, monkeypatch):
+    # the classes on lambda1's FFT route are the ones whose traces take
+    # first rows and build no Gram matrix; their traces match enumeration
+    built = []
+    real = exactcount.gram
+    monkeypatch.setattr(exactcount, "gram", lambda t: built.append(t) or real(t))
+    first_rows = 0
+    for t in _classes(n):
+        built.clear()
+        for k in (4, 6):
+            report = even_cycles_trace(t, k)
+            assert (report.even, report.odd) == brute_force_count(t, k), (n, t.bits, k)
+        assert (not built) == (lambda1(t).solver == "fft"), t.bits
+        first_rows += not built
+    assert first_rows == FFT_COUNTS[n - 1]
 
 
 def _mean_trace4(n: int) -> int:

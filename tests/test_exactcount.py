@@ -32,7 +32,7 @@ from qrtour import (
     transitive_tournament,
 )
 from qrtour.cli import main
-from qrtour.core import encode, sign_array
+from qrtour.core import _circulant, _toeplitz_arc, encode, sign_array
 
 SEEDS = [0, 1, 7, 42, 99]
 
@@ -137,6 +137,31 @@ def modular_trace(t, k, q):
     return int(np.trace(power)) % q
 
 
+def paley_trace(p, k):
+    """tr(A^k), k even, for the Paley tournament on p vertices.
+
+    A is regular with A A^T = p I - J, so G = A^T A has eigenvalue p on
+    the p - 1 dimensions orthogonal to the all-ones vector and 0 on it:
+    tr(A^k) = (-1)**(k/2) tr(G^(k/2)).
+    """
+    return (-1) ** (k // 2) * (p - 1) * p ** (k // 2)
+
+
+def random_circulant(n):
+    """A circulant tournament on odd n with a first row drawn from seed n."""
+    half = np.random.default_rng(n).integers(0, 2, (n - 1) // 2, dtype=np.uint8)
+    return _circulant(n, np.concatenate(([0], half, 1 - half[::-1])))
+
+
+def matrix_route_copy(t):
+    """t relabelled by a permutation drawn from seed n, checked to be
+    neither circulant nor skew-circulant as labelled: power_trace takes it
+    through n x n Gram powers, never through first rows."""
+    copy = relabel(t, np.random.default_rng(t.n).permutation(t.n))
+    assert _toeplitz_arc(copy) is None
+    return copy
+
+
 class TestSignMatrix:
     """Entries of ``core.sign_array``, the matrix whose powers are traced."""
 
@@ -201,17 +226,21 @@ class TestMatPowTrace:
     @pytest.mark.parametrize("n", [1, 2, 3, 150, 301])
     def test_odd_and_square_traces_form_no_matrix(self, n, monkeypatch):
         # tr(A^k) = 0 for odd k by skew-symmetry, and tr(A^2) = -n(n-1):
-        # closed forms that must not touch the signs or the Gram powers
-        t = random_tournament(n, n)
+        # closed forms that must not touch the signs, the Gram powers or,
+        # on circulant and skew-circulant inputs, a first-row convolution
+        inputs = [random_tournament(n, n), transitive_tournament(n)]
+        inputs += [rotational_tournament(n)] if n % 2 and n > 1 else []
 
         def refuse(*args):
             raise AssertionError("a closed-form trace formed a matrix")
 
-        monkeypatch.setattr(exactcount, "gram", refuse)
-        monkeypatch.setattr(exactcount, "_halving", refuse)
-        for k in (1, 3, 17, np.int64(5)):
-            assert power_trace(t, k) == 0
-        assert power_trace(t, 2) == -n * (n - 1)
+        for name in ("gram", "_halving", "_toeplitz_arc"):
+            monkeypatch.setattr(exactcount, name, refuse)
+        monkeypatch.setattr(np, "convolve", refuse)
+        for t in inputs:
+            for k in (1, 3, 17, np.int64(5)):
+                assert power_trace(t, k) == 0
+            assert power_trace(t, 2) == -n * (n - 1)
 
     def test_wrong_gram_diagonal_raises_on_every_trace(self, tmp_path, capsys, monkeypatch):
         # a sign matrix with A[0,0] = 1 gives G[0,0] = n, not n-1: the one
@@ -227,6 +256,24 @@ class TestMatPowTrace:
         path = tmp_path / "t.trn"
         path.write_bytes(encode(t))
         assert main(["count", str(path), "--k", "8"]) == 5
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("k", [4, 16])
+    @pytest.mark.parametrize("family", ["transitive", "rotational"])
+    def test_wrong_first_row_diagonal_raises(self, family, k, tmp_path, capsys, monkeypatch):
+        # an arc that breaks the skew-circulant (arc[d] = arc[n-d]) or the
+        # circulant (arc[d] + arc[n-d] = 1) rule at d = 5 and 26 moves the
+        # first-row Gram diagonal g_0 = n - 1 by 4: the first-row route
+        # refuses it as the Gram builder refuses a wrong diagonal
+        t = transitive_tournament(31) if family == "transitive" else rotational_tournament(31)
+        arc = _toeplitz_arc(t)
+        arc[5] ^= 1
+        monkeypatch.setattr(exactcount, "_toeplitz_arc", lambda _: arc)
+        with pytest.raises(InternalInvariantError, match="Gram diagonal"):
+            power_trace(t, k)
+        path = tmp_path / "t.trn"
+        path.write_bytes(encode(t))
+        assert main(["count", str(path), "--k", str(k)]) == 5
         assert capsys.readouterr().out == ""
 
     def test_large_power_exceeds_int64(self):
@@ -283,7 +330,12 @@ class TestMatPowTrace:
         # finished modulo each prime and no 2**64 residue is taken.  Odd k
         # builds no factor: its trace is 0 by skew-symmetry.  Every case must
         # agree with a modular oracle that shares no code with exactcount.
-        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
+        # The transitive tournament is relabelled, so that it takes n x n
+        # Gram powers as a random one does
+        if family == "random":
+            t = random_tournament(n, n)
+        else:
+            t = matrix_route_copy(transitive_tournament(n))
         wraps = []
         real = exactcount._dot_wrap
         monkeypatch.setattr(
@@ -321,7 +373,11 @@ class TestMatPowTrace:
     @pytest.mark.parametrize("n, k", list(ROUTE_CALLS))
     @pytest.mark.parametrize("family", ["random", "transitive"])
     def test_prime_route_boundaries(self, family, n, k, route_calls):
-        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
+        # n x n Gram powers: the transitive tournament is relabelled
+        if family == "random":
+            t = random_tournament(n, n)
+        else:
+            t = matrix_route_copy(transitive_tournament(n))
         trace = power_trace(t, k)
         fits = n * (n - 1) ** (k - 1) < 2**53
         assert fits == (n in (456, 191, 99))
@@ -329,9 +385,9 @@ class TestMatPowTrace:
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
-    # (takes the 2**64 residue, takes primes) at n = 1000-1019: E = 0 at
-    # k=4, the residue alone at k=8, the residue plus primes at k=12 and the
-    # per-prime tail, with no residue, at k=16
+    # (takes the 2**64 residue, takes primes) at n = 1000-1019, on both
+    # routes: E = 0 at k=4, the residue alone at k=8, the residue plus
+    # primes at k=12 and the per-prime tail, with no residue, at k=16
     ROUTES_NEAR_1000 = {
         4: (False, False), 8: (True, False), 12: (True, True), 16: (False, True)
     }
@@ -340,41 +396,94 @@ class TestMatPowTrace:
     def routes_taken(route_calls):
         return route_calls["_dot_wrap"] > 0, route_calls["_dot_mod"] > 0
 
+    def assert_both_routes(self, t, k, want, routes, route_calls):
+        """t on the first-row route and a relabelled copy on the matrix
+        route both give the trace ``want``, and take ``routes``."""
+        for copy in (t, matrix_route_copy(t)):
+            route_calls.update(_dot_wrap=0, _dot_mod=0)
+            assert power_trace(copy, k) == want
+            assert self.routes_taken(route_calls) == routes
+
     @pytest.mark.parametrize("k", [4, 6, 8, 12, 16])
     @pytest.mark.parametrize("p", [103, 503, 1019])
     def test_paley_closed_form(self, p, k, route_calls):
-        # Paley's A is regular with A A^T = p I - J, so G = A^T A has
-        # eigenvalue p on the p-1 dimensions orthogonal to the all-ones
-        # vector and 0 on it: tr(A^k) = (-1)**(k/2) tr(G^(k/2)) is exact at
-        # every n, with no code shared with power_trace
+        # exact at every n, with no code shared with power_trace
         t = paley_tournament(p)
-        assert power_trace(t, k) == (-1) ** (k // 2) * (p - 1) * p ** (k // 2)
+        assert power_trace(t, k) == paley_trace(p, k)
         if p == 1019 and k in self.ROUTES_NEAR_1000:
-            assert self.routes_taken(route_calls) == self.ROUTES_NEAR_1000[k]
+            self.assert_both_routes(
+                t, k, paley_trace(p, k), self.ROUTES_NEAR_1000[k], route_calls
+            )
 
-    # n = 2001 stops at k = 8: power_trace alone takes about 2 s at k = 12
-    # and k = 16 there
     @pytest.mark.parametrize(
-        "n, k",
-        [(n, k) for n in (101, 501, 1001, 2001) for k in (4, 8, 12, 16)
-         if n < 2001 or k < 12],
+        "n, k", [(n, k) for n in (101, 501, 1001, 2001) for k in (4, 8, 12, 16)]
     )
     def test_rotational_convolution_power(self, n, k, route_calls):
         # an exact large-n oracle that shares no code with power_trace
-        assert power_trace(rotational_tournament(n), k) == rotational_trace(n, k)
+        t = rotational_tournament(n)
+        assert power_trace(t, k) == rotational_trace(n, k)
         if n == 1001:
-            assert self.routes_taken(route_calls) == self.ROUTES_NEAR_1000[k]
+            self.assert_both_routes(
+                t, k, rotational_trace(n, k), self.ROUTES_NEAR_1000[k], route_calls
+            )
 
     @pytest.mark.parametrize("k", [4, 8, 12, 16])
     @pytest.mark.parametrize("n", [1000, 1554])
     def test_transitive_polynomial(self, n, k, route_calls):
         # G^3 is not exact past n = 1553, so k = 12 at n = 1554 takes the
         # per-prime tail, with no residue
-        assert power_trace(transitive_tournament(n), k) == transitive_trace(n, k)
+        t = transitive_tournament(n)
+        want = transitive_trace(n, k)
+        assert power_trace(t, k) == want
         if n == 1000:
-            assert self.routes_taken(route_calls) == self.ROUTES_NEAR_1000[k]
+            self.assert_both_routes(t, k, want, self.ROUTES_NEAR_1000[k], route_calls)
         elif k == 12:
-            assert self.routes_taken(route_calls) == (False, True)
+            self.assert_both_routes(t, k, want, (False, True), route_calls)
+
+    # (calls of _dot_wrap, calls of _dot_mod) at k = 16 on the first-row
+    # route, whose S = (G^8)_00 is at most (n-1)**15: E = 0 up to n = 12,
+    # the 2**64 residue alone up to n = 153, the residue plus one prime up
+    # to n = 191, then the per-prime tail (five primes up to n = 218).
+    # Each family takes the nearest sizes it admits on each side of those
+    # boundaries
+    FIRST_ROW_CALLS = {
+        11: (0, 0), 12: (0, 0), 13: (1, 0), 19: (1, 0), 151: (1, 0), 153: (1, 0),
+        154: (1, 1), 155: (1, 1), 163: (1, 1), 191: (1, 1),
+        192: (0, 5), 193: (0, 5), 199: (0, 5),
+    }
+    # family: (builder, exact oracle or None for modular_trace, sizes)
+    FIRST_ROW_FAMILIES = {
+        "paley": (paley_tournament, paley_trace, (11, 19, 151, 163, 191, 199)),
+        "rotational": (rotational_tournament, rotational_trace, (11, 13, 153, 155, 191, 193)),
+        "transitive": (transitive_tournament, transitive_trace, (12, 13, 153, 154, 191, 192)),
+        "reversed-transitive": (
+            lambda n: reverse(transitive_tournament(n)), transitive_trace,
+            (12, 13, 153, 154, 191, 192),
+        ),
+        "circulant": (random_circulant, None, (11, 13, 153, 155, 191, 193)),
+    }
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f, (_, _, sizes) in FIRST_ROW_FAMILIES.items() for n in sizes],
+    )
+    def test_first_row_route(self, family, n, route_calls, monkeypatch):
+        # the labelled tournament takes first rows and builds no Gram
+        # matrix; a relabelled copy takes n x n Gram powers; both agree with
+        # an oracle that shares no code with power_trace (reversal keeps
+        # every even-k trace)
+        build, closed_form, _ = self.FIRST_ROW_FAMILIES[family]
+        t = build(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactcount, "gram", None)
+            trace = power_trace(t, 16)
+        assert (route_calls["_dot_wrap"], route_calls["_dot_mod"]) == self.FIRST_ROW_CALLS[n]
+        assert power_trace(matrix_route_copy(t), 16) == trace
+        if closed_form is None:
+            for q in ORACLE_PRIMES:
+                assert trace % q == modular_trace(t, 16, q)
+        else:
+            assert trace == closed_form(n, 16)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize("n, k", [(100, 8), (100, 10), (313, 12), (87, 16), (150, 16)])

@@ -6,7 +6,13 @@ import json
 import pytest
 
 from qrtour import verify
-from qrtour.core import random_tournament
+from qrtour.core import (
+    _toeplitz_arc,
+    paley_tournament,
+    random_tournament,
+    rotational_tournament,
+    transitive_tournament,
+)
 from qrtour.discrepancy import disc_given, witness_vectors
 from qrtour.exactcount import brute_force_count, total_cycles
 from qrtour.spectral import lambda1
@@ -31,6 +37,26 @@ def _random_sizes(monkeypatch, trials, nmax):
     assert all(c["pass"] for c in verify.run(trials, nmax, 0))
     # the first 12 draws are the trace-vs-enumeration tournaments at n 3..8
     return sizes[12:]
+
+
+def test_trace_check_enumerates_first_row_inputs(monkeypatch):
+    # rotational 3, 5, 7, Paley 3, 7 and transitive 2..8 are circulant or
+    # skew-circulant as labelled, so power_trace takes their traces from
+    # first rows; the trace check enumerates each at k = 2..6
+    seen = set()
+
+    def recorded(t, k):
+        seen.add((t.n, t.bits, k))
+        return brute_force_count(t, k)
+
+    monkeypatch.setattr(verify, "brute_force_count", recorded)
+    assert all(c["pass"] for c in verify.run(1, 8, 0))
+    families = [rotational_tournament(n) for n in (3, 5, 7)]
+    families += [paley_tournament(p) for p in (3, 7)]
+    families += [transitive_tournament(n) for n in range(2, 9)]
+    for t in families:
+        assert _toeplitz_arc(t) is not None
+        assert {(t.n, t.bits, k) for k in range(2, 7)} <= seen
 
 
 def test_trials_draws_that_many(monkeypatch):
