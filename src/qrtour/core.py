@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,7 +24,8 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements orientation bytes
 
 # Entries per block of the blocked loops here, in ``exactcount`` and in
 # ``discrepancy``, so that no temporary grows with n^2: a loop over an n x n
-# array takes ``_BLOCK_ENTRIES // n`` rows (or columns) at a time.
+# array takes ``_BLOCK_ENTRIES // n`` rows at a time, or square tiles of side
+# ``isqrt(_BLOCK_ENTRIES)``.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -171,7 +173,7 @@ def sign_array(t: Tournament) -> np.ndarray:
     cached because tournaments are immutable.  Consumers widen it (float64
     products, int64 sums) before any arithmetic that could overflow int8.
     n^2 bytes, filled in place: besides it, only the n(n-1)/2 row signs and
-    one block of columns are held.
+    one square tile of the lower triangle are held.
     """
     n = t.n
     a = np.zeros((n, n), dtype=np.int8)
@@ -185,12 +187,14 @@ def sign_array(t: Tournament) -> np.ndarray:
             stop = start + n - 1 - u
             dst[u * (n + 1) + 1 : (u + 1) * n] = src[start:stop]
             start = stop
-    step = max(1, _BLOCK_ENTRIES // n)
-    for s in range(0, n, step):
-        # columns s.. below the diagonal are still 0: subtract the transposed
-        # upper rows (numpy buffers the overlapping diagonal block)
-        cols = a[s:, s : s + step]
-        np.subtract(cols, a[s : s + step, s:].T, out=cols)
+    side = math.isqrt(_BLOCK_ENTRIES)
+    for j in range(0, n, side):
+        for i in range(j, n, side):
+            # tile (i, j) below the diagonal is still 0: subtract its
+            # transposed mirror, which fits in cache where a tall strip of
+            # columns does not (numpy buffers the overlapping diagonal tiles)
+            tile = a[i : i + side, j : j + side]
+            np.subtract(tile, a[j : j + side, i : i + side].T, out=tile)
     a.setflags(write=False)
     return a
 
@@ -338,8 +342,9 @@ def reverse(t: Tournament) -> Tournament:
 def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
     """Rename vertex i to perm[i]; the edge set is carried along.
 
-    The permuted sign matrix is gathered one block of rows at a time, so
-    no n x n temporary is made besides ``sign_array``'s cached one.
+    The permuted sign matrix is gathered one block of rows at a time, and
+    only in the columns after the block's first row, so no n x n temporary
+    is made besides ``sign_array``'s cached one.
     """
     n = t.n
     p = _vertices(n, perm)
@@ -352,9 +357,10 @@ def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
     step = max(1, _BLOCK_ENTRIES // n)
     rows = []
     for s in range(0, n, step):
-        # new u beats new v iff old inv[u] beats old inv[v]; keep the upper triangle
-        won = a.take(inv[s : s + step], 0).take(inv, 1) > 0
-        rows += (won[i, s + i + 1 :].tobytes() for i in range(len(won)))
+        # new u beats new v iff old inv[u] beats old inv[v]; of the columns
+        # after s, row s + i keeps those after s + i: the upper triangle
+        won = a.take(inv[s : s + step], 0).take(inv[s + 1 :], 1) > 0
+        rows += (won[i, i:].tobytes() for i in range(len(won)))
     return Tournament(n, b"".join(rows))
 
 

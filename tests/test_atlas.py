@@ -158,6 +158,14 @@ def test_k4_null_moments(n):
     assert Fraction(sum(s * s for s in s4), len(s4)) - mean**2 == 192 * comb(n, 4)
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_k6_null_mean(n):
+    # fitted on n = 2..6 and exact at the held-out n = 7; checked here in Fractions
+    everything = itertools.product((0, 1), repeat=n * (n - 1) // 2)
+    traces = [power_trace(Tournament(n, bytes(bits)), 6) for bits in everything]
+    assert Fraction(sum(traces), len(traces)) == -n * (n - 1) * (5 * n * n - 17 * n + 15)
+
+
 # classes with tr(A^4) on its floor: every |G_uv|, u != v, is n % 2
 FLOOR_COUNTS = [1, 1, 2, 2, 0, 0]  # n = 1..6
 

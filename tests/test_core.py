@@ -1,5 +1,6 @@
 """Tests for the tournament model, generators, and .trn serialization."""
 
+import math
 import re
 import tracemalloc
 
@@ -475,8 +476,10 @@ def _circulant_reference(n, arcs):
 
 
 # sizes around the row blocks of the core loops (``core._BLOCK_ENTRIES // n``
-# rows each): one block up to n = 256, several at n = 700
-BLOCK_SIZES = [1, 2, 63, 64, 65, 129, 200, 700]
+# rows each): one block up to n = 256, several at n = 700; and around the
+# 256-side tiles of sign_array's lower triangle: one tile up to n = 256, a
+# second at 257 and a third at 513
+BLOCK_SIZES = [1, 2, 63, 64, 65, 129, 200, 255, 256, 257, 513, 700]
 
 
 def _check_blocked_core(t):
@@ -557,6 +560,7 @@ class TestVectorizedCore:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_blocked_core_matches_pair_loops(self, n):
         assert core._BLOCK_ENTRIES // 700 < 700  # n = 700 spans several blocks
+        assert math.isqrt(core._BLOCK_ENTRIES) == 256  # the tile side
         _check_blocked_core(random_tournament(n, n))
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import qrtour.exactcount as exactcount
 from qrtour import verify
 from qrtour.core import (
     _toeplitz_arc,
@@ -135,3 +136,29 @@ def test_each_check_reports_its_failure(name, shifted, check, detail, monkeypatc
     # the command runs the same real check and exits 1
     assert main(["verify", "--trials", "1", "--nmax", "8", "--seed", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["results"]["checks"] == checks
+
+
+def test_odd_trace_error_fails_the_check(monkeypatch, capsys):
+    # every first-row product loses its last entry, so rotational 3's k = 4
+    # trace is off by an odd amount: that breaks CycleCountReport's parity
+    # check, yet the trace check must fail with a detail, not raise
+    real = exactcount._convolution
+
+    def dropping_last(n, skew):
+        product = real(n, skew)
+
+        def dropped(x, y):
+            z = product(x, y)
+            z[0, -1] = 0
+            return z
+
+        return dropped
+
+    monkeypatch.setattr(exactcount, "_convolution", dropping_last)
+    checks = {c["check"]: c for c in verify.run(1, 8, 0)}
+    failed = checks["trace_vs_enumeration"]
+    assert failed["pass"] is False
+    assert failed["detail"] == "trace vs enumeration mismatch at n=3, k=4"
+    assert main(["verify", "--trials", "1", "--nmax", "8", "--seed", "0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert {c["check"]: c for c in report["results"]["checks"]} == checks
