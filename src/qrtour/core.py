@@ -247,25 +247,28 @@ def _circulant(n: int, arc: np.ndarray) -> Tournament:
     return Tournament(n, b"".join(view[1 : n - u] for u in range(n)))
 
 
-def _toeplitz_arc(t: Tournament) -> np.ndarray | None:
-    """The ``arc`` of ``_circulant`` when an FFT diagonalises t as labelled, else None.
+def _toeplitz_row(t: Tournament) -> tuple[np.ndarray, bool] | None:
+    """``(a, skew)`` when an FFT diagonalises t as labelled, else None: a is
+    row 0 of ``sign_array(t)`` (int8), built from row 0's bits alone.
 
     t is Toeplitz when u -> v (u < v) iff arc[v - u] is 1, for a uint8 arc
     of length n with arc[0] = 0: then row u of the bit string is row 0's
-    first n - 1 - u bits.  Two rules on row 0 admit an FFT, and no arc fits
-    both: t is circulant when arc[k] + arc[n - k] = 1 (exactly one of u -> v
-    and v -> u, which even n admits for no arc), and skew-circulant when
-    arc[n - k] = arc[k] (the transitive tournament and its reversal among
-    them).  Those rules reject most other tournaments in O(n); then each
-    row from 1 on is compared, through a memoryview, with the start of the
-    bit string, which is row 0: one memcmp per row and no copy of the bits.
+    first n - 1 - u bits, and a = 2 arc - 1 off a[0].  Two rules on row 0
+    admit an FFT, and no arc fits both: t is circulant when arc[k] +
+    arc[n - k] = 1 (exactly one of u -> v and v -> u, which even n admits
+    for no arc), and skew-circulant (``skew``) when arc[n - k] = arc[k] (the
+    transitive tournament and its reversal among them).  Those rules reject
+    most other tournaments in O(n); then each row from 1 on is compared,
+    through a memoryview, with the start of the bit string, which is row 0:
+    one memcmp per row and no copy of the bits.
     """
     n = t.n
     if n < 2:
         return None
     head = t.bits[: n - 1]  # row 0: arc[1:]
     mirror = head[::-1]
-    if head != mirror and head.translate(_FLIP) != mirror:
+    skew = head == mirror
+    if not skew and head.translate(_FLIP) != mirror:
         return None
     bits = memoryview(t.bits)
     start = n - 1
@@ -273,7 +276,7 @@ def _toeplitz_arc(t: Tournament) -> np.ndarray | None:
         if not t.bits.startswith(bits[start : start + n - 1 - u]):
             return None
         start += n - 1 - u
-    return np.insert(np.frombuffer(head, dtype=np.uint8), 0, 0)  # arc[0] = 0
+    return np.insert(np.frombuffer(head, dtype=np.int8) * 2 - 1, 0, 0), skew
 
 
 def rotational_tournament(n: int) -> Tournament:

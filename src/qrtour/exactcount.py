@@ -27,7 +27,7 @@ from .core import (
     Tournament,
     _check_count,
     _is_prime,
-    _toeplitz_arc,
+    _toeplitz_row,
     edge_sign,
 )
 from .errors import InternalInvariantError, ResourceLimitError
@@ -195,13 +195,12 @@ def power_trace(t: Tournament, k: int) -> int:
 
     G and its powers take one of two forms.  In general G comes from
     ``spectral.gram``, which checks its diagonal, and its powers are n x n
-    BLAS products.  When t is circulant or skew-circulant as labelled
-    (``core._toeplitz_arc``; arc[1] = arc[n-1] marks skew, as in
-    ``spectral.lambda1``), so is every power of G, and each is kept as its
-    1 x n first row: G's is -(a conv a), a = 2 arc - 1 with a_0 = 0, whose
-    first entry must be n - 1, and ``_convolution`` multiplies them.  Then
-    L R has a constant diagonal and R is symmetric, so tr(L R) = n S with
-    S = sum_v l_v r_v = (G^m)_00 for the first rows l and r.  G^m is
+    BLAS products.  When t is circulant or skew-circulant as labelled, so is
+    every power of G, and each is kept as its 1 x n first row: G's is
+    -(a conv a) for A's first row a and kind from ``core._toeplitz_row``,
+    its first entry must be n - 1, and ``_convolution`` multiplies them.
+    Then L R has a constant diagonal and R is symmetric, so tr(L R) = n S
+    with S = sum_v l_v r_v = (G^m)_00 for the first rows l and r.  G^m is
     positive semidefinite and a closed k-step walk from one vertex has at
     most (n-1)**(k-1) choices, so S and sum_v |l_v r_v| lie in
     [0, (n-1)**(k-1)].
@@ -232,13 +231,12 @@ def power_trace(t: Tournament, k: int) -> int:
         return 0
     if k == 2:
         return -n * (n - 1)
-    arc = _toeplitz_arc(t)
-    if arc is None:
+    row = _toeplitz_row(t)
+    if row is None:
         scale, multiply, powers = 1, np.matmul, {1: gram(t)}
     else:
-        scale, multiply = n, _convolution(n, arc[1] == arc[n - 1])
-        a = arc * 2.0 - 1.0
-        a[0] = 0.0
+        scale, multiply = n, _convolution(n, row[1])
+        a = row[0].astype(np.float64)  # np.convolve wraps int8
         powers = {1: -multiply(a, a)}
         if powers[1][0, 0] != n - 1:
             raise InternalInvariantError("Gram diagonal must equal n-1")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tournament, _toeplitz_arc, sign_array
+from .core import Tournament, _toeplitz_row, sign_array
 from .errors import InternalInvariantError
 
 
@@ -66,7 +66,7 @@ def lambda1(t: Tournament) -> SpectralSummary:
     """Every eigenvalue modulus of A, and |lambda_1| with its upper bound.
 
     A Toeplitz tournament that is circulant or skew-circulant as labelled
-    (``core._toeplitz_arc``) takes one FFT, of length n or 2n (see
+    (``core._toeplitz_row``) takes one FFT, of length n or 2n (see
     ``_fft_moduli``); every other one takes one ``eigvalsh`` call on the
     Gram matrix.  Both end in one summary and one check, |lambda1| <= n
     (on the FFT route the square-sum check fires first).
@@ -80,15 +80,15 @@ def lambda1(t: Tournament) -> SpectralSummary:
     cannot produce a NaN modulus.
     """
     n = t.n
-    arc = _toeplitz_arc(t)
-    if arc is None:
+    row = _toeplitz_row(t)
+    if row is None:
         eigs = np.linalg.eigvalsh(gram(t))  # ascending
         margin = n * np.finfo(np.float64).eps * n * (n - 1)
         upper = math.sqrt(float(eigs[-1]) + margin)
         # maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
         moduli = np.sqrt(np.maximum(eigs[::-1], 0.0))
     else:
-        moduli, upper = _fft_moduli(n, arc)
+        moduli, upper = _fft_moduli(n, *row)
     lam = float(moduli[0])
     if lam > n:
         raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
@@ -96,7 +96,7 @@ def lambda1(t: Tournament) -> SpectralSummary:
         lambda1_abs=lam,
         lambda1_upper=upper,
         singular_values=tuple(moduli.tolist()),
-        solver="eigvalsh" if arc is None else "fft",
+        solver="eigvalsh" if row is None else "fft",
     )
 
 
@@ -118,16 +118,16 @@ def lambda1(t: Tournament) -> SpectralSummary:
 _FFT_ERROR = 64
 
 
-def _fft_moduli(n: int, arc: np.ndarray) -> tuple[np.ndarray, float]:
-    """(moduli, upper) of a Toeplitz A with first row a = 2 * arc - 1, a_0 = 0.
+def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float]:
+    """(moduli, upper) of A from its first row a and kind, ``core._toeplitz_row``'s.
 
     Circulant (a_(n-d) = -a_d): A[u, v] = a[(v - u) mod n] has eigenvalues
     lambda_j = sum_d a_d w^(dj), w = exp(2 pi i / n), one for each Fourier
     vector, purely imaginary; so sigma_j = |Im(fft(a))_j|.  Skew-circulant
-    (a_(n-d) = a_d): A is the top-left block of the length-2n circulant with
-    first row (a, -a), whose odd frequencies are 2 lambda_j, the
-    eigenvalues of A, and whose even frequencies are 0; so sigma_j is half
-    the odd-frequency |Im|.  That row holds the exact entries of A, so with
+    (``skew``, a_(n-d) = a_d): A is the top-left block of the length-2n
+    circulant with first row (a, -a), whose odd frequencies are 2 lambda_j,
+    the eigenvalues of A, and whose even frequencies are 0; so sigma_j is
+    half the odd-frequency |Im|.  That row holds the exact entries of A, so with
     eps as above at m = 2n the error of the lambda_j is at most half that of
     the transform.  Either way |sigma^_j - sigma_j| <= ||lambda^ - lambda||_2
     <= eps * ||lambda||_2, and ||lambda||_2 = sqrt(n(n-1)) by Parseval
@@ -141,9 +141,7 @@ def _fft_moduli(n: int, arc: np.ndarray) -> tuple[np.ndarray, float]:
     which the transform's error bounds by 2 * delta before halving; a
     failure raises ``InternalInvariantError``.
     """
-    a = arc * 2.0 - 1.0
-    a[0] = 0.0
-    if arc[1] == arc[n - 1]:  # skew-circulant
+    if skew:
         f = np.fft.fft(np.concatenate((a, -a)))
         sigma = np.abs(f[1::2].imag) / 2
         zero, where = np.abs(f[::2]).max() / 2, "even frequency"  # in units of sigma

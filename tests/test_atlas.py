@@ -1,10 +1,13 @@
-"""Every tournament on at most 6 vertices, up to isomorphism, as an oracle.
+"""Every tournament on at most 7 vertices, up to isomorphism, as an oracle.
 
 The classes are generated here with numpy and itertools alone, so they
 share no code with the routes they check: each class on n - 1 vertices is
 extended by one new vertex in all 2^(n-1) ways, and each candidate is keyed
-by the smallest upper-triangle bit key over all n! relabellings.  A class
-reaches the library only through ``Tournament(n, bits)``, the input format.
+by the smallest upper-triangle bit key over all n! relabellings.  The 456
+keys for n = 7 take about 2 s that way, so they were generated once and are
+stored in ``KEYS_7``; a test checks that they are 456 distinct canonical
+keys, which OEIS A000568 makes every class.  A class reaches the library
+only through ``Tournament(n, bits)``, the input format.
 
 The exact k = 4 null model rides along: over the uniform random tournament,
 S4 = tr(A^4) - n(n-1)(2n-3) has mean 0 and variance 192 C(n,4), checked by
@@ -19,6 +22,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import qrtour.core as core
 import qrtour.exactcount as exactcount
 from qrtour import (
     Tournament,
@@ -31,8 +35,42 @@ from qrtour import (
     spectral_upper_bound,
 )
 
-ATLAS_MAX_N = 6  # n = 7 has 456 classes and takes seconds to generate
-CLASS_COUNTS = [1, 1, 2, 4, 12, 56]  # n = 1..6, OEIS A000568
+GENERATED_MAX_N = 6  # n = 7 comes from KEYS_7
+CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456]  # n = 1..7, OEIS A000568
+
+# the canonical keys of the 456 classes on 7 vertices, in ascending order:
+# atlas() with its loop run to n = 7
+KEYS_7 = (
+    0, 2, 4, 5, 8, 9, 10, 11, 12, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 28, 32,
+    33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53,
+    54, 56, 57, 58, 60, 136, 137, 144, 145, 147, 151, 152, 153, 160, 161, 163, 167, 168,
+    169, 171, 175, 176, 177, 179, 184, 185, 268, 272, 273, 274, 275, 276, 277, 278, 280,
+    281, 282, 284, 288, 289, 290, 291, 292, 293, 294, 295, 296, 297, 298, 299, 300, 301,
+    302, 303, 304, 305, 306, 307, 308, 309, 310, 312, 313, 314, 316, 336, 337, 338, 339,
+    341, 352, 353, 354, 355, 357, 359, 365, 367, 368, 369, 370, 371, 373, 536, 537, 538,
+    544, 545, 546, 547, 548, 549, 550, 551, 552, 553, 554, 555, 556, 557, 558, 560, 561,
+    562, 563, 564, 565, 566, 568, 569, 570, 572, 601, 602, 608, 609, 610, 611, 612, 613,
+    614, 615, 616, 617, 618, 619, 620, 621, 622, 624, 625, 626, 627, 628, 629, 630, 632,
+    633, 634, 636, 664, 665, 672, 673, 674, 675, 676, 677, 678, 679, 680, 681, 682, 683,
+    684, 685, 686, 688, 689, 690, 691, 692, 693, 694, 696, 697, 698, 700, 729, 736, 737,
+    738, 739, 740, 741, 742, 743, 745, 747, 749, 761, 792, 800, 801, 802, 803, 804, 805,
+    806, 807, 808, 809, 810, 811, 812, 813, 814, 816, 817, 818, 819, 820, 821, 822, 824,
+    825, 826, 828, 1072, 1073, 1074, 1075, 1076, 1077, 1078, 1080, 1081, 1082, 1137,
+    1138, 1139, 1140, 1141, 1142, 1144, 1145, 1192, 1193, 1194, 1196, 1200, 1201, 1202,
+    1203, 1204, 1205, 1206, 1208, 1209, 1265, 1267, 1269, 1270, 1272, 1273, 1322, 1324,
+    1325, 1328, 1329, 1330, 1331, 1332, 1333, 1336, 1337, 1388, 1389, 1392, 1393, 1394,
+    1395, 1396, 1397, 1400, 1401, 1456, 1457, 1458, 1459, 1460, 1461, 1464, 1465, 1521,
+    1523, 1525, 1529, 1584, 1586, 1587, 1588, 1589, 1592, 1593, 1650, 1652, 1653, 1656,
+    1657, 1720, 1721, 4640, 4641, 4642, 4643, 4646, 4654, 4656, 4657, 4658, 4659, 4692,
+    4704, 4705, 4706, 4707, 4708, 4709, 4710, 4712, 4713, 4714, 4715, 4716, 4718, 4720,
+    4721, 4722, 4724, 4725, 4728, 4729, 5168, 5169, 5170, 5171, 5228, 5232, 5233, 5234,
+    5235, 5236, 5237, 5240, 5241, 5360, 5361, 5362, 5363, 5364, 5365, 5368, 5369, 5617,
+    5619, 5680, 5682, 5683, 5748, 5749, 8992, 8993, 8995, 8997, 9256, 9257, 9258, 9259,
+    9260, 9268, 9269, 9272, 9273, 9320, 9321, 9323, 9324, 9332, 9333, 9336, 9384, 9385,
+    9386, 9387, 9388, 9392, 9393, 9394, 9395, 9396, 9397, 9400, 9449, 9452, 9457, 9464,
+    9512, 9514, 9520, 9521, 9522, 9524, 9528, 9529, 9585, 9586, 9593, 9649, 9652, 9653,
+    9657, 9780, 9781, 9784, 9848, 11369, 11371, 11384, 11500, 17976, 22066, 85298,
+)
 
 
 def _adjacency(n: int, keys: np.ndarray) -> np.ndarray:
@@ -50,20 +88,27 @@ def _adjacency(n: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _canonical_keys(adj: np.ndarray) -> np.ndarray:
-    """The smallest upper-triangle key of each arc matrix over all relabellings."""
+    """The smallest upper-triangle key of each arc matrix over all relabellings.
+
+    Matrices go 32 at a time, so that n = 7 holds 32 x 5040 x 21 keys' bits.
+    """
     n = adj.shape[1]
     iu, ju = np.triu_indices(n, 1)
     perms = np.array(list(itertools.permutations(range(n))))
-    # relabelled pair (u, v) reads the arc between perm[u] and perm[v]
-    bits = adj[:, perms[:, iu], perms[:, ju]]
-    return (bits.astype(np.int64) << np.arange(len(iu))).sum(axis=2).min(axis=1)
+    weights = 1 << np.arange(len(iu))
+    keys = []
+    for s in range(0, len(adj), 32):
+        # relabelled pair (u, v) reads the arc between perm[u] and perm[v]
+        bits = adj[s : s + 32, perms[:, iu], perms[:, ju]]
+        keys.append((bits * weights).sum(axis=2).min(axis=1))
+    return np.concatenate(keys)
 
 
 @functools.cache
 def atlas() -> dict[int, np.ndarray]:
-    """The sorted canonical keys of every class, for n = 1..ATLAS_MAX_N."""
+    """The sorted canonical keys of every class, for n = 1..7."""
     classes = {1: np.zeros(1, dtype=np.int64)}
-    for n in range(2, ATLAS_MAX_N + 1):
+    for n in range(2, GENERATED_MAX_N + 1):
         old = _adjacency(n - 1, classes[n - 1])
         outs = np.array(list(itertools.product((False, True), repeat=n - 1)))
         cands = np.zeros((len(old), len(outs), n, n), dtype=bool)
@@ -71,6 +116,7 @@ def atlas() -> dict[int, np.ndarray]:
         cands[:, :, :-1, -1] = outs  # the old vertex u -> the new one
         cands[:, :, -1, :-1] = ~outs
         classes[n] = np.unique(_canonical_keys(cands.reshape(-1, n, n)))
+    classes[7] = np.array(KEYS_7, dtype=np.int64)
     return classes
 
 
@@ -80,19 +126,26 @@ def _classes(n: int) -> list[Tournament]:
     return [Tournament(n, bytes(int(key) >> i & 1 for i in pairs)) for key in atlas()[n]]
 
 
-SIZES = range(1, ATLAS_MAX_N + 1)
+SIZES = range(1, 8)
 
 
 def test_class_counts():
     assert [len(atlas()[n]) for n in SIZES] == CLASS_COUNTS
 
 
+def test_stored_keys_are_distinct_canonical_keys():
+    keys = atlas()[7]
+    assert len(np.unique(keys)) == 456
+    assert np.array_equal(_canonical_keys(_adjacency(7, keys)), keys)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_trace_matches_enumeration(n):
     # enumeration also pins why the paper needs even k >= 4: at odd k
-    # exactly half the k-cycles are even, and at k = 2 none are
+    # exactly half the k-cycles are even, and at k = 2 none are.  k = 6 at
+    # n = 7 would add about 10 ms of enumeration per class
     for t in _classes(n):
-        for k in range(2, 7):
+        for k in range(2, 7 if n < 7 else 6):
             even, odd = brute_force_count(t, k)
             report = even_cycles_trace(t, k)
             assert (report.even, report.odd) == (even, odd), (n, t.bits, k)
@@ -109,8 +162,8 @@ def test_exhaustive_below_spectral_cap(n):
 
 
 # classes that take lambda1's FFT route as canonically labelled: the transitive
-# class for n >= 2 and the rotational class at n = 3 and 5; the rest take eigvalsh
-FFT_COUNTS = [0, 1, 2, 1, 2, 1]  # n = 1..6
+# class for n >= 2 and the rotational class at n = 3, 5 and 7; the rest take eigvalsh
+FFT_COUNTS = [0, 1, 2, 1, 2, 1, 2]  # n = 1..7
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -128,18 +181,22 @@ def test_spectrum_on_either_route(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_first_row_traces_on_fft_classes(n, monkeypatch):
     # the classes on lambda1's FFT route are the ones whose traces take
-    # first rows and build no Gram matrix; their traces match enumeration
+    # first rows and build no Gram matrix; their traces match enumeration at
+    # k = 4 and 6 (every class meets it in test_trace_matches_enumeration).
+    # The transitive class, key 0, is the one skew-circulant FFT class
     built = []
     real = exactcount.gram
     monkeypatch.setattr(exactcount, "gram", lambda t: built.append(t) or real(t))
     first_rows = 0
-    for t in _classes(n):
+    for key, t in zip(atlas()[n], _classes(n)):
         built.clear()
-        for k in (4, 6):
-            report = even_cycles_trace(t, k)
-            assert (report.even, report.odd) == brute_force_count(t, k), (n, t.bits, k)
+        reports = {k: even_cycles_trace(t, k) for k in (4, 6)}
         assert (not built) == (lambda1(t).solver == "fft"), t.bits
-        first_rows += not built
+        if not built:
+            for k, report in reports.items():
+                assert (report.even, report.odd) == brute_force_count(t, k), (n, t.bits, k)
+            assert core._toeplitz_row(t)[1] == (key == 0), t.bits
+            first_rows += 1
     assert first_rows == FFT_COUNTS[n - 1]
 
 
@@ -167,7 +224,7 @@ def test_k6_null_mean(n):
 
 
 # classes with tr(A^4) on its floor: every |G_uv|, u != v, is n % 2
-FLOOR_COUNTS = [1, 1, 2, 2, 0, 0]  # n = 1..6
+FLOOR_COUNTS = [1, 1, 2, 2, 0, 0, 6]  # n = 1..7
 
 
 def test_k4_floor_and_top():

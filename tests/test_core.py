@@ -29,6 +29,7 @@ from qrtour import (
     witness_vectors,
 )
 from qrtour.core import sign_array
+from tournament_builders import flip, random_circulant, random_skew_circulant
 
 SEEDS = [0, 1, 7, 42, 1234567, 2**63 + 11]
 
@@ -614,58 +615,44 @@ class TestCoreMemory:
         assert self.peak(lambda: encode(t)) <= 1.05
 
 
-def _flip(t, u, v):
-    """t with the arc between u < v reversed."""
-    bits = bytearray(t.bits)
-    bits[core.pair_index(t.n, u, v)] ^= 1
-    return Tournament(t.n, bytes(bits))
-
-
-def _random_circulant(n, seed):
-    # arc[d] for d <= (n-1)/2 from coins, arc[n-d] its complement
-    half = np.random.default_rng(seed).integers(0, 2, (n - 1) // 2)
-    arc = np.concatenate(([0], half, 1 - half[::-1]))
-    return core._circulant(n, arc), arc
-
-
-def _random_skew_circulant(n, seed):
-    # arc[d] for d <= n/2 from coins, arc[n-d] the same bit
-    half = np.random.default_rng(seed).integers(0, 2, n // 2)
-    arc = np.concatenate(([0], half, half[: (n - 1) // 2][::-1]))
-    return core._circulant(n, arc), arc
-
-
 class TestCirculantArc:
-    """``core._toeplitz_arc``: the circulant and the skew-circulant rule."""
+    """``core._toeplitz_row``: the circulant and the skew-circulant rule."""
 
     @pytest.mark.parametrize("n", [3, 5, 9, 45, 301])
     def test_rotational(self, n):
-        arc = core._toeplitz_arc(rotational_tournament(n))
-        assert arc.dtype == np.uint8
-        assert arc.tolist() == [0] + [1] * ((n - 1) // 2) + [0] * ((n - 1) // 2)
+        t = rotational_tournament(n)
+        a, skew = core._toeplitz_row(t)
+        assert a.dtype == np.int8 and not skew
+        assert a.tolist() == [0] + [1] * ((n - 1) // 2) + [-1] * ((n - 1) // 2)
+        assert np.array_equal(a, sign_array(t)[0])
 
     @pytest.mark.parametrize("p", [3, 7, 43, 307])
     def test_paley(self, p):
+        t = paley_tournament(p)
         residues = {x * x % p for x in range(1, p)}
-        assert core._toeplitz_arc(paley_tournament(p)).tolist() == [
-            int(d in residues) for d in range(p)
-        ]
+        a, skew = core._toeplitz_row(t)
+        assert not skew
+        assert a.tolist() == [0] + [1 if d in residues else -1 for d in range(1, p)]
+        assert np.array_equal(a, sign_array(t)[0])
 
     @pytest.mark.parametrize("n, seed", [(3, 0), (7, 1), (9, 2), (61, 3), (201, 4)])
     def test_random_circulant_round_trips(self, n, seed):
-        t, arc = _random_circulant(n, seed)
-        assert core._toeplitz_arc(t).tolist() == arc.tolist()
-        assert core._circulant(n, core._toeplitz_arc(t)) == t
+        t, arc = random_circulant(n, seed)
+        a, skew = core._toeplitz_row(t)
+        assert not skew
+        assert a.tolist() == [0, *(2 * arc[1:] - 1)]
+        assert np.array_equal(a, sign_array(t)[0])
+        assert core._circulant(n, a > 0) == t
 
     def test_rotation_reversal_and_scaling_stay_circulant(self):
         t = paley_tournament(43)
+        a, _ = core._toeplitz_row(t)
         shifted = relabel(t, [(v + 5) % 43 for v in range(43)])
-        assert core._toeplitz_arc(shifted).tolist() == core._toeplitz_arc(t).tolist()
-        flipped = [0, *(1 - b for b in core._toeplitz_arc(t)[1:])]
-        assert core._toeplitz_arc(reverse(t)).tolist() == flipped
         # 3 is no square mod 43: v -> 3v maps Paley onto its reversal
         scaled = relabel(t, [(v * 3) % 43 for v in range(43)])
-        assert core._toeplitz_arc(scaled).tolist() == flipped
+        for u, row in ((shifted, a), (reverse(t), -a), (scaled, -a)):
+            got, skew = core._toeplitz_row(u)
+            assert got.tolist() == row.tolist() and not skew
 
     @pytest.mark.parametrize(
         "t, arc",
@@ -675,7 +662,7 @@ class TestCirculantArc:
             (transitive_tournament(3), [0, 1, 1]),  # every row is a prefix of row 0
             (transitive_tournament(41), [0] + [1] * 40),
             (reverse(transitive_tournament(40)), [0] * 40),
-            *(_random_skew_circulant(n, n) for n in (9, 40, 41, 200)),
+            *(random_skew_circulant(n, n) for n in (9, 40, 41, 200)),
         ],
         ids=[
             "n2", "random-2", "transitive-3", "transitive-41", "reversed-40",
@@ -683,13 +670,14 @@ class TestCirculantArc:
         ],
     )
     def test_skew_circulant(self, t, arc):
-        got = core._toeplitz_arc(t)
+        a, skew = core._toeplitz_row(t)
         n = t.n
-        assert got.dtype == np.uint8 and got[0] == 0
-        assert got[1:].tolist() == got[1:][::-1].tolist()  # arc[n - d] = arc[d]
+        assert a.dtype == np.int8 and a[0] == 0 and skew
+        assert a[1:].tolist() == a[1:][::-1].tolist()  # a[n - d] = a[d]
         if arc is not None:
-            assert np.array_equal(got, arc)
-        assert core._circulant(n, got) == t
+            assert a[1:].tolist() == [2 * x - 1 for x in arc[1:]]
+        assert np.array_equal(a, sign_array(t)[0])
+        assert core._circulant(n, a > 0) == t
 
     @pytest.mark.parametrize(
         "t",
@@ -699,12 +687,12 @@ class TestCirculantArc:
             random_tournament(40, 1),
             core._circulant(10, np.arange(10) <= 5),  # rows are prefixes; even n
             core._circulant(11, np.arange(11) <= 3),  # rows are prefixes; neither rule
-            _flip(transitive_tournament(41), 0, 1),  # breaks row 0's skew-circulant rule
-            _flip(transitive_tournament(41), 3, 30),  # breaks row 3 only
-            _flip(rotational_tournament(45), 0, 1),  # breaks row 0's circulant rule
-            _flip(rotational_tournament(45), 1, 10),  # breaks row 1 only
-            _flip(rotational_tournament(45), 20, 44),  # breaks a late row only
-            _flip(paley_tournament(43), 30, 31),
+            flip(transitive_tournament(41), 0, 1),  # breaks row 0's skew-circulant rule
+            flip(transitive_tournament(41), 3, 30),  # breaks row 3 only
+            flip(rotational_tournament(45), 0, 1),  # breaks row 0's circulant rule
+            flip(rotational_tournament(45), 1, 10),  # breaks row 1 only
+            flip(rotational_tournament(45), 20, 44),  # breaks a late row only
+            flip(paley_tournament(43), 30, 31),
             relabel(paley_tournament(43), [1, 0, *range(2, 43)]),
         ],
         ids=[
@@ -716,7 +704,7 @@ class TestCirculantArc:
         ],
     )
     def test_rejects(self, t):
-        assert core._toeplitz_arc(t) is None
+        assert core._toeplitz_row(t) is None
 
     def test_compares_rows_without_copying_the_bits(self):
         t = rotational_tournament(2001)
@@ -724,7 +712,7 @@ class TestCirculantArc:
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            core._toeplitz_arc(t)
+            core._toeplitz_row(t)
             assert tracemalloc.get_traced_memory()[1] - held < 16 * t.n
         finally:
             tracemalloc.stop()

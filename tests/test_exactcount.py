@@ -32,7 +32,8 @@ from qrtour import (
     transitive_tournament,
 )
 from qrtour.cli import main
-from qrtour.core import _circulant, _toeplitz_arc, encode, sign_array
+from qrtour.core import _toeplitz_row, encode, sign_array
+from tournament_builders import random_circulant
 
 SEEDS = [0, 1, 7, 42, 99]
 
@@ -147,18 +148,12 @@ def paley_trace(p, k):
     return (-1) ** (k // 2) * (p - 1) * p ** (k // 2)
 
 
-def random_circulant(n):
-    """A circulant tournament on odd n with a first row drawn from seed n."""
-    half = np.random.default_rng(n).integers(0, 2, (n - 1) // 2, dtype=np.uint8)
-    return _circulant(n, np.concatenate(([0], half, 1 - half[::-1])))
-
-
 def matrix_route_copy(t):
     """t relabelled by a permutation drawn from seed n, checked to be
     neither circulant nor skew-circulant as labelled: power_trace takes it
     through n x n Gram powers, never through first rows."""
     copy = relabel(t, np.random.default_rng(t.n).permutation(t.n))
-    assert _toeplitz_arc(copy) is None
+    assert _toeplitz_row(copy) is None
     return copy
 
 
@@ -234,7 +229,7 @@ class TestMatPowTrace:
         def refuse(*args):
             raise AssertionError("a closed-form trace formed a matrix")
 
-        for name in ("gram", "_halving", "_toeplitz_arc"):
+        for name in ("gram", "_halving", "_toeplitz_row"):
             monkeypatch.setattr(exactcount, name, refuse)
         monkeypatch.setattr(np, "convolve", refuse)
         for t in inputs:
@@ -261,14 +256,14 @@ class TestMatPowTrace:
     @pytest.mark.parametrize("k", [4, 16])
     @pytest.mark.parametrize("family", ["transitive", "rotational"])
     def test_wrong_first_row_diagonal_raises(self, family, k, tmp_path, capsys, monkeypatch):
-        # an arc that breaks the skew-circulant (arc[d] = arc[n-d]) or the
-        # circulant (arc[d] + arc[n-d] = 1) rule at d = 5 and 26 moves the
+        # a first row that breaks the skew-circulant (a[d] = a[n-d]) or the
+        # circulant (a[d] = -a[n-d]) rule at d = 5 and 26 moves the
         # first-row Gram diagonal g_0 = n - 1 by 4: the first-row route
         # refuses it as the Gram builder refuses a wrong diagonal
         t = transitive_tournament(31) if family == "transitive" else rotational_tournament(31)
-        arc = _toeplitz_arc(t)
-        arc[5] ^= 1
-        monkeypatch.setattr(exactcount, "_toeplitz_arc", lambda _: arc)
+        a, skew = _toeplitz_row(t)
+        a[5] = -a[5]
+        monkeypatch.setattr(exactcount, "_toeplitz_row", lambda _: (a, skew))
         with pytest.raises(InternalInvariantError, match="Gram diagonal"):
             power_trace(t, k)
         path = tmp_path / "t.trn"
@@ -460,7 +455,10 @@ class TestMatPowTrace:
             lambda n: reverse(transitive_tournament(n)), transitive_trace,
             (12, 13, 153, 154, 191, 192),
         ),
-        "circulant": (random_circulant, None, (11, 13, 153, 155, 191, 193)),
+        "circulant": (
+            lambda n: random_circulant(n, n, np.uint8)[0], None,
+            (11, 13, 153, 155, 191, 193),
+        ),
     }
 
     @pytest.mark.parametrize(

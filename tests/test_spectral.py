@@ -20,7 +20,6 @@ import qrtour.core as core
 import qrtour.spectral as spectral
 from qrtour import (
     InternalInvariantError,
-    Tournament,
     gram,
     lambda1,
     moment_crosscheck,
@@ -34,18 +33,12 @@ from qrtour import (
     transitive_tournament,
 )
 from qrtour.core import sign_array
+from tournament_builders import flip, random_circulant, random_skew_circulant
 
 SEEDS = [0, 3, 11, 47]
 
 C3 = rotational_tournament(3)
 TT3 = transitive_tournament(3)
-
-
-def _flip(t, u, v):
-    """t with the arc between u < v reversed."""
-    bits = bytearray(t.bits)
-    bits[core.pair_index(t.n, u, v)] ^= 1
-    return Tournament(t.n, bytes(bits))
 
 
 def _rotational_moduli(n):
@@ -55,16 +48,6 @@ def _rotational_moduli(n):
         abs(2 * math.fsum(math.sin(2 * math.pi * j * k / n) for k in range(1, m + 1)))
         for j in range(n)
     ]
-
-
-def _random_circulant(n, seed):
-    half = np.random.default_rng(seed).integers(0, 2, (n - 1) // 2)
-    return core._circulant(n, np.concatenate(([0], half, 1 - half[::-1])))
-
-
-def _random_skew_circulant(n, seed):
-    half = np.random.default_rng(seed).integers(0, 2, n // 2)
-    return core._circulant(n, np.concatenate(([0], half, half[: (n - 1) // 2][::-1])))
 
 
 def _transitive_moduli(n):
@@ -228,10 +211,10 @@ class TestFullSpectrum:
             transitive_tournament(1),
             core._circulant(10, np.arange(10) <= 5),  # even n, rows are prefixes
             core._circulant(11, np.arange(11) <= 3),  # odd n, rows are prefixes
-            _flip(rotational_tournament(45), 3, 30),
-            _flip(paley_tournament(43), 0, 1),
-            _flip(transitive_tournament(41), 3, 30),
-            _flip(transitive_tournament(40), 0, 1),
+            flip(rotational_tournament(45), 3, 30),
+            flip(paley_tournament(43), 0, 1),
+            flip(transitive_tournament(41), 3, 30),
+            flip(transitive_tournament(40), 0, 1),
         ],
         ids=[
             "random-even", "random-odd", "transitive-1", "even-10", "odd-11",
@@ -291,10 +274,10 @@ class TestCirculantRoute:
         "t",
         [rotational_tournament(n) for n in (3, 21, 45, 201)]
         + [paley_tournament(p) for p in (19, 43, 199)]
-        + [_random_circulant(n, n) for n in (61, 301)]
+        + [random_circulant(n, n)[0] for n in (61, 301)]
         + [transitive_tournament(n) for n in (2, 3, 9, 41)]
         + [random_tournament(2, 0), reverse(transitive_tournament(40))]
-        + [_random_skew_circulant(n, n) for n in (60, 61, 300, 301)],
+        + [random_skew_circulant(n, n)[0] for n in (60, 61, 300, 301)],
         ids=[
             "rotational-3", "rotational-21", "rotational-45", "rotational-201",
             "paley-19", "paley-43", "paley-199", "circulant-61", "circulant-301",
@@ -339,8 +322,9 @@ class TestCirculantRoute:
         # 64 * ceil(log2 n) * 2^-53 * n, far above either rounding
         pi = np.arctan(np.longdouble(1)) * 4
         for n in range(3, 2002, 2):
-            arc = (np.arange(n) <= (n - 1) // 2).astype(np.uint8)
-            moduli, upper = spectral._fft_moduli(n, arc)
+            a = np.where(np.arange(n) <= (n - 1) // 2, 1, -1).astype(np.int8)
+            a[0] = 0
+            moduli, upper = spectral._fft_moduli(n, a, False)
             assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
             assert moduli[0] <= upper
 
@@ -348,8 +332,8 @@ class TestCirculantRoute:
         # sigma_1 = cot(pi / 2n) again, now from the length-2n transform
         pi = np.arctan(np.longdouble(1)) * 4
         for n in range(2, 2002):
-            arc = (np.arange(n) > 0).astype(np.uint8)
-            moduli, upper = spectral._fft_moduli(n, arc)
+            a = (np.arange(n) > 0).astype(np.int8)
+            moduli, upper = spectral._fft_moduli(n, a, True)
             assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
             assert moduli[0] <= upper
 

@@ -8,7 +8,7 @@ import pytest
 import qrtour.exactcount as exactcount
 from qrtour import verify
 from qrtour.core import (
-    _toeplitz_arc,
+    _toeplitz_row,
     paley_tournament,
     random_tournament,
     rotational_tournament,
@@ -56,7 +56,7 @@ def test_trace_check_enumerates_first_row_inputs(monkeypatch):
     families += [paley_tournament(p) for p in (3, 7)]
     families += [transitive_tournament(n) for n in range(2, 9)]
     for t in families:
-        assert _toeplitz_arc(t) is not None
+        assert _toeplitz_row(t) is not None
         assert {(t.n, t.bits, k) for k in range(2, 7)} <= seen
 
 
