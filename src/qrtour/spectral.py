@@ -135,20 +135,13 @@ def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float]:
     eps * n, rounded up: delta is a float exactly, and one step up from the
     rounded sum is at least the exact sum.  Its invariants stand in for
     ``gram``'s checks: the sum of squares, tr(G), is n(n-1) within the same
-    error (plus 2 * n * u for the float sum), and what is 0 in exact
-    arithmetic stays within delta: sigma^_0 of a circulant (true value
-    sum a_d = 0), and half of every even frequency of a skew-circulant,
-    which the transform's error bounds by 2 * delta before halving; a
-    failure raises ``InternalInvariantError``.
+    error (plus 2 * n * u for the float sum), and A is real and
+    skew-symmetric, so every |Re lambda^_j| <= ||lambda^ - lambda||_2 <=
+    delta; a failure raises ``InternalInvariantError``.
     """
-    if skew:
-        f = np.fft.fft(np.concatenate((a, -a)))
-        sigma = np.abs(f[1::2].imag) / 2
-        zero, where = np.abs(f[::2]).max() / 2, "even frequency"  # in units of sigma
-    else:
-        f = np.fft.fft(a)
-        sigma = np.abs(f.imag)
-        zero, where = sigma[0], "frequency 0"
+    f = np.fft.fft(np.concatenate((a, -a)) if skew else a)
+    lam = f[1::2] / 2 if skew else f  # the n eigenvalues of A; halving is exact
+    sigma = np.abs(lam.imag)
     u = 2.0**-53
     eps = _FFT_ERROR * (len(f) - 1).bit_length() * u  # bit_length: ceil(log2 m)
     delta = eps * n  # >= eps * sqrt(n(n-1)); exact, like eps
@@ -156,8 +149,9 @@ def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float]:
     gap = abs(float(np.dot(sigma, sigma)) - nn)
     if gap > (eps * (2 + eps) + 2 * n * u) * nn:
         raise InternalInvariantError(f"FFT moduli square-sum off n(n-1) = {nn} by {gap}")
-    if zero > delta:
-        raise InternalInvariantError(f"FFT modulus at {where} is {zero}, not 0")
+    real = np.abs(lam.real).max()
+    if real > delta:
+        raise InternalInvariantError(f"FFT eigenvalue real part {real} is not 0 within {delta}")
     moduli = np.sort(sigma)[::-1]
     return moduli, math.nextafter(float(moduli[0]) + delta, math.inf)
 

@@ -11,13 +11,15 @@ only through ``Tournament(n, bits)``, the input format.
 
 The exact k = 4 null model rides along: over the uniform random tournament,
 S4 = tr(A^4) - n(n-1)(2n-3) has mean 0 and variance 192 C(n,4), checked by
-averaging over every labelled tournament for n <= 5.
+averaging over every labelled tournament for n <= 5.  So do the closed
+forms of the vertex-distinct cycle sums S4 and S6, against enumeration,
+and the bounds that bracket lambda1.
 """
 
 import functools
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import numpy as np
 import pytest
@@ -28,12 +30,14 @@ from qrtour import (
     Tournament,
     brute_force_count,
     disc_exhaustive,
+    edge_sign,
     even_cycles_trace,
     gram,
     lambda1,
     power_trace,
     spectral_upper_bound,
 )
+from tournament_builders import lambda1_rungs
 
 GENERATED_MAX_N = 6  # n = 7 comes from KEYS_7
 CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456]  # n = 1..7, OEIS A000568
@@ -236,3 +240,34 @@ def test_k4_floor_and_top():
         assert max(traces) - _mean_trace4(n) <= 8 * comb(n, 4)
         on_floor.append(traces.count(floor))
     assert on_floor == FLOOR_COUNTS
+
+
+def _distinct_sum(a: np.ndarray, tuples: np.ndarray) -> int:
+    """S_k: the sum over the ordered k-tuples of distinct vertices, the rows
+    of ``tuples``, of prod_i a[v_i, v_(i+1 mod k)]."""
+    return int(np.prod(a[tuples, np.roll(tuples, -1, axis=1)], axis=1).sum())
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_vertex_distinct_cycle_sums(n):
+    # the closed forms ROADMAP item 9 will report, against enumeration over
+    # an arc table that shares no code with power_trace; n!/(n-k)! + S_k is
+    # twice the number of even vertex-distinct k-cycles
+    tuples = {
+        k: np.array(list(itertools.permutations(range(n), k)), dtype=int).reshape(-1, k)
+        for k in (4, 6)
+    }
+    for t in _classes(n):
+        a = np.array([[edge_sign(t, u, v) for v in range(n)] for u in range(n)])
+        tr4, tr6 = power_trace(t, 4), power_trace(t, 6)
+        s4, s6 = _distinct_sum(a, tuples[4]), _distinct_sum(a, tuples[6])
+        assert s4 == tr4 - _mean_trace4(n), t.bits
+        assert s6 == tr6 + (6 * n - 15) * tr4 - n * (n - 1) * (n - 3) * (7 * n - 10), t.bits
+        for k, s in ((4, s4), (6, s6)):
+            assert (perm(n, k) + s) % 2 == 0 and 0 <= perm(n, k) + s <= 2 * perm(n, k)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_lambda1_between_score_bound_and_rungs(n):
+    for t in _classes(n):
+        lambda1_rungs(t)

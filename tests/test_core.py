@@ -29,7 +29,7 @@ from qrtour import (
     witness_vectors,
 )
 from qrtour.core import sign_array
-from tournament_builders import flip, random_circulant, random_skew_circulant
+from tournament_builders import doubly_regular, flip, random_circulant, random_skew_circulant
 
 SEEDS = [0, 1, 7, 42, 1234567, 2**63 + 11]
 
@@ -716,3 +716,26 @@ class TestCirculantArc:
             assert tracemalloc.get_traced_memory()[1] - held < 16 * t.n
         finally:
             tracemalloc.stop()
+
+
+class TestDoublyRegular:
+    """The quadratic-residue tournaments over GF(p^r), built in the tests."""
+
+    @pytest.mark.parametrize(
+        "p, r", [(3, 3), (3, 5), (7, 3), (11, 3)], ids=["27", "243", "343", "1331"]
+    )
+    def test_one_arc_per_pair_and_regular(self, p, r):
+        t, square = doubly_regular(p, r)
+        q = p**r
+        assert t.n == q and not square[0] and square.sum() == (q - 1) // 2
+        # -1 is no square (q = 3 mod 4): exactly one of x and -x is a square
+        weights = p ** np.arange(r)
+        minus = -(np.arange(q)[:, None] // weights % p) % p @ weights
+        assert np.all(square[1:] != square[minus[1:]])
+        assert not np.any(sign_array(t).sum(axis=1))
+
+    def test_gram_from_edge_signs(self):
+        # G = qI - J (doubly regular), with no code shared with spectral.gram
+        t, _ = doubly_regular(3, 3)
+        a = np.array([[edge_sign(t, u, v) for v in range(27)] for u in range(27)])
+        assert np.array_equal(a.T @ a, 27 * np.eye(27, dtype=int) - 1)

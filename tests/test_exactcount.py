@@ -33,7 +33,7 @@ from qrtour import (
 )
 from qrtour.cli import main
 from qrtour.core import _toeplitz_row, encode, sign_array
-from tournament_builders import random_circulant
+from tournament_builders import doubly_regular, random_circulant
 
 SEEDS = [0, 1, 7, 42, 99]
 
@@ -139,7 +139,8 @@ def modular_trace(t, k, q):
 
 
 def paley_trace(p, k):
-    """tr(A^k), k even, for the Paley tournament on p vertices.
+    """tr(A^k), k even, for the Paley tournament on p vertices, and for any
+    other doubly regular tournament on p vertices.
 
     A is regular with A A^T = p I - J, so G = A^T A has eigenvalue p on
     the p - 1 dimensions orthogonal to the all-ones vector and 0 on it:
@@ -409,6 +410,23 @@ class TestMatPowTrace:
             self.assert_both_routes(
                 t, k, paley_trace(p, k), self.ROUTES_NEAR_1000[k], route_calls
             )
+
+    @pytest.mark.parametrize(
+        "p, r, ks",
+        [(3, 3, (4, 6, 8, 16)), (3, 5, (4, 6, 8, 16)), (7, 3, (4, 6, 8, 16)), (11, 3, (4, 6))],
+        ids=["27", "243", "343", "1331"],
+    )
+    def test_doubly_regular_closed_form(self, p, r, ks, route_calls):
+        # the matrix route's large-n oracle with no relabelling: a Cayley
+        # tournament on Z_p^r, not on Z_q.  At q = 343, k = 16 takes the
+        # per-prime tail, with no 2**64 residue, at a non-prime n
+        t, _ = doubly_regular(p, r)
+        assert _toeplitz_row(t) is None
+        for k in ks:
+            route_calls.update(_dot_wrap=0, _dot_mod=0)
+            assert power_trace(t, k) == paley_trace(t.n, k), k
+        if t.n == 343:
+            assert self.routes_taken(route_calls) == (False, True)
 
     @pytest.mark.parametrize(
         "n, k", [(n, k) for n in (101, 501, 1001, 2001) for k in (4, 8, 12, 16)]

@@ -33,7 +33,13 @@ from qrtour import (
     transitive_tournament,
 )
 from qrtour.core import sign_array
-from tournament_builders import flip, random_circulant, random_skew_circulant
+from tournament_builders import (
+    doubly_regular,
+    flip,
+    lambda1_rungs,
+    random_circulant,
+    random_skew_circulant,
+)
 
 SEEDS = [0, 3, 11, 47]
 
@@ -337,35 +343,64 @@ class TestCirculantRoute:
             assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
             assert moduli[0] <= upper
 
-    @pytest.mark.parametrize(
-        "perturb, message",
-        [
-            (lambda f: f * (1 + 1e-9), "square-sum"),
-            (lambda f: f + np.where(np.arange(len(f)) == 0, 1e-6j, 0), "frequency 0"),
-        ],
-        ids=["scaled", "nonzero-frequency-0"],
-    )
-    def test_invariant_failures_raise(self, monkeypatch, perturb, message):
+    @pytest.mark.parametrize("perturb", [lambda f: f * (1 + 1e-9)], ids=["scaled"])
+    def test_invariant_failures_raise(self, monkeypatch, perturb):
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda a: perturb(fft(a)))
-        with pytest.raises(InternalInvariantError, match=message):
+        with pytest.raises(InternalInvariantError, match="square-sum"):
             lambda1(rotational_tournament(45))
 
     @pytest.mark.parametrize("n", [40, 41])
-    @pytest.mark.parametrize(
-        "perturb, message",
-        [
-            (lambda f: f * (1 + 1e-9), "square-sum"),
-            (lambda f: f + np.where(np.arange(len(f)) == 0, 1e-6, 0), "even frequency"),
-            (lambda f: f + np.where(np.arange(len(f)) == 6, 1e-6j, 0), "even frequency"),
-        ],
-        ids=["scaled", "nonzero-frequency-0", "nonzero-frequency-6"],
-    )
-    def test_skew_invariant_failures_raise(self, monkeypatch, perturb, message, n):
+    @pytest.mark.parametrize("perturb", [lambda f: f * (1 + 1e-9)], ids=["scaled"])
+    def test_skew_invariant_failures_raise(self, monkeypatch, perturb, n):
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda a: perturb(fft(a)))
-        with pytest.raises(InternalInvariantError, match=message):
+        with pytest.raises(InternalInvariantError, match="square-sum"):
             lambda1(transitive_tournament(n))
+
+    @pytest.mark.parametrize(
+        "t",
+        [rotational_tournament(45), paley_tournament(43), transitive_tournament(40),
+         transitive_tournament(41)],
+        ids=["rotational-45", "paley-43", "transitive-40", "transitive-41"],
+    )
+    @pytest.mark.parametrize("j", [3, 7])
+    def test_real_part_failures_raise(self, monkeypatch, j, t):
+        # an odd frequency is an eigenvalue of A for either kind; 1e-6 is
+        # over 10^5 times delta, and the square-sum check sees only Im
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: fft(a) + (np.arange(len(a)) == j) * 1e-6)
+        with pytest.raises(InternalInvariantError, match="real part"):
+            lambda1(t)
+
+
+@pytest.mark.parametrize("p, r", [(3, 3), (3, 5), (7, 3)], ids=["27", "243", "343"])
+def test_doubly_regular_closed_form(p, r):
+    # G = qI - J exactly, as labelled on the eigvalsh route: every modulus
+    # but one is sqrt(q), and the rungs read 2(q-1) and 2q(q-1)
+    t, _ = doubly_regular(p, r)
+    q = t.n
+    assert core._toeplitz_row(t) is None
+    assert np.array_equal(gram(t), q * np.eye(q) - 1)
+    s = lambda1(t)
+    assert s.solver == "eigvalsh"
+    assert abs(s.lambda1_abs - math.sqrt(q)) <= 1e-12 * q
+    assert Fraction(s.lambda1_upper) ** 2 >= q
+    assert lambda1_rungs(t) == (2 * (q - 1), 2 * q * (q - 1))
+
+
+RUNG_INPUTS = {
+    **{f"transitive-{n}": transitive_tournament(n) for n in (2, 3, 40, 41)},
+    **{f"rotational-{n}": rotational_tournament(n) for n in (3, 45, 201)},
+    **{f"paley-{p}": paley_tournament(p) for p in (43, 199)},
+    **{f"random-{n}": random_tournament(n, 0) for n in (100, 500)},
+}
+
+
+@pytest.mark.parametrize("t", list(RUNG_INPUTS.values()), ids=list(RUNG_INPUTS))
+def test_lambda1_between_score_bound_and_rungs(t):
+    # both rungs hold with equality at n = 2, where G = I
+    lambda1_rungs(t)
 
 
 class TestMomentCrosscheck:
