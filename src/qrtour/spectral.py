@@ -66,32 +66,35 @@ def lambda1(t: Tournament) -> SpectralSummary:
     """Every eigenvalue modulus of A, and |lambda_1| with its upper bound.
 
     A Toeplitz tournament that is circulant or skew-circulant as labelled
-    (``core._toeplitz_row``) takes one FFT, of length n or 2n (see
-    ``_fft_moduli``); every other one takes one ``eigvalsh`` call on the
-    Gram matrix.  Both end in one summary and one check, |lambda1| <= n
-    (on the FFT route the square-sum check fires first).
+    (``core._toeplitz_row``) takes one FFT of length n or 2n (``_fft_moduli``);
+    every other one takes one ``eigvalsh`` call on the Gram matrix.  Each
+    route hands over its moduli, upper bound and slack, and one check serves
+    both: |sum sigma^_j^2 - n(n-1)| <= slack, n(n-1) = tr(G), written so that
+    a NaN fails it (InternalInvariantError).  It caps |lambda1| too:
+    sigma^_1^2 <= n(n-1) + slack < n^2 while slack < n, that is for n below
+    1.6e5 on eigvalsh (G alone would take 200 GB) and 2^25 on the FFT route.
 
     LAPACK's symmetric eigensolver is backward stable: its eigenvalues are
     exact for G + E with ||E||_2 <= p(n) * eps * ||G||_2, p a modest
-    polynomial.  Taking p(n) = n and ||G||_2 <= tr(G) = n(n-1) (G is PSD),
-    Weyl's inequality puts the true top eigenvalue below the computed one
-    plus n * eps * n(n-1); ``lambda1_upper`` is the square root of that sum.
-    Gram eigenvalues are clamped at zero before the square root, so rounding
-    cannot produce a NaN modulus.
+    polynomial.  Taking p(n) = n and ||G||_2 <= tr(G) (G is PSD), Weyl's
+    inequality puts each one within margin = n * eps * n(n-1) of the true
+    one: ``lambda1_upper`` is sqrt(top + margin), and their sum, each clamped
+    at 0 (no NaN, none moved off its true value), is within n * margin, the
+    slack; rounding, below (n + 3) * eps/2 * n(n-1), is left to p(n) = n.
     """
     n = t.n
     row = _toeplitz_row(t)
     if row is None:
-        eigs = np.linalg.eigvalsh(gram(t))  # ascending
+        # descending; maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
+        eigs = np.maximum(np.linalg.eigvalsh(gram(t))[::-1], 0.0)
         margin = n * np.finfo(np.float64).eps * n * (n - 1)
-        upper = math.sqrt(float(eigs[-1]) + margin)
-        # maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
-        moduli = np.sqrt(np.maximum(eigs[::-1], 0.0))
+        moduli, upper, slack = np.sqrt(eigs), math.sqrt(float(eigs[0]) + margin), n * margin
     else:
-        moduli, upper = _fft_moduli(n, *row)
+        moduli, upper, slack = _fft_moduli(n, *row)
+    gap = abs(float(np.dot(moduli, moduli)) - n * (n - 1))
+    if not gap <= slack:
+        raise InternalInvariantError(f"moduli square-sum off n(n-1) by {gap} > {slack} (n={n})")
     lam = float(moduli[0])
-    if lam > n:
-        raise InternalInvariantError(f"|lambda1| = {lam} exceeds n = {n}")
     return SpectralSummary(
         lambda1_abs=lam,
         lambda1_upper=upper,
@@ -118,8 +121,8 @@ def lambda1(t: Tournament) -> SpectralSummary:
 _FFT_ERROR = 64
 
 
-def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float]:
-    """(moduli, upper) of A from its first row a and kind, ``core._toeplitz_row``'s.
+def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float, float]:
+    """(moduli, upper, slack) of A from its first row a and kind, ``core._toeplitz_row``'s.
 
     Circulant (a_(n-d) = -a_d): A[u, v] = a[(v - u) mod n] has eigenvalues
     lambda_j = sum_d a_d w^(dj), w = exp(2 pi i / n), one for each Fourier
@@ -133,11 +136,11 @@ def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float]:
     <= eps * ||lambda||_2, and ||lambda||_2 = sqrt(n(n-1)) by Parseval
     (n * ||a||_2^2).  So the upper bound is max sigma^ + delta, delta =
     eps * n, rounded up: delta is a float exactly, and one step up from the
-    rounded sum is at least the exact sum.  Its invariants stand in for
-    ``gram``'s checks: the sum of squares, tr(G), is n(n-1) within the same
-    error (plus 2 * n * u for the float sum), and A is real and
-    skew-symmetric, so every |Re lambda^_j| <= ||lambda^ - lambda||_2 <=
-    delta; a failure raises ``InternalInvariantError``.
+    rounded sum is at least the exact sum.  The slack for ``lambda1``'s
+    check is eps * (2 + eps) * n(n-1), that error on ||lambda||_2^2 = tr(G),
+    plus 2 * n * u * n(n-1) for the float sum.  A is real and skew-symmetric,
+    so every |Re lambda^_j| <= ||lambda^ - lambda||_2 <= delta: checked here,
+    NaN failing, or ``InternalInvariantError``.
     """
     f = np.fft.fft(np.concatenate((a, -a)) if skew else a)
     lam = f[1::2] / 2 if skew else f  # the n eigenvalues of A; halving is exact
@@ -145,15 +148,12 @@ def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float]:
     u = 2.0**-53
     eps = _FFT_ERROR * (len(f) - 1).bit_length() * u  # bit_length: ceil(log2 m)
     delta = eps * n  # >= eps * sqrt(n(n-1)); exact, like eps
-    nn = n * (n - 1)
-    gap = abs(float(np.dot(sigma, sigma)) - nn)
-    if gap > (eps * (2 + eps) + 2 * n * u) * nn:
-        raise InternalInvariantError(f"FFT moduli square-sum off n(n-1) = {nn} by {gap}")
     real = np.abs(lam.real).max()
-    if real > delta:
+    if not real <= delta:
         raise InternalInvariantError(f"FFT eigenvalue real part {real} is not 0 within {delta}")
     moduli = np.sort(sigma)[::-1]
-    return moduli, math.nextafter(float(moduli[0]) + delta, math.inf)
+    slack = (eps * (2 + eps) + 2 * n * u) * n * (n - 1)
+    return moduli, math.nextafter(float(moduli[0]) + delta, math.inf), slack
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,13 @@ from qrtour import (
     disc_localsearch,
     encode,
     even_cycles_trace,
+    paley_tournament,
     random_tournament,
     rotational_tournament,
 )
 from qrtour.cli import build_parser, main, render_json
 from qrtour.core import pair_index, sign_array
+from tournament_builders import patch_eigvalsh, patch_fft_nan
 
 
 def run(capsys, *argv):
@@ -292,6 +294,31 @@ class TestDisc:
         )
         assert code == 0
         assert report["results"]["method"] == "sample"
+
+
+def _nan_top_eigenvalue(monkeypatch):
+    patch_eigvalsh(monkeypatch, lambda eigs: np.append(eigs[:-1], np.nan))
+    return random_tournament(20, 0)
+
+
+def _nan_fft_modulus(monkeypatch):
+    patch_fft_nan(monkeypatch, "imag")
+    return paley_tournament(43)
+
+
+@pytest.mark.parametrize(
+    "command", [["spectrum"], ["disc", "--method", "local"]], ids=["spectrum", "disc"]
+)
+@pytest.mark.parametrize("patch", [_nan_top_eigenvalue, _nan_fft_modulus], ids=["eigvalsh", "fft"])
+def test_nan_spectrum_exits_5(command, patch, tmp_path, capsys, monkeypatch):
+    # a NaN modulus fails lambda1's square-sum check: an internal error, not
+    # the usage error a NaN in the report would raise while rendering
+    path = tmp_path / "t.trn"
+    path.write_bytes(encode(patch(monkeypatch)))
+    code = main([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert "square-sum" in captured.err
 
 
 class TestVerify:

@@ -696,6 +696,15 @@ def test_report_refuses_a_value_above_either_cap(monkeypatch):
         discrepancy._build_report(C3, "sample", member, 9)
 
 
+def test_report_refuses_a_nan_spectral_bound(monkeypatch):
+    # min(n(n-1), nan) is n(n-1), so the cap is two comparisons, each of
+    # which a NaN fails
+    member = np.array([True, False, False])
+    monkeypatch.setattr(discrepancy, "spectral_upper_bound", lambda t: float("nan"))
+    with pytest.raises(InternalInvariantError, match="discrepancy 2 exceeds"):
+        discrepancy._build_report(C3, "sample", member, 2)
+
+
 def test_climb_refuses_to_outrun_its_step_bound():
     # an all-ones matrix is no sign matrix, so the gain identity predicts
     # flips that do not raise the value

@@ -20,6 +20,7 @@ import qrtour.core as core
 import qrtour.spectral as spectral
 from qrtour import (
     InternalInvariantError,
+    disc_localsearch,
     gram,
     lambda1,
     moment_crosscheck,
@@ -37,6 +38,8 @@ from tournament_builders import (
     doubly_regular,
     flip,
     lambda1_rungs,
+    patch_eigvalsh,
+    patch_fft_nan,
     random_circulant,
     random_skew_circulant,
 )
@@ -150,16 +153,30 @@ class TestLambda1:
         # the true eigenvalues with the top one raised to (n + 1)^2: a
         # |lambda1| of n + 1, which no tournament on n vertices has
         t = random_tournament(20, 1)
-        eigvalsh = np.linalg.eigvalsh
-
-        def raised(g):
-            eigs = eigvalsh(g)
-            eigs[-1] = (t.n + 1) ** 2
-            return eigs
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", raised)
-        with pytest.raises(InternalInvariantError, match="exceeds n = 20"):
+        patch_eigvalsh(monkeypatch, lambda eigs: np.append(eigs[:-1], (t.n + 1) ** 2))
+        with pytest.raises(InternalInvariantError, match="square-sum"):
             lambda1(t)
+
+    @pytest.mark.parametrize(
+        "t", [random_tournament(20, 0), doubly_regular(3, 3)[0]], ids=["random-20", "q-27"]
+    )
+    def test_scaled_eigenvalues_raise_on_eigvalsh(self, monkeypatch, t):
+        # a relative 1e-9 moves the square sum by thousands of slacks
+        assert lambda1(t).solver == "eigvalsh"
+        patch_eigvalsh(monkeypatch, lambda eigs: eigs * (1 + 1e-9))
+        with pytest.raises(InternalInvariantError, match="square-sum"):
+            lambda1(t)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda1, lambda t: quasirandom_certificate(t, 0.5), lambda t: disc_localsearch(t, 2, 0)],
+        ids=["lambda1", "quasirandom_certificate", "disc_localsearch"],
+    )
+    def test_nan_top_eigenvalue_raises(self, monkeypatch, call):
+        # NaN passes every x > bound; the square-sum check is written to fail it
+        patch_eigvalsh(monkeypatch, lambda eigs: np.append(eigs[:-1], np.nan))
+        with pytest.raises(InternalInvariantError, match="square-sum"):
+            call(random_tournament(20, 0))
 
     def test_invariant_under_reverse_and_relabel(self):
         t = random_tournament(16, 9)
@@ -330,7 +347,8 @@ class TestCirculantRoute:
         for n in range(3, 2002, 2):
             a = np.where(np.arange(n) <= (n - 1) // 2, 1, -1).astype(np.int8)
             a[0] = 0
-            moduli, upper = spectral._fft_moduli(n, a, False)
+            moduli, upper, slack = spectral._fft_moduli(n, a, False)
+            assert abs(np.dot(moduli, moduli) - n * (n - 1)) <= slack, n
             assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
             assert moduli[0] <= upper
 
@@ -339,7 +357,8 @@ class TestCirculantRoute:
         pi = np.arctan(np.longdouble(1)) * 4
         for n in range(2, 2002):
             a = (np.arange(n) > 0).astype(np.int8)
-            moduli, upper = spectral._fft_moduli(n, a, True)
+            moduli, upper, slack = spectral._fft_moduli(n, a, True)
+            assert abs(np.dot(moduli, moduli) - n * (n - 1)) <= slack, n
             assert np.longdouble(upper) >= 1 / np.tan(pi / (2 * n)), n
             assert moduli[0] <= upper
 
@@ -371,6 +390,21 @@ class TestCirculantRoute:
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda a: fft(a) + (np.arange(len(a)) == j) * 1e-6)
         with pytest.raises(InternalInvariantError, match="real part"):
+            lambda1(t)
+
+    @pytest.mark.parametrize(
+        "t", [paley_tournament(43), transitive_tournament(40)], ids=["paley-43", "transitive-40"]
+    )
+    @pytest.mark.parametrize(
+        # halving a skew-circulant's output divides as complex numbers, so
+        # a NaN imaginary part makes the real part NaN too
+        "part, match",
+        [("imag", "square-sum|real part"), ("real", "real part")],
+        ids=["im", "re"],
+    )
+    def test_nan_at_a_used_frequency_raises(self, monkeypatch, part, match, t):
+        patch_fft_nan(monkeypatch, part)
+        with pytest.raises(InternalInvariantError, match=match):
             lambda1(t)
 
 

@@ -138,6 +138,29 @@ def test_each_check_reports_its_failure(name, shifted, check, detail, monkeypatc
     assert json.loads(capsys.readouterr().out)["results"]["checks"] == checks
 
 
+def test_moments_run_at_k_4_to_10(monkeypatch):
+    # k = 2 compares -n(n-1) with -sum sigma^2, the identity every lambda1
+    # call checks, so each tournament solves its spectrum four times
+    seen = set()
+    real = verify.moment_crosscheck
+
+    def recorded(t, k):
+        seen.add(k)
+        return real(t, k)
+
+    monkeypatch.setattr(verify, "moment_crosscheck", recorded)
+    assert all(c["pass"] for c in verify.run(1, 8, 0))
+    assert seen == {4, 6, 8, 10}
+
+
+def test_nan_moment_gap_fails_the_check(monkeypatch):
+    monkeypatch.setattr(verify, "moment_crosscheck", lambda t, k: float("nan"))
+    checks = {c["check"]: c for c in verify.run(1, 8, 0)}
+    failed = checks["exact_vs_spectral_moments"]
+    assert failed["pass"] is False
+    assert failed["detail"].startswith("moment gap nan at n=")
+
+
 def test_odd_trace_error_fails_the_check(monkeypatch, capsys):
     # every first-row product loses its last entry, so rotational 3's k = 4
     # trace is off by an odd amount: that breaks CycleCountReport's parity

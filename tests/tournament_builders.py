@@ -1,6 +1,7 @@
 """Structured test inputs: one reversed arc, random circulant and
 skew-circulant tournaments drawn from a seed, and the doubly regular
-tournaments over GF(p^r); and the bounds that bracket lambda1."""
+tournaments over GF(p^r); the bounds that bracket lambda1; and patches
+that feed lambda1 a wrong spectrum."""
 
 import itertools
 from fractions import Fraction
@@ -98,3 +99,22 @@ def lambda1_rungs(t):
     for p, rung in zip((2, 4), rungs):
         assert low**p <= rung + high**p - low**p, (p, rung)
     return rungs
+
+
+def patch_eigvalsh(monkeypatch, change):
+    """Make np.linalg.eigvalsh return change(its ascending eigenvalues)."""
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: change(eigvalsh(g)))
+
+
+def patch_fft_nan(monkeypatch, part):
+    """Make np.fft.fft return NaN as the ``part`` ("real" or "imag") of its
+    output at frequency 3: odd, so an eigenvalue of A for either kind."""
+    fft = np.fft.fft
+
+    def patched(a):
+        f = fft(a)
+        getattr(f, part)[3] = np.nan
+        return f
+
+    monkeypatch.setattr(np.fft, "fft", patched)
