@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__, verify
 from .core import (
-    CoinStream, _check_count, decode, encode, generate, random_tournament, relabel
+    CoinStream, _check_count, decode, encode, generate, out_words, random_tournament,
+    relabel,
 )
 from .discrepancy import (
     DiscrepancyReport,
@@ -175,7 +176,7 @@ def _cmd_bench(args, t, timings) -> dict:
             # X and Y hold each vertex on a coin of seed 0: density 0.5
             halves = CoinStream(0).take(2 * n).reshape(2, n)
             xs, ys = (np.flatnonzero(c).tolist() for c in halves)
-            cases.append({
+            cases.append((t, {
                 "count_ms": lambda t=t: even_cycles_trace(t, args.k),
                 "spectrum_ms": lambda t=t: lambda1(t),
                 "codec_ms": lambda t=t: decode(encode(t)),
@@ -184,7 +185,7 @@ def _cmd_bench(args, t, timings) -> dict:
                     disc_given(t, xs, ys), witness_vectors(t, ys)
                 ),
                 "local_ms": lambda t=t: disc_localsearch(t, restarts=8, seed=0),
-            })
+            }))
         # laps run round-robin over the sizes, so that a slow stretch of the
         # process (BLAS start-up stalls) spreads over every row instead of
         # landing on the first one
@@ -192,7 +193,8 @@ def _cmd_bench(args, t, timings) -> dict:
         # the value local search found, deterministic in its (t, 8, 0)
         local_values = [None for _ in args.sizes]
         for _ in range(args.repeat):
-            for i, (steps, runs) in enumerate(zip(cases, laps)):
+            for i, ((t, steps), runs) in enumerate(zip(cases, laps)):
+                out_words(t)  # untimed, and builds sign_array too: every step runs warm
                 lap: dict = {}
                 for name, step in steps.items():
                     with _timed(lap, name):

@@ -164,14 +164,14 @@ def d_minus(t: Tournament, v: int, ys: Iterable[int]) -> int:
     return _arcs(t, v, ys, -1)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def sign_array(t: Tournament) -> np.ndarray:
     """The n x n sign adjacency matrix as a read-only int8 array.
 
     Entry (u, v) is +1 if u -> v, -1 if v -> u, 0 on the diagonal; the
-    matrix is skew-symmetric.  Derived on demand from the orientation bits,
-    cached because tournaments are immutable.  Consumers widen it (float64
-    products, int64 sums) before any arithmetic that could overflow int8.
+    matrix is skew-symmetric.  Consumers widen it before any arithmetic that
+    could overflow int8.  Cached for the one tournament in use: calls that
+    alternate between two would rebuild it on every switch, and none here do.
     n^2 bytes, filled in place: besides it, only the n(n-1)/2 row signs and
     one square tile of the lower triangle are held.
     """
@@ -199,15 +199,15 @@ def sign_array(t: Tournament) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def out_words(t: Tournament) -> np.ndarray:
     """Out-neighbourhoods bit-packed, as a read-only ceil(n/64) x n uint64 array.
 
     Bit j of word w in column v is set when v -> 64 w + j; bits past n - 1
-    are 0.  Words are stored word-major (one row per word, the transpose of
-    one row per vertex), so a reduction over a vertex's words adds whole
-    contiguous rows.  n^2 / 8 bytes, cached like ``sign_array``; rows are
-    packed one block at a time into an n^2 / 8-byte buffer, then transposed.
+    are 0.  Words are stored word-major (one row per word), so a reduction
+    over a vertex's words adds whole contiguous rows.  n^2 / 8 bytes, packed
+    by blocks of rows into an n^2 / 8-byte buffer, then transposed; cached for
+    the one tournament in use, as ``sign_array`` is: each switch rebuilds both.
     """
     n = t.n
     a = sign_array(t)

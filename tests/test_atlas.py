@@ -9,17 +9,19 @@ stored in ``KEYS_7``; a test checks that they are 456 distinct canonical
 keys, which OEIS A000568 makes every class.  A class reaches the library
 only through ``Tournament(n, bits)``, the input format.
 
-The exact k = 4 null model rides along: over the uniform random tournament,
-S4 = tr(A^4) - n(n-1)(2n-3) has mean 0 and variance 192 C(n,4), checked by
-averaging over every labelled tournament for n <= 5.  So do the closed
-forms of the vertex-distinct cycle sums S4 and S6, against enumeration,
-and the bounds that bracket lambda1.
+The exact null model rides along: over the uniform random tournament, the
+vertex-distinct cycle sums S4 and S6 have mean 0 and variance 2k n!/(n-k)!,
+checked over every labelled tournament for n <= 7 through each class's
+orbit weight n!/|Aut|, with |Aut| counted over all n! relabellings.  So do
+the closed forms of S4 and S6 against enumeration, the k = 4 null moments of
+tr(A^4) by enumerating every labelled tournament for n <= 5, and the bounds
+that bracket lambda1.
 """
 
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, perm
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -91,8 +93,9 @@ def _adjacency(n: int, keys: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _canonical_keys(adj: np.ndarray) -> np.ndarray:
-    """The smallest upper-triangle key of each arc matrix over all relabellings.
+def _relabelled_keys(adj: np.ndarray):
+    """The upper-triangle keys of each arc matrix under all n! relabellings,
+    the identity first: blocks of at most 32 matrices x n! keys.
 
     Matrices go 32 at a time, so that n = 7 holds 32 x 5040 x 21 keys' bits.
     """
@@ -100,12 +103,15 @@ def _canonical_keys(adj: np.ndarray) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     perms = np.array(list(itertools.permutations(range(n))))
     weights = 1 << np.arange(len(iu))
-    keys = []
     for s in range(0, len(adj), 32):
         # relabelled pair (u, v) reads the arc between perm[u] and perm[v]
         bits = adj[s : s + 32, perms[:, iu], perms[:, ju]]
-        keys.append((bits * weights).sum(axis=2).min(axis=1))
-    return np.concatenate(keys)
+        yield (bits * weights).sum(axis=2)
+
+
+def _canonical_keys(adj: np.ndarray) -> np.ndarray:
+    """The smallest upper-triangle key of each arc matrix over all relabellings."""
+    return np.concatenate([keys.min(axis=1) for keys in _relabelled_keys(adj)])
 
 
 @functools.cache
@@ -122,6 +128,15 @@ def atlas() -> dict[int, np.ndarray]:
         classes[n] = np.unique(_canonical_keys(cands.reshape(-1, n, n)))
     classes[7] = np.array(KEYS_7, dtype=np.int64)
     return classes
+
+
+@functools.cache
+def _orbit_weights(n: int) -> list[int]:
+    """n!/|Aut| of each class on n vertices: the labelled tournaments in it.
+    |Aut| counts the relabellings that leave the class's key unchanged."""
+    blocks = _relabelled_keys(_adjacency(n, atlas()[n]))
+    auts = np.concatenate([(keys == keys[:, :1]).sum(axis=1) for keys in blocks])
+    return [factorial(n) // int(aut) for aut in auts]
 
 
 def _classes(n: int) -> list[Tournament]:
@@ -242,6 +257,12 @@ def test_k4_floor_and_top():
     assert on_floor == FLOOR_COUNTS
 
 
+def _distinct_sums(n: int, tr4: int, tr6: int) -> tuple[int, int]:
+    """S_4 and S_6 from tr(A^4) and tr(A^6): ROADMAP item 9's closed forms."""
+    s4 = tr4 - _mean_trace4(n)
+    return s4, tr6 + (6 * n - 15) * tr4 - n * (n - 1) * (n - 3) * (7 * n - 10)
+
+
 def _distinct_sum(a: np.ndarray, tuples: np.ndarray) -> int:
     """S_k: the sum over the ordered k-tuples of distinct vertices, the rows
     of ``tuples``, of prod_i a[v_i, v_(i+1 mod k)]."""
@@ -259,12 +280,29 @@ def test_vertex_distinct_cycle_sums(n):
     }
     for t in _classes(n):
         a = np.array([[edge_sign(t, u, v) for v in range(n)] for u in range(n)])
-        tr4, tr6 = power_trace(t, 4), power_trace(t, 6)
         s4, s6 = _distinct_sum(a, tuples[4]), _distinct_sum(a, tuples[6])
-        assert s4 == tr4 - _mean_trace4(n), t.bits
-        assert s6 == tr6 + (6 * n - 15) * tr4 - n * (n - 1) * (n - 3) * (7 * n - 10), t.bits
+        assert (s4, s6) == _distinct_sums(n, power_trace(t, 4), power_trace(t, 6)), t.bits
         for k, s in ((4, s4), (6, s6)):
             assert (perm(n, k) + s) % 2 == 0 and 0 <= perm(n, k) + s <= 2 * perm(n, k)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_orbit_weights_count_every_labelled_tournament(n):
+    weights = _orbit_weights(n)
+    assert len(weights) == CLASS_COUNTS[n - 1]
+    assert sum(weights) == 2 ** comb(n, 2)  # 2^15 at n = 6, 2^21 at n = 7
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_exact_null_moments_of_distinct_cycle_sums(n):
+    # ROADMAP item 22: over the uniform random tournament E[S_k] = 0 and
+    # Var[S_k] = 2k n!/(n-k)!, which is 192 C(n,4) at k = 4 and 8640, 60480
+    # at k = 6 and n = 6, 7; in integers, summed over every labelled tournament
+    weights = _orbit_weights(n)
+    sums = [_distinct_sums(n, power_trace(t, 4), power_trace(t, 6)) for t in _classes(n)]
+    for k, s in zip((4, 6), zip(*sums)):
+        moments = [sum(w * x**p for w, x in zip(weights, s)) for p in (1, 2)]
+        assert moments == [0, 2 * k * perm(n, k) * 2 ** comb(n, 2)], k
 
 
 @pytest.mark.parametrize("n", SIZES)

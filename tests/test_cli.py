@@ -1,6 +1,7 @@
 """Tests for the command-line surface: flags, reports, and exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -27,7 +28,7 @@ from qrtour import (
     rotational_tournament,
 )
 from qrtour.cli import build_parser, main, render_json
-from qrtour.core import pair_index, sign_array
+from qrtour.core import out_words, pair_index, sign_array
 from tournament_builders import patch_eigvalsh, patch_fft_nan
 
 
@@ -450,6 +451,31 @@ class TestBench:
         assert code == 0
         assert seen == [6, 9, 7] * 3
         assert [r["n"] for r in report["results"]["rows"]] == [6, 9, 7]
+
+    def test_timed_steps_find_both_arrays_cached(self, capsys, monkeypatch):
+        # the caches hold one tournament, and laps alternate sizes: each
+        # (lap, size) builds its arrays before its first timed step
+        builds = []
+        real = cli._timed
+
+        def misses():
+            return sign_array.cache_info().misses + out_words.cache_info().misses
+
+        @contextlib.contextmanager
+        def timed(timings, phase):
+            before = misses()
+            with real(timings, phase):
+                yield
+            if str(phase).endswith("_ms"):  # not the matmul laps, keyed 0..4
+                builds.append(misses() - before)
+
+        monkeypatch.setattr(cli, "_timed", timed)
+        sign_array.cache_clear()
+        out_words.cache_clear()
+        code, _ = run_json(capsys, "bench", "--sizes", "10,30", "--repeat", "2")
+        assert code == 0
+        assert builds == [0] * 24  # 6 steps x 2 sizes x 2 laps
+        assert sign_array.cache_info().misses == out_words.cache_info().misses == 4
 
     def test_repeated_size_keeps_its_rows(self, capsys):
         code, report = run_json(capsys, "bench", "--sizes", "8,8", "--repeat", "2")

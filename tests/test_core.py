@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qrtour import (
     d_plus,
     decode,
     disc_given,
+    disc_localsearch,
     edge_sign,
     encode,
     generate,
@@ -613,6 +615,40 @@ class TestCoreMemory:
         # the digit array and the joined output, each n(n-1)/2 bytes
         t = random_tournament(self.N, 5)
         assert self.peak(lambda: encode(t)) <= 1.05
+
+
+class TestCoreCaches:
+    """``sign_array`` and ``out_words`` each keep the tournament in use, and
+    a caller working on one tournament builds each array once."""
+
+    @staticmethod
+    def traffic(cached):
+        info = cached.cache_info()
+        return info.hits, info.misses
+
+    def test_the_previous_tournament_is_freed(self):
+        t1, t2 = random_tournament(60, 1), random_tournament(60, 2)
+        disc_localsearch(t1, 2, 0)
+        ref = weakref.ref(t1)
+        witness_vectors(t2, [0])
+        del t1
+        assert ref() is None
+
+    def test_one_build_per_report(self):
+        t = random_tournament(60, 3)
+        sign_array.cache_clear()
+        core.out_words.cache_clear()
+        disc_localsearch(t, 2, 0)
+        assert self.traffic(sign_array) == (2, 1)
+        assert self.traffic(core.out_words) == (0, 1)
+
+    def test_one_build_for_repeated_queries(self):
+        t = random_tournament(60, 4)
+        core.out_words.cache_clear()
+        disc_given(t, [0, 1], [2, 3])
+        witness_vectors(t, [5, 7])
+        disc_given(t, range(30), range(30, 60))
+        assert self.traffic(core.out_words) == (2, 1)
 
 
 class TestCirculantArc:
