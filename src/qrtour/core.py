@@ -67,28 +67,50 @@ def pair_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tournament:
     """Orientation of the complete graph on ``n`` vertices.
 
+    ``Tournament(n, bits)`` takes one byte per pair, 0 or 1, from any buffer:
     ``bits[pair_index(n, u, v)]`` is 1 if u -> v and 0 if v -> u, for u < v.
+    It validates them, then keeps one bit per pair, packed by ``np.packbits``
+    into ceil(n(n-1)/16) bytes with zero padding; equality and hashing run on
+    those.  ``t.bits`` unpacks them to one byte per pair again, O(n^2) per
+    access; ``edge_sign`` reads one arc.
     """
 
     n: int
-    bits: bytes
+    _packed: bytes
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_count("vertex count", self.n))
-        if not isinstance(self.bits, bytes):
-            # a mutable buffer would make the value unhashable (and mutable)
-            object.__setattr__(self, "bits", memoryview(self.bits).tobytes())
-        expected = self.n * (self.n - 1) // 2
-        if len(self.bits) != expected:
-            raise ValueError(
-                f"need {expected} orientation bits for n={self.n}, got {len(self.bits)}"
-            )
-        if np.frombuffer(self.bits, dtype=np.uint8).max(initial=0) > 1:
+    def __init__(self, n: int, bits):
+        n = _check_count("vertex count", n)
+        view = memoryview(bits)  # TypeError for a non-buffer
+        expected = n * (n - 1) // 2
+        if view.nbytes != expected:
+            raise ValueError(f"need {expected} orientation bits for n={n}, got {view.nbytes}")
+        flat = np.frombuffer(view if view.c_contiguous else view.tobytes(), dtype=np.uint8)
+        if flat.max(initial=0) > 1:
             raise ValueError("orientation bits must be 0 or 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_packed", np.packbits(flat).tobytes())
+
+    @classmethod
+    def _of_packed(cls, n: int, packed: bytes) -> Tournament:
+        """The tournament whose packed bits are ``packed``, not re-validated."""
+        t = object.__new__(cls)
+        t.__dict__.update(n=n, _packed=packed)  # as __init__ stores them
+        return t
+
+    @property
+    def bits(self) -> bytes:
+        """One byte per pair, 0 or 1, in lexicographic pair order."""
+        return _unpacked(self).tobytes()
+
+
+def _unpacked(t: Tournament) -> np.ndarray:
+    """The n(n-1)/2 orientation bits of t as a fresh uint8 array of 0s and 1s."""
+    count = t.n * (t.n - 1) // 2
+    return np.unpackbits(np.frombuffer(t._packed, dtype=np.uint8), count=count)
 
 
 def _int_type(kind: type) -> bool:
@@ -118,9 +140,9 @@ def edge_sign(t: Tournament, u: int, v: int) -> int:
     u, v = _check_vertex(t.n, u), _check_vertex(t.n, v)
     if u == v:
         return 0
-    if u < v:
-        return 1 if t.bits[pair_index(t.n, u, v)] else -1
-    return -1 if t.bits[pair_index(t.n, v, u)] else 1
+    i = pair_index(t.n, min(u, v), max(u, v))
+    bit = t._packed[i >> 3] >> (7 - (i & 7)) & 1  # np.packbits is big-endian
+    return 1 if bit == (u < v) else -1
 
 
 def _vertices(n: int, ys: Iterable[int]) -> np.ndarray:
@@ -177,8 +199,9 @@ def sign_array(t: Tournament) -> np.ndarray:
     """
     n = t.n
     a = np.zeros((n, n), dtype=np.int8)
-    signs = np.frombuffer(t.bits, dtype=np.int8) * 2
-    signs -= 1  # in place: one n(n-1)/2 temporary
+    signs = _unpacked(t).view(np.int8)  # one n(n-1)/2 temporary
+    signs += signs
+    signs -= 1
     src = memoryview(signs).cast("B")
     start = 0
     # one buffer copy per row: cheaper than a numpy slice assignment
@@ -231,7 +254,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     A pure function of (n, seed); see ``CoinStream`` for the coin source.
     """
     n = _check_count("vertex count", n)
-    return Tournament(n, bytes(CoinStream(seed).take(n * (n - 1) // 2)))
+    return Tournament(n, CoinStream(seed).take(n * (n - 1) // 2))
 
 
 def transitive_tournament(n: int) -> Tournament:
@@ -258,24 +281,37 @@ def _toeplitz_row(t: Tournament) -> tuple[np.ndarray, bool] | None:
     arc[n - k] = 1 (exactly one of u -> v and v -> u, which even n admits
     for no arc), and skew-circulant (``skew``) when arc[n - k] = arc[k] (the
     transitive tournament and its reversal among them).  Those rules reject
-    most other tournaments in O(n); then each row from 1 on is compared,
-    through a memoryview, with the start of the bit string, which is row 0:
-    one memcmp per row and no copy of the bits.
+    most other tournaments in O(n).  Then rows 1.. are unpacked n bytes (8n
+    bits) at a time, one block held at once, and each row's part in a block
+    is compared through a memoryview with the same part of row 0 (a memcmp).
     """
     n = t.n
     if n < 2:
         return None
-    head = t.bits[: n - 1]  # row 0: arc[1:]
+    packed = np.frombuffer(t._packed, dtype=np.uint8)
+    head = np.unpackbits(packed[: -(-(n - 1) // 8)], count=n - 1).tobytes()  # row 0
     mirror = head[::-1]
     skew = head == mirror
     if not skew and head.translate(_FLIP) != mirror:
         return None
-    bits = memoryview(t.bits)
-    start = n - 1
-    for u in range(1, n - 1):
-        if not t.bits.startswith(bits[start : start + n - 1 - u]):
-            return None
-        start += n - 1 - u
+    first = (n - 1) // 8  # the byte that row 1 starts in
+    block = memoryview(np.unpackbits(packed[first : first + n]))
+    i, size, nxt = (n - 1) % 8, len(block), first + n  # row u starts at block[i]
+    for length in range(n - 2, 0, -1):  # rows 1..n-2
+        j = i + length
+        if j <= size:
+            if not head.startswith(block[i:j]):
+                return None
+        else:  # match the row's part in this block, unpack the next
+            done = size - i
+            if not head.startswith(block[i:]):
+                return None
+            del block  # before the next block is unpacked
+            block = memoryview(np.unpackbits(packed[nxt : nxt + n]))
+            j, size, nxt = length - done, len(block), nxt + n
+            if not head.startswith(block[:j], done):
+                return None
+        i = j
     return np.insert(np.frombuffer(head, dtype=np.int8) * 2 - 1, 0, 0), skew
 
 
@@ -339,7 +375,9 @@ def generate(kind: str, n: int, seed: int | None = None) -> Tournament:
 
 def reverse(t: Tournament) -> Tournament:
     """Flip the orientation of every edge."""
-    return Tournament(t.n, (np.frombuffer(t.bits, dtype=np.uint8) ^ 1).tobytes())
+    flipped = np.invert(np.frombuffer(t._packed, dtype=np.uint8))
+    flipped[-1:] &= 0xFF << (-(t.n * (t.n - 1) // 2) % 8) & 0xFF  # zero padding
+    return Tournament._of_packed(t.n, flipped.tobytes())
 
 
 def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
@@ -376,7 +414,8 @@ def relabel(t: Tournament, perm: Iterable[int]) -> Tournament:
 
 def encode(t: Tournament) -> bytes:
     """Serialize to the .trn text format."""
-    text = np.frombuffer(t.bits, dtype=np.uint8) + 0x30
+    text = _unpacked(t)
+    text += 0x30
     return b"".join((b"%s %d\n" % (_TRN_MAGIC, t.n), text, b"\n"))
 
 
@@ -411,7 +450,7 @@ def decode(data: bytes) -> Tournament:
     # Tournament refuses: its check is the one scan of the bits
     bits = np.frombuffer(data, dtype=np.uint8, count=expected, offset=body_start) - 0x30
     try:
-        t = Tournament(n, bits.tobytes())
+        t = Tournament(n, bits)
     except ValueError:
         i = body_start + int(np.argmax(bits > 1))
         raise ParseError(f"illegal character {chr(data[i])!r} in bit string", i) from None

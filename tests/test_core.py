@@ -326,6 +326,67 @@ class TestGenerators:
         assert edge_sign(t, 0, 0) == 0
 
 
+class TestPackedStorage:
+    """A tournament keeps one bit per pair.  n(n-1)/2 mod 8, which sets the
+    padding of the last packed byte, takes every residue for n = 1..10."""
+
+    @staticmethod
+    def random_bits(n):
+        return np.random.default_rng(n).integers(0, 2, n * (n - 1) // 2, dtype=np.uint8)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_buffer_builds_one_value(self, n):
+        bits = self.random_bits(n)
+        ts = [
+            Tournament(n, bits.tobytes()),
+            Tournament(n, bytearray(bits.tobytes())),
+            Tournament(n, bits),
+            Tournament(n, bits.astype(bool)),
+        ]
+        assert all(t == ts[0] and hash(t) == hash(ts[0]) for t in ts)
+        assert all(type(t.bits) is bytes and t.bits == bits.tobytes() for t in ts)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reverse_clears_the_padding(self, n):
+        bits = self.random_bits(n)
+        t = Tournament(n, bits)
+        # equality runs on the packed bytes: a padding bit left set fails it
+        assert reverse(t) == Tournament(n, 1 - bits)
+        assert reverse(reverse(t)) == t
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_edge_sign_reads_the_stored_bit(self, n):
+        t = Tournament(n, self.random_bits(n))
+        for u in range(n):
+            for v in range(u + 1, n):
+                sign = 2 * t.bits[core.pair_index(n, u, v)] - 1
+                assert (edge_sign(t, u, v), edge_sign(t, v, u)) == (sign, -sign)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_constructor_messages(self, n):
+        bits = bytearray(self.random_bits(n).tobytes())
+        wrong = f"need {len(bits)} orientation bits for n={n}, got {len(bits) + 1}"
+        with pytest.raises(ValueError, match=re.escape(wrong)):
+            Tournament(n, bits + b"\x00")
+        if bits:
+            bits[-1] = 2
+            with pytest.raises(ValueError, match="orientation bits must be 0 or 1"):
+                Tournament(n, bits)
+
+    def test_values_hold_one_bit_per_pair(self):
+        n = 1500
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            kept = [random_tournament(n, s) for s in range(4)]
+            grown = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 4
+        # one byte per pair would hold 4 x 1,124,250 bytes
+        assert grown <= 4 * (-(-n * (n - 1) // 16) + 1024)
+
+
 class TestSymmetries:
     def test_reverse_of_transitive(self):
         t = reverse(transitive_tournament(5))
@@ -741,6 +802,29 @@ class TestCirculantArc:
     )
     def test_rejects(self, t):
         assert core._toeplitz_row(t) is None
+
+    @pytest.mark.parametrize(
+        "t", [rotational_tournament(45), transitive_tournament(44)], ids=["rotational", "transitive"]
+    )
+    def test_rejects_every_single_flip(self, t):
+        # rows 1.. span three unpacked blocks of 8n bits, so some flips land
+        # on a row split between two blocks
+        for u in range(t.n):
+            for v in range(u + 1, t.n):
+                assert core._toeplitz_row(flip(t, u, v)) is None, (u, v)
+
+    def test_random_input_is_rejected_from_row_0(self, monkeypatch):
+        t = random_tournament(2001, 1)
+        counts = []
+        unpackbits = np.unpackbits
+
+        def counted(a, *args, **kwargs):
+            counts.append(a.size)
+            return unpackbits(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unpackbits", counted)
+        assert core._toeplitz_row(t) is None
+        assert counts == [250]  # the bytes of row 0's 2000 bits
 
     def test_compares_rows_without_copying_the_bits(self):
         t = rotational_tournament(2001)
