@@ -79,21 +79,33 @@ def _dot_mod(left: np.ndarray, right: np.ndarray, p: int) -> int:
     return int(_mod(sums, p, np.empty_like(sums)).sum()) % p
 
 
-def _dot_wrap(left: np.ndarray, right: np.ndarray) -> int:
-    """sum_ij left_ij right_ij mod 2**64, in row blocks of 2-D arrays.
+def _dot_wrap(left: np.ndarray, right: np.ndarray, bound: int) -> tuple[int, int, int, int]:
+    """(F, E, R, M): S = sum_ij left_ij right_ij lies within E of F and is R
+    mod M, from one pass over row blocks of the 2-D arrays.
 
-    The float64 entries are integers below 2**53 in magnitude, so each
-    converts to int64 exactly; viewed as uint64, the products and sums wrap
-    modulo 2**64, so the wrapped total is the residue of the exact sum.
+    The entries are integers below 2**53 in magnitude and sum_ij
+    |left_ij right_ij| is at most ``bound``.  Below 2**53 every product and
+    partial sum is an exact integer, so one float64 dot product gives F = S,
+    E = 0 and (R, M) = (0, 1).  Otherwise F adds each block's float64 dot
+    product as an exact integer.  In any summation order, a dot product of
+    N terms is off by at most gamma_N = N / (2**53 - N) times the sum of
+    their absolute products (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), so E is gamma_N bound rounded up, for
+    N the largest block; and M = 2**64: the entries convert to int64
+    exactly, and viewed as uint64 their products and sums wrap modulo 2**64.
     """
+    if bound < 2**53:
+        return int(np.vdot(left, right)), 0, 0, 1
     rows, n = left.shape
     step = max(1, _BLOCK_ENTRIES // n)
     lb = np.empty((min(step, rows), n), dtype=np.int64)
     rb = np.empty_like(lb)
-    total = 0
+    estimate = residue = 0
     for s in range(0, rows, step):
-        x = lb[: min(step, rows - s)]
-        x[...] = left[s : s + step]
+        block = left[s : s + step]
+        estimate += int(np.vdot(block, right[s : s + step]))
+        x = lb[: len(block)]
+        x[...] = block
         x = x.view(np.uint64)
         if right is left:
             np.square(x, out=x)
@@ -101,25 +113,8 @@ def _dot_wrap(left: np.ndarray, right: np.ndarray) -> int:
             y = rb[: len(x)]
             y[...] = right[s : s + step]
             x *= y.view(np.uint64)
-        total += int(x.sum())
-    return total % 2**64
-
-
-def _estimate(left: np.ndarray, right: np.ndarray, bound: int) -> tuple[int, int]:
-    """(F, E): sum_ij left_ij right_ij to within E, from one float64 dot product.
-
-    ``left`` and ``right`` hold exact integers and sum_ij |left_ij right_ij|
-    is at most ``bound``.  Below 2**53 every product and partial sum is an
-    exact integer, so E = 0.  Otherwise, in any summation order, a float64
-    dot product of N terms is off by at most gamma_N sum_ij |left_ij right_ij|,
-    with gamma_N = N u / (1 - N u) = N / (2**53 - N) for u = 2**-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
-    """
-    estimate = int(np.vdot(left, right))
-    if bound < 2**53:
-        return estimate, 0
-    size = left.size
-    return estimate, -(-size * bound // (2**53 - size))
+        residue += int(x.sum())
+    return estimate, -(-lb.size * bound // (2**53 - lb.size)), residue % 2**64, 2**64
 
 
 def _halving(j: int, memo: dict, product) -> np.ndarray:
@@ -214,16 +209,16 @@ def power_trace(t: Tournament, k: int) -> int:
     interval: with |S - F| <= E for an integer estimate F, S >= 0 and S <=
     bound (the growth bound, divided by n for first rows), S lies in
     [low, high] = [max(0, F - E), min(bound, F + E)].  Given the residue of
-    S modulo some M > 2 E >= high - low, S is the one integer in
-    [low, low + M) with that residue; a result above high raises
-    InternalInvariantError.  When L and R are exact, F is their float64 dot
-    product and E its error bound (see ``_estimate``): 0 while the bound is
-    below 2**53, and then no residue is taken (M = 1); otherwise the first
-    residue is S mod 2**64, from one int64 pass (``_dot_wrap``).  When a
-    factor is too large to be exact, F = 0 and E = bound.  Primes join the
-    residue by the Chinese remainder theorem while M <= 2 E: each reduces
-    the exact powers to signed residues and finishes L and R by float64
-    products of them, each reduced at once.
+    S modulo some M > high - low, S is the one integer in [low, low + M)
+    with that residue; a result above high raises InternalInvariantError.
+    When L and R are exact, one pass over their row blocks (``_dot_wrap``)
+    gives F, E from the size of its largest block, not from n**2 entries,
+    and the first residue: none (M = 1) while the bound is below 2**53, where
+    E = 0, and S mod 2**64 otherwise.  When a factor is too large to be
+    exact, F = 0 and E = bound.  Primes join the residue by the Chinese
+    remainder theorem while M <= high - low: each reduces the exact powers
+    to signed residues and finishes L and R by float64 products of them,
+    each reduced at once.
     """
     k = _check_count("exponent", k)
     n = t.n
@@ -250,14 +245,13 @@ def power_trace(t: Tournament, k: int) -> int:
     exact = {j: _halving(j, powers, multiply) for j in need}
     del powers  # free the intermediate powers
     if hi <= e:
-        factors = exact[lo], exact[hi]
-        estimate, radius = _estimate(*factors, bound)
-        residue, modulus = (_dot_wrap(*factors), 2**64) if radius else (0, 1)
+        estimate, radius, residue, modulus = _dot_wrap(exact[lo], exact[hi], bound)
     else:
         estimate, radius, residue, modulus = 0, bound, 0, 1
+    low, high = max(0, estimate - radius), min(bound, estimate + radius)
     buffers = {j: np.empty_like(x) for j, x in exact.items()}  # reused by every prime
     index = 0
-    while modulus <= 2 * radius:
+    while modulus <= high - low:
         p = _prime(bits, index)
         index += 1
 
@@ -270,7 +264,6 @@ def power_trace(t: Tournament, k: int) -> int:
         del residues, factors
         residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-    low, high = max(0, estimate - radius), min(bound, estimate + radius)
     total = low + (residue - low) % modulus
     if total > high:
         raise InternalInvariantError(

@@ -13,9 +13,10 @@ The exact null model rides along: over the uniform random tournament, the
 vertex-distinct cycle sums S4 and S6 have mean 0 and variance 2k n!/(n-k)!,
 checked over every labelled tournament for n <= 7 through each class's
 orbit weight n!/|Aut|, with |Aut| counted over all n! relabellings.  So do
-the closed forms of S4 and S6 against enumeration, the k = 4 null moments of
-tr(A^4) by enumerating every labelled tournament for n <= 5, and the bounds
-that bracket lambda1.
+the closed forms of S4 and S6 against enumeration, S8's closed form, 0 on
+every class and equal to enumeration at n = 8 and 9, the k = 4 null moments
+of tr(A^4) by enumerating every labelled tournament for n <= 5, and the
+bounds that bracket lambda1.
 """
 
 import functools
@@ -37,7 +38,10 @@ from qrtour import (
     gram,
     lambda1,
     power_trace,
+    random_tournament,
+    rotational_tournament,
     spectral_upper_bound,
+    transitive_tournament,
 )
 from tournament_builders import lambda1_rungs
 
@@ -263,6 +267,26 @@ def _distinct_sums(n: int, tr4: int, tr6: int) -> tuple[int, int]:
     return s4, tr6 + (6 * n - 15) * tr4 - n * (n - 1) * (n - 3) * (7 * n - 10)
 
 
+def _arc_table(t: Tournament) -> np.ndarray:
+    """The n x n sign matrix, read arc by arc through ``edge_sign``."""
+    return np.array([[edge_sign(t, u, v) for v in range(t.n)] for u in range(t.n)])
+
+
+def _distinct_sum_8(t: Tournament) -> int:
+    """S_8 by ROADMAP item 20's formula, from tr(A^8), tr(A^6) and tr(A^4)
+    and from G = A^T A, G^2 and A^3 of the arc table."""
+    n, a = t.n, _arc_table(t).astype(np.int64)
+    g = a.T @ a
+    q = int((np.diag(g @ g) ** 2).sum())
+    r = int((g**4).sum() - (np.diag(g) ** 4).sum())
+    p = int((a * (a @ a @ a) * g**2).sum())
+    tr4, tr6, tr8 = (power_trace(t, k) for k in (4, 6, 8))
+    return (
+        tr8 + (8 * n - 36) * tr6 + (36 * n * n - 248 * n + 374) * tr4
+        - 4 * q + 2 * r - 8 * p - n * (n - 1) * (30 * n**3 - 287 * n**2 + 777 * n - 607)
+    )
+
+
 def _distinct_sum(a: np.ndarray, tuples: np.ndarray) -> int:
     """S_k: the sum over the ordered k-tuples of distinct vertices, the rows
     of ``tuples``, of prod_i a[v_i, v_(i+1 mod k)]."""
@@ -279,11 +303,37 @@ def test_vertex_distinct_cycle_sums(n):
         for k in (4, 6)
     }
     for t in _classes(n):
-        a = np.array([[edge_sign(t, u, v) for v in range(n)] for u in range(n)])
+        a = _arc_table(t)
         s4, s6 = _distinct_sum(a, tuples[4]), _distinct_sum(a, tuples[6])
         assert (s4, s6) == _distinct_sums(n, power_trace(t, 4), power_trace(t, 6)), t.bits
         for k, s in ((4, s4), (6, s6)):
             assert (perm(n, k) + s) % 2 == 0 and 0 <= perm(n, k) + s <= 2 * perm(n, k)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_distinct_8_cycle_sum_vanishes_below_8_vertices(n):
+    # no 8 distinct vertices: ROADMAP item 20's S_8 is 0 on every class
+    for t in _classes(n):
+        assert _distinct_sum_8(t) == 0, t.bits
+
+
+@pytest.mark.parametrize(
+    "t, want",
+    [
+        (random_tournament(8, 1), 640),
+        (random_tournament(8, 2), -1408),
+        (random_tournament(9, 9), -2944),
+        (rotational_tournament(9), 19584),
+        (transitive_tournament(9), 19584),
+    ],
+    ids=["random8-1", "random8-2", "random9", "rotational9", "transitive9"],
+)
+def test_distinct_8_cycle_sum_matches_enumeration(t, want):
+    # item 20's closed form against the sum over every ordered 8-tuple of
+    # distinct vertices (362 880 at n = 9)
+    tuples = np.array(list(itertools.permutations(range(t.n), 8)), dtype=int)
+    s8 = _distinct_sum(_arc_table(t), tuples)
+    assert _distinct_sum_8(t) == s8 == want
 
 
 @pytest.mark.parametrize("n", SIZES)

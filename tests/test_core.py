@@ -218,6 +218,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             paley_tournament(p)
 
+    def test_paley_rejects_one(self):
+        # 1 is no prime: _is_prime's p < 2 branch, with the family message
+        with pytest.raises(ValueError, match="paley family needs a prime p with p % 4 == 3, got 1"):
+            paley_tournament(1)
+
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31])
     def test_paley_accepts_valid_primes(self, p):
         assert paley_tournament(p).n == p
@@ -345,6 +350,14 @@ class TestPackedStorage:
         ]
         assert all(t == ts[0] and hash(t) == hash(ts[0]) for t in ts)
         assert all(type(t.bits) is bytes and t.bits == bits.tobytes() for t in ts)
+
+    def test_non_contiguous_buffer_builds_its_copy(self):
+        # a strided view is copied to contiguous bytes before it is read
+        bits = (np.arange(12, dtype=np.uint8) // 2 % 2)[::2]
+        assert not bits.flags.c_contiguous
+        t, copy = Tournament(4, bits), Tournament(4, bits.copy())
+        assert t == copy and hash(t) == hash(copy)
+        assert t.bits == bytes([0, 1, 0, 1, 0, 1])
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_reverse_clears_the_padding(self, n):

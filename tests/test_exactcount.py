@@ -149,6 +149,24 @@ def paley_trace(p, k):
     return (-1) ** (k // 2) * (p - 1) * p ** (k // 2)
 
 
+def matrix_radius(n, k):
+    """E on the matrix route: the growth bound n (n-1)**(k-1) times
+    N / (2**53 - N), rounded up, for N the entries of the largest row block
+    (at most 2**16, or one row); 0 while the bound is below 2**53."""
+    bound = n * (n - 1) ** (k - 1)
+    size = min(n, max(1, 2**16 // n)) * n
+    return 0 if bound < 2**53 else -(-size * bound // (2**53 - size))
+
+
+def residue_edge(k):
+    """The last n at which 2 E, the width of [F - E, F + E] on the matrix
+    route, stays below 2**64, so that the 2**64 residue alone gives S."""
+    n = 4
+    while 2 * matrix_radius(n + 1, k) < 2**64:
+        n += 1
+    return n
+
+
 def matrix_route_copy(t):
     """t relabelled by a permutation drawn from seed n, checked to be
     neither circulant nor skew-circulant as labelled: power_trace takes it
@@ -320,50 +338,57 @@ class TestMatPowTrace:
         "n, k", [(191, 16), (192, 16), (191, 17), (192, 17), (99, 17), (100, 17)]
     )
     @pytest.mark.parametrize("family", ["random", "transitive"])
-    def test_exactness_boundaries(self, family, n, k, monkeypatch):
-        # G^4 = (A^T A)^4 is formed exactly up to n = 191, where the float64
-        # estimate comes with one 2**64 residue; past it the last factor is
-        # finished modulo each prime and no 2**64 residue is taken.  Odd k
-        # builds no factor: its trace is 0 by skew-symmetry.  Every case must
-        # agree with a modular oracle that shares no code with exactcount.
-        # The transitive tournament is relabelled, so that it takes n x n
-        # Gram powers as a random one does
+    def test_exactness_boundaries(self, family, n, k, route_calls):
+        # G^4 = (A^T A)^4 is formed exactly up to n = 191, where the pass
+        # over the exact factors gives the float64 estimate and one 2**64
+        # residue; past it the last factor is finished modulo each prime and
+        # no 2**64 residue is taken.  Odd k builds no factor: its trace is 0
+        # by skew-symmetry.  Every case must agree with a modular oracle that
+        # shares no code with exactcount.  The transitive tournament is
+        # relabelled, so that it takes n x n Gram powers as a random one does
         if family == "random":
             t = random_tournament(n, n)
         else:
             t = matrix_route_copy(transitive_tournament(n))
-        wraps = []
-        real = exactcount._dot_wrap
-        monkeypatch.setattr(
-            exactcount, "_dot_wrap", lambda *args: wraps.append(1) or real(*args)
-        )
         trace = power_trace(t, k)
-        assert len(wraps) == (1 if (n, k) == (191, 16) else 0)
+        assert route_calls["2**64"] == (1 if (n, k) == (191, 16) else 0)
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
-    # (calls of _dot_wrap, calls of _dot_mod) on each side of two route
+    RESIDUE_EDGES = {k: residue_edge(k) for k in (12, 16)}
+
+    # (2**64 residues taken, calls of _dot_mod) on each side of two route
     # boundaries: the float64 estimate's radius E turns positive past
-    # n (n-1)**(k-1) < 2**53, and the 2**64 residue alone stops exceeding 2E
-    # past (312, 12) and (87, 16).  Odd k takes neither: its trace is 0
+    # n (n-1)**(k-1) < 2**53, and the 2**64 residue alone stops spanning
+    # 2 E past RESIDUE_EDGES, (323, 12) and (87, 16).  E from all n**2
+    # entries put the first edge at (312, 12); (313, 12) now takes the
+    # residue alone.  Odd k takes neither: its trace is 0
     ROUTE_CALLS = {
         (456, 6): (0, 0), (457, 6): (1, 0), (99, 8): (0, 0), (100, 8): (1, 0),
-        (312, 12): (1, 0), (313, 12): (1, 1), (87, 16): (1, 0), (88, 16): (1, 1),
+        (312, 12): (1, 0), (313, 12): (1, 0), (87, 16): (1, 0), (88, 16): (1, 1),
+        **{(n, k): (1, 0) for k, n in RESIDUE_EDGES.items()},
+        **{(n + 1, k): (1, 1) for k, n in RESIDUE_EDGES.items()},
         (191, 7): (0, 0), (192, 7): (0, 0),
     }
 
     @pytest.fixture
     def route_calls(self, monkeypatch):
-        """Counts of power_trace's calls of _dot_wrap and _dot_mod, as they happen."""
-        calls = {"_dot_wrap": 0, "_dot_mod": 0}
-        for name in calls:
-            real = getattr(exactcount, name)
+        """Counts, as they happen, of the 2**64 residues that power_trace's
+        calls of _dot_wrap take and of its calls of _dot_mod, one per prime."""
+        calls = {"2**64": 0, "primes": 0}
+        real_wrap, real_mod = exactcount._dot_wrap, exactcount._dot_mod
 
-            def counted(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
+        def wrap(*args):
+            result = real_wrap(*args)
+            calls["2**64"] += result[3] == 2**64
+            return result
 
-            monkeypatch.setattr(exactcount, name, counted)
+        def mod(*args):
+            calls["primes"] += 1
+            return real_mod(*args)
+
+        monkeypatch.setattr(exactcount, "_dot_wrap", wrap)
+        monkeypatch.setattr(exactcount, "_dot_mod", mod)
         return calls
 
     @pytest.mark.parametrize("n, k", list(ROUTE_CALLS))
@@ -375,9 +400,14 @@ class TestMatPowTrace:
         else:
             t = matrix_route_copy(transitive_tournament(n))
         trace = power_trace(t, k)
-        fits = n * (n - 1) ** (k - 1) < 2**53
-        assert fits == (n in (456, 191, 99))
-        assert (route_calls["_dot_wrap"], route_calls["_dot_mod"]) == self.ROUTE_CALLS[n, k]
+        bound = n * (n - 1) ** (k - 1)
+        assert (bound < 2**53) == (n in (456, 191, 99))
+        assert (route_calls["2**64"], route_calls["primes"]) == self.ROUTE_CALLS[n, k]
+        assert self.RESIDUE_EDGES == {12: 323, 16: 87}
+        # S >= 2 E and S + 2 E <= bound, so F >= S - E >= E and F + E <= bound:
+        # no clipping narrows [F - E, F + E], whose width 2 E sets the calls
+        radius = matrix_radius(n, k)
+        assert k % 2 or 2 * radius <= abs(trace) <= bound - 2 * radius
         for q in ORACLE_PRIMES:
             assert trace % q == modular_trace(t, k, q)
 
@@ -390,13 +420,13 @@ class TestMatPowTrace:
 
     @staticmethod
     def routes_taken(route_calls):
-        return route_calls["_dot_wrap"] > 0, route_calls["_dot_mod"] > 0
+        return route_calls["2**64"] > 0, route_calls["primes"] > 0
 
     def assert_both_routes(self, t, k, want, routes, route_calls):
         """t on the first-row route and a relabelled copy on the matrix
         route both give the trace ``want``, and take ``routes``."""
         for copy in (t, matrix_route_copy(t)):
-            route_calls.update(_dot_wrap=0, _dot_mod=0)
+            route_calls.update({"2**64": 0, "primes": 0})
             assert power_trace(copy, k) == want
             assert self.routes_taken(route_calls) == routes
 
@@ -423,7 +453,7 @@ class TestMatPowTrace:
         t, _ = doubly_regular(p, r)
         assert _toeplitz_row(t) is None
         for k in ks:
-            route_calls.update(_dot_wrap=0, _dot_mod=0)
+            route_calls.update({"2**64": 0, "primes": 0})
             assert power_trace(t, k) == paley_trace(t.n, k), k
         if t.n == 343:
             assert self.routes_taken(route_calls) == (False, True)
@@ -453,10 +483,11 @@ class TestMatPowTrace:
         elif k == 12:
             self.assert_both_routes(t, k, want, (False, True), route_calls)
 
-    # (calls of _dot_wrap, calls of _dot_mod) at k = 16 on the first-row
-    # route, whose S = (G^8)_00 is at most (n-1)**15: E = 0 up to n = 12,
-    # the 2**64 residue alone up to n = 153, the residue plus one prime up
-    # to n = 191, then the per-prime tail (five primes up to n = 218).
+    # (2**64 residues taken, calls of _dot_mod) at k = 16 on the first-row
+    # route, whose S = (G^8)_00 is at most (n-1)**15 and whose one block is
+    # the first row: E = 0 up to n = 12, the 2**64 residue alone up to
+    # n = 153, the residue plus one prime up to n = 191, then the per-prime
+    # tail (five primes up to n = 229, while M <= (n-1)**15).
     # Each family takes the nearest sizes it admits on each side of those
     # boundaries
     FIRST_ROW_CALLS = {
@@ -493,7 +524,7 @@ class TestMatPowTrace:
         with monkeypatch.context() as patch:
             patch.setattr(exactcount, "gram", None)
             trace = power_trace(t, 16)
-        assert (route_calls["_dot_wrap"], route_calls["_dot_mod"]) == self.FIRST_ROW_CALLS[n]
+        assert (route_calls["2**64"], route_calls["primes"]) == self.FIRST_ROW_CALLS[n]
         assert power_trace(matrix_route_copy(t), 16) == trace
         if closed_form is None:
             for q in ORACLE_PRIMES:
@@ -510,20 +541,20 @@ class TestMatPowTrace:
         t = random_tournament(n, 7)
         expected = power_trace(t, k)
         total = -expected if k // 2 % 2 else expected
-        real = exactcount._estimate
+        real = exactcount._dot_wrap
         radii = []
 
         def shifted(*args, by=0):
-            estimate, radius = real(*args)
+            estimate, radius, residue, modulus = real(*args)
             assert abs(estimate - total) <= radius
             radii.append(radius)
-            return total + shift * (radius + by), radius
+            return total + shift * (radius + by), radius, residue, modulus
 
-        monkeypatch.setattr(exactcount, "_estimate", shifted)
+        monkeypatch.setattr(exactcount, "_dot_wrap", shifted)
         assert power_trace(t, k) == expected
         assert radii[-1] > 0
         monkeypatch.setattr(
-            exactcount, "_estimate", lambda *args: shifted(*args, by=1)
+            exactcount, "_dot_wrap", lambda *args: shifted(*args, by=1)
         )
         with pytest.raises(InternalInvariantError, match="radius"):
             power_trace(t, k)
@@ -553,21 +584,21 @@ class TestMatPowTrace:
         total = -expected if k // 2 % 2 else expected
         bound = n * (n - 1) ** (k - 1)
         offset, holds = self.CLIPPED_ESTIMATES[where]
-        real = exactcount._estimate
+        real = exactcount._dot_wrap
         radii = []
 
         def placed(*args):
-            radius = real(*args)[1]
+            _, radius, residue, modulus = real(*args)
             radii.append(radius)
-            return offset(total, radius, bound), radius
+            return offset(total, radius, bound), radius, residue, modulus
 
-        monkeypatch.setattr(exactcount, "_estimate", placed)
-        route_calls.update(_dot_wrap=0, _dot_mod=0)
+        monkeypatch.setattr(exactcount, "_dot_wrap", placed)
+        route_calls.update({"2**64": 0, "primes": 0})
         try:
             got = power_trace(t, k)
         except InternalInvariantError:
             got = None
-        assert (route_calls["_dot_wrap"], route_calls["_dot_mod"]) == (1, 0)
+        assert (route_calls["2**64"], route_calls["primes"]) == (1, 0)
         radius = radii[-1]
         assert 0 < 2 * radius < 2**64
         f = offset(total, radius, bound)
@@ -581,9 +612,9 @@ class TestMatPowTrace:
     @pytest.mark.parametrize("k", [4, 6])
     def test_negative_gram_trace_trips_sign_check(self, k, monkeypatch):
         # at n = 5 the growth bound is below 2**53, so E = 0 and no residue
-        # is taken: S reconstructs as the estimate, -1, inside the radius
-        # and the growth bound
-        monkeypatch.setattr(exactcount, "_estimate", lambda *args: (-1, 0))
+        # is taken: the interval clips the estimate, -1, to [0, -1], empty,
+        # rather than returning it as S
+        monkeypatch.setattr(exactcount, "_dot_wrap", lambda *args: (-1, 0, 0, 1))
         with pytest.raises(InternalInvariantError, match="wrong sign"):
             power_trace(random_tournament(5, 2), k)
 
@@ -591,38 +622,53 @@ class TestMatPowTrace:
         # k = 8 at n = 100 reconstructs from the 2**64 residue alone with
         # E < 2**62: a residue off by 2**63 lands at least 2**63 - 2E above
         # F + E
-        real_estimate, real_wrap = exactcount._estimate, exactcount._dot_wrap
+        real = exactcount._dot_wrap
         radii = []
 
-        def estimate(*args):
-            result = real_estimate(*args)
-            radii.append(result[1])
-            return result
+        def off_by_half(*args):
+            estimate, radius, residue, modulus = real(*args)
+            radii.append(radius)
+            return estimate, radius, (residue + 2**63) % modulus, modulus
 
-        monkeypatch.setattr(exactcount, "_estimate", estimate)
-        monkeypatch.setattr(
-            exactcount, "_dot_wrap", lambda *args: (real_wrap(*args) + 2**63) % 2**64
-        )
+        monkeypatch.setattr(exactcount, "_dot_wrap", off_by_half)
         with pytest.raises(InternalInvariantError, match="radius"):
             power_trace(random_tournament(100, 3), 8)
         assert 0 < 4 * radii[0] < 2**64
 
-    @pytest.mark.parametrize("same", [False, True])
-    def test_dot_wrap_matches_python_integers(self, same):
-        # entries within 2**12 of +-2**52: every product passes 2**63 many
-        # times over, and n = 300 takes two row blocks
+    @staticmethod
+    def dot_wrap_inputs(top, same):
+        """n = 300 factors with entries of magnitude in (top - 2**12, top],
+        or (0, top] for small top; their sum and absolute sum in Python
+        integers.  n = 300 takes two row blocks of 218 rows."""
         rng = np.random.default_rng(5)
         n = 300
-        mags = 2**52 - rng.integers(0, 2**12, size=(2, n, n))
+        mags = top - rng.integers(0, min(top, 2**12), size=(2, n, n))
         signs = rng.choice(np.array([-1, 1]), size=(2, n, n))
         left, right = (mags * signs).astype(np.float64)
         if same:
             right = left
-        assert n > exactcount._BLOCK_ENTRIES // n
-        exact = sum(
-            x * y for x, y in zip(map(int, left.ravel()), map(int, right.ravel()))
-        )
-        assert exactcount._dot_wrap(left, right) == exact % 2**64
+        pairs = list(zip(map(int, left.ravel()), map(int, right.ravel())))
+        return left, right, sum(x * y for x, y in pairs), sum(abs(x * y) for x, y in pairs)
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_dot_wrap_matches_python_integers(self, same):
+        # entries within 2**12 of +-2**52: every product passes 2**63 many
+        # times over.  E comes from a block of 218 x 300 = 65 400 entries,
+        # not from 90 000
+        left, right, exact, bound = self.dot_wrap_inputs(2**52, same)
+        assert exactcount._BLOCK_ENTRIES // 300 == 218
+        estimate, radius, residue, modulus = exactcount._dot_wrap(left, right, bound)
+        assert radius == -(-65400 * bound // (2**53 - 65400))
+        assert abs(exact - estimate) <= radius
+        assert (residue, modulus) == (exact % 2**64, 2**64)
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_dot_wrap_exact_below_2_53(self, same):
+        # entries of magnitude at most 50: every partial sum is an exact
+        # float64 integer, so the estimate is the sum and no residue is taken
+        left, right, exact, bound = self.dot_wrap_inputs(50, same)
+        assert bound < 2**53
+        assert exactcount._dot_wrap(left, right, bound) == (exact, 0, 0, 1)
 
     @pytest.mark.parametrize(
         "n, hi, e", [(191, 4, 4), (192, 4, 3), (1553, 3, 3), (1554, 3, 2), (2, 40, 40)]
@@ -636,6 +682,22 @@ class TestMatPowTrace:
         # prime finishes it from G^3
         t = random_tournament(40, 3)
         assert power_trace(t, 48) == reference_trace(t, 48)
+
+    @pytest.mark.parametrize(
+        "family, n, k, primes", [("random", 10, 40, 5), ("transitive", 24, 34, 6)]
+    )
+    def test_per_prime_route_stops_past_the_bound(self, family, n, k, primes, route_calls):
+        # past the exact powers F = 0 and E = bound, so S lies in [0, bound]
+        # and primes join while M <= bound: n x n matrices at random 10,
+        # first rows, whose bound is divided by n, at transitive 24.  A loop
+        # run while M <= 2 E took one prime more at each
+        t = random_tournament(n, n) if family == "random" else transitive_tournament(n)
+        trace = power_trace(t, k)
+        assert (route_calls["2**64"], route_calls["primes"]) == (0, primes)
+        assert trace == reference_trace(t, k)
+        bound = (n - 1) ** (k - 1) * (n if family == "random" else 1)
+        ps = [exactcount._prime(n.bit_length(), i) for i in range(primes)]
+        assert math.prod(ps[:-1]) <= bound < math.prod(ps) <= 2 * bound
 
     def test_residue_error_trips_growth_bound(self, monkeypatch):
         # one wrong prime residue reconstructs to a value far outside
