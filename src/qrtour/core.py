@@ -281,9 +281,9 @@ def _toeplitz_row(t: Tournament) -> tuple[np.ndarray, bool] | None:
     arc[n - k] = 1 (exactly one of u -> v and v -> u, which even n admits
     for no arc), and skew-circulant (``skew``) when arc[n - k] = arc[k] (the
     transitive tournament and its reversal among them).  Those rules reject
-    most other tournaments in O(n).  Then rows 1.. are unpacked n bytes (8n
-    bits) at a time, one block held at once, and each row's part in a block
-    is compared through a memoryview with the same part of row 0 (a memcmp).
+    most other tournaments in O(n).  Then t is Toeplitz exactly when its
+    packed bits equal those ``_circulant`` builds from the same row 0: they
+    are built, packed and compared at least 8n bits at a time, in O(n) memory.
     """
     n = t.n
     if n < 2:
@@ -294,24 +294,16 @@ def _toeplitz_row(t: Tournament) -> tuple[np.ndarray, bool] | None:
     skew = head == mirror
     if not skew and head.translate(_FLIP) != mirror:
         return None
-    first = (n - 1) // 8  # the byte that row 1 starts in
-    block = memoryview(np.unpackbits(packed[first : first + n]))
-    i, size, nxt = (n - 1) % 8, len(block), first + n  # row u starts at block[i]
-    for length in range(n - 2, 0, -1):  # rows 1..n-2
-        j = i + length
-        if j <= size:
-            if not head.startswith(block[i:j]):
+    del mirror  # n bytes off the peak of the compare below
+    bits, done = bytearray(), 0
+    for length in range(n - 1, 0, -1):  # row n - 1 - length is head[:length]
+        bits += head[:length]
+        if len(bits) >= 8 * n or length == 1:  # whole bytes, or the zero-padded rest
+            size = len(bits) if length == 1 else len(bits) & -8
+            if not t._packed.startswith(np.packbits(np.frombuffer(bits, np.uint8, size)), done):
                 return None
-        else:  # match the row's part in this block, unpack the next
-            done = size - i
-            if not head.startswith(block[i:]):
-                return None
-            del block  # before the next block is unpacked
-            block = memoryview(np.unpackbits(packed[nxt : nxt + n]))
-            j, size, nxt = length - done, len(block), nxt + n
-            if not head.startswith(block[:j], done):
-                return None
-        i = j
+            del bits[:size]
+            done += size // 8
     return np.insert(np.frombuffer(head, dtype=np.int8) * 2 - 1, 0, 0), skew
 
 

@@ -249,7 +249,6 @@ def power_trace(t: Tournament, k: int) -> int:
     else:
         estimate, radius, residue, modulus = 0, bound, 0, 1
     low, high = max(0, estimate - radius), min(bound, estimate + radius)
-    buffers = {j: np.empty_like(x) for j, x in exact.items()}  # reused by every prime
     index = 0
     while modulus <= high - low:
         p = _prime(bits, index)
@@ -258,7 +257,7 @@ def power_trace(t: Tournament, k: int) -> int:
         def product(x, y):  # x may be a transposed view, y never is
             return _mod(multiply(x, y), p, np.empty_like(y))
 
-        residues = {j: _mod(x, p, buffers[j]) for j, x in exact.items()}
+        residues = {j: _mod(x, p, np.empty_like(x)) for j, x in exact.items()}
         factors = [_halving(j, residues, product) for j in (lo, hi)]
         r = _dot_mod(*factors, p)
         del residues, factors

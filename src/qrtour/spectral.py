@@ -55,7 +55,9 @@ def gram(t: Tournament) -> np.ndarray:
     other, and ``eigvalsh`` reads one triangle anyway.
     """
     a = sign_array(t).astype(np.float32)
-    g = (a.T @ a).astype(np.float64)
+    g = a.T @ a
+    del a  # before G is widened
+    g = g.astype(np.float64)
     if not np.all(np.diag(g) == t.n - 1):
         raise InternalInvariantError("Gram diagonal must equal n-1")
     g.setflags(write=False)

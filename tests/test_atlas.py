@@ -14,15 +14,17 @@ vertex-distinct cycle sums S4 and S6 have mean 0 and variance 2k n!/(n-k)!,
 checked over every labelled tournament for n <= 7 through each class's
 orbit weight n!/|Aut|, with |Aut| counted over all n! relabellings.  So do
 the closed forms of S4 and S6 against enumeration, S8's closed form, 0 on
-every class and equal to enumeration at n = 8 and 9, the k = 4 null moments
-of tr(A^4) by enumerating every labelled tournament for n <= 5, and the
-bounds that bracket lambda1.
+every class and equal to enumeration at n = 8 and 9, with its first-row
+forms and its null moments by Monte Carlo, the 4-vertex census formulas
+against counted 4-subsets, the k = 4 null moments of tr(A^4) by
+enumerating every labelled tournament for n <= 5, and the bounds that
+bracket lambda1.
 """
 
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, sqrt
 
 import numpy as np
 import pytest
@@ -37,13 +39,15 @@ from qrtour import (
     even_cycles_trace,
     gram,
     lambda1,
+    paley_tournament,
     power_trace,
     random_tournament,
+    reverse,
     rotational_tournament,
     spectral_upper_bound,
     transitive_tournament,
 )
-from tournament_builders import lambda1_rungs
+from tournament_builders import lambda1_rungs, random_circulant, random_skew_circulant
 
 GENERATED_MAX_N = 6  # n = 7 comes from KEYS_7
 CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456]  # n = 1..7, OEIS A000568
@@ -272,14 +276,37 @@ def _arc_table(t: Tournament) -> np.ndarray:
     return np.array([[edge_sign(t, u, v) for v in range(t.n)] for u in range(t.n)])
 
 
-def _distinct_sum_8(t: Tournament) -> int:
-    """S_8 by ROADMAP item 20's formula, from tr(A^8), tr(A^6) and tr(A^4)
-    and from G = A^T A, G^2 and A^3 of the arc table."""
-    n, a = t.n, _arc_table(t).astype(np.int64)
+def _matrix_forms(a: np.ndarray) -> tuple[int, int, int]:
+    """ROADMAP item 20's Q, R and P from the sign matrix a, through
+    G = A^T A, G^2 and A^3."""
+    a = a.astype(np.int64)
     g = a.T @ a
     q = int((np.diag(g @ g) ** 2).sum())
     r = int((g**4).sum() - (np.diag(g) ** 4).sum())
     p = int((a * (a @ a @ a) * g**2).sum())
+    return q, r, p
+
+
+def _first_row_forms(t: Tournament) -> tuple[int, int, int]:
+    """Q, R and P of a circulant or skew-circulant t from first rows alone:
+    n (sum g_v^2)^2, n sum_(v != 0) g_v^4 and n sum_d a_d (a^3)_d g_d^2, for
+    A's first row a from ``core._toeplitz_row``, g = -(a conv a) and
+    a^3 = (a conv a) conv a, cyclic or negacyclic (skew)."""
+    n = t.n
+    a, skew = core._toeplitz_row(t)
+    a = a.astype(np.int64)  # np.convolve wraps int8
+    conv = exactcount._convolution(n, skew)
+    square = conv(a, a)[0]
+    # Python integers: n sum g^4 passes int64 at n = 2001
+    a, cube, g = (x.astype(object) for x in (a, conv(square, a)[0], -square))
+    return n * (g @ g) ** 2, n * (g[1:] ** 4).sum(), n * (a * cube * g * g).sum()
+
+
+def _distinct_sum_8(t: Tournament, forms: tuple[int, int, int] | None = None) -> int:
+    """S_8 by ROADMAP item 20's formula, from tr(A^8), tr(A^6) and tr(A^4)
+    and its Q, R and P: ``forms``, or else those of the arc table."""
+    n = t.n
+    q, r, p = _matrix_forms(_arc_table(t)) if forms is None else forms
     tr4, tr6, tr8 = (power_trace(t, k) for k in (4, 6, 8))
     return (
         tr8 + (8 * n - 36) * tr6 + (36 * n * n - 248 * n + 374) * tr4
@@ -334,6 +361,105 @@ def test_distinct_8_cycle_sum_matches_enumeration(t, want):
     tuples = np.array(list(itertools.permutations(range(t.n), 8)), dtype=int)
     s8 = _distinct_sum(_arc_table(t), tuples)
     assert _distinct_sum_8(t) == s8 == want
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        *map(rotational_tournament, (9, 15, 45, 101)),
+        *map(paley_tournament, (11, 43, 103)),
+        *map(transitive_tournament, (8, 9, 40, 41, 100)),
+        *(reverse(transitive_tournament(n)) for n in (9, 40)),
+        *(random_circulant(n, seed)[0] for n, seed in ((9, 1), (61, 3), (101, 4))),
+        *(random_skew_circulant(n, n)[0] for n in (9, 40, 41, 100)),
+    ],
+    ids=[
+        "rotational9", "rotational15", "rotational45", "rotational101",
+        "paley11", "paley43", "paley103",
+        "transitive8", "transitive9", "transitive40", "transitive41", "transitive100",
+        "reversed9", "reversed40", "circulant9", "circulant61", "circulant101",
+        "skew9", "skew40", "skew41", "skew100",
+    ],
+)
+def test_first_row_forms_match_matrix_forms(t):
+    # item 20's structured forms: on circulant and skew-circulant input every
+    # matrix in Q, R and P is of the same kind, and its sign flips cancel
+    assert _first_row_forms(t) == _matrix_forms(_arc_table(t))
+
+
+def test_distinct_8_cycle_sum_from_first_rows_at_large_n():
+    # an exact S_8 where neither enumeration nor n x n forms reach: item 24's
+    # large-n oracle.  (n)_8 + S_8 is twice the number of even 8-cycles
+    t = rotational_tournament(2001)
+    s8, falling = _distinct_sum_8(t, _first_row_forms(t)), perm(t.n, 8)
+    assert (falling + s8) % 2 == 0 and 0 <= falling + s8 <= 2 * falling
+
+
+# sorted out-degrees of the four 4-vertex tournament types (ROADMAP item 10):
+# TT4, 3-cycle plus source, 3-cycle plus sink, strong
+CENSUS_TYPES = [(0, 1, 2, 3), (1, 1, 1, 3), (0, 2, 2, 2), (1, 1, 2, 2)]
+
+
+def _census(a: np.ndarray) -> list[int]:
+    """How many 4-subsets of the arc table a have each type in CENSUS_TYPES."""
+    n = len(a)
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=int).reshape(-1, 4)
+    degrees = np.sort((a[quads[:, :, None], quads[:, None, :]] > 0).sum(axis=2), axis=1)
+    return [int((degrees == kind).all(axis=1).sum()) for kind in CENSUS_TYPES]
+
+
+def _check_census(t: Tournament) -> None:
+    """Item 10's census formulas against counting the 4-subsets of t."""
+    n, a = t.n, _arc_table(t)
+    tt4, source, sink, strong = _census(a)
+    assert tt4 + source + sink + strong == comb(n, 4)
+    wins = (a > 0).astype(int)
+    out = wins.sum(axis=1)
+    apart = ~np.eye(n, dtype=bool)
+    common = a.T @ a + 2 * out[:, None] + 2 * out[None, :] - n
+    assert not (common[apart] % 4).any()
+    assert np.array_equal(common[apart] // 4, (wins @ wins.T)[apart])  # common out-neighbours
+    assert tt4 == sum(comb(int(c), 2) for c in (common // 4)[wins == 1])
+    assert tt4 + source == sum(comb(int(d), 3) for d in out)
+    assert tt4 + sink == sum(comb(n - 1 - int(d), 3) for d in out)
+    assert power_trace(t, 4) - _mean_trace4(n) == 8 * comb(n, 4) - 32 * (source + sink)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_four_vertex_census_on_every_class(n):
+    for t in _classes(n):
+        _check_census(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        *(random_tournament(13, seed) for seed in range(4)),
+        rotational_tournament(11),
+        transitive_tournament(9),
+        paley_tournament(11),
+    ],
+    ids=[
+        "random13-0", "random13-1", "random13-2", "random13-3",
+        "rotational11", "transitive9", "paley11",
+    ],
+)
+def test_four_vertex_census(t):
+    _check_census(t)
+
+
+def test_distinct_8_cycle_sum_null_moments_by_monte_carlo():
+    # item 22 at k = 8, where no class count reaches: over m uniform random
+    # tournaments on 12 vertices, S_8 has mean 0 and E[S_8^2] = 16 (12)_8,
+    # each within 4 standard errors.  Q, R and P come from sign_array
+    m = 2000
+    s = []
+    for seed in range(m):
+        t = random_tournament(12, seed)
+        s.append(_distinct_sum_8(t, _matrix_forms(core.sign_array(t))))
+    mean, square, fourth = (sum(x**p for x in s) / m for p in (1, 2, 4))
+    assert abs(mean) <= 4 * sqrt((square - mean**2) / m)
+    assert abs(square - 16 * perm(12, 8)) <= 4 * sqrt((fourth - square**2) / m)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -820,8 +820,9 @@ class TestCirculantArc:
         "t", [rotational_tournament(45), transitive_tournament(44)], ids=["rotational", "transitive"]
     )
     def test_rejects_every_single_flip(self, t):
-        # rows 1.. span three unpacked blocks of 8n bits, so some flips land
-        # on a row split between two blocks
+        # the bit string spans at least three packed blocks of 8n bits or
+        # more, so flips land in the first block, in a later one and in the
+        # zero-padded rest
         for u in range(t.n):
             for v in range(u + 1, t.n):
                 assert core._toeplitz_row(flip(t, u, v)) is None, (u, v)

@@ -7,6 +7,7 @@ Python-integer matrix power written here, and the enumeration oracle itself.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -717,6 +718,20 @@ class TestMatPowTrace:
         with pytest.raises(InternalInvariantError):
             power_trace(random_tournament(40, 3), 48)
         assert primes
+
+    def test_prime_free_trace_peaks_at_gram(self):
+        # k = 4 at n = 2000 has its bound below 2**53, so no prime runs and
+        # nothing holds residues: the peak is gram's float32 and float64 G
+        t = random_tournament(2000, 1)
+        sign_array(t)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            power_trace(t, 4)
+            assert tracemalloc.get_traced_memory()[1] - held < 13 * t.n**2
+        finally:
+            tracemalloc.stop()
 
 
 class TestTotalCycles:
