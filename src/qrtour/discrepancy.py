@@ -10,6 +10,7 @@ indicator of Y, the value equals x^T A y, which is capped by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -17,13 +18,17 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    _BLOCK_ENTRIES, CoinStream, Tournament, _check_count, _members, out_words, sign_array
+    _BLOCK_ENTRIES, CoinStream, Tournament, _check_count, _members, _toeplitz_row, out_words,
+    sign_array,
 )
 from .errors import InternalInvariantError, ResourceLimitError
-from .spectral import lambda1
+from .spectral import _lambda1, _lanczos_top, _verified_psd, gram, lambda1
 
 EXHAUSTIVE_MAX_N = 24  # the mask-order sweep is 2^n * n work
 _BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
+# From this n up, a Lanczos estimate and one Cholesky prove the spectral
+# bound faster than eigvalsh computes it (random input, CHANGES.md)
+_PROOF_MIN_N = 200
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,9 @@ class DiscrepancyReport:
     best_Y: tuple[int, ...]
     value: int
     normalized: Fraction  # value / n^2
-    spectral_bound: float  # n * lambda1_upper, an upper bound on n * |lambda1|
+    # an upper bound on n * |lambda1|: proven for input that is not Toeplitz from
+    # n = 200 up, n * lambda1_upper otherwise (``spectral_upper_bound``)
+    spectral_bound: float
     witness_signs: tuple[int, ...]  # sign of d+(v, best_Y) - d-(v, best_Y) per v
 
 
@@ -72,10 +79,60 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
 
 
 def spectral_upper_bound(t: Tournament) -> float:
-    """n * lambda1_upper, an upper bound for every disc_given(X, Y): the product
-    rounds to nearest, not up, inside the margin ``lambda1_upper`` carries,
-    about n * 2^-53 relative on eigvalsh (n >= 2) and 64 * 2^-53 on FFT."""
-    return t.n * lambda1(t).lambda1_upper
+    """An upper bound on n * |lambda1|, and so on every disc_given(X, Y).
+
+    One Toeplitz probe (``core._toeplitz_row``, inside ``lambda1`` below
+    _PROOF_MIN_N) picks the route.  From n = _PROOF_MIN_N up, input that is
+    not Toeplitz gets a proof: n * sqrt(mu) rounded up, with sigma1^2 < mu
+    checked by one Cholesky (``_proven_bound``).  Below that n, and on
+    Toeplitz input at any n, it is n * lambda1_upper from ``eigvalsh`` or
+    the FFT, which rests on the argued error constants that ``lambda1`` and
+    ``_fft_moduli`` state; the product rounds to nearest, not up, inside the
+    margin ``lambda1_upper`` carries, about n * 2^-53 relative on eigvalsh
+    (n >= 2) and 64 * 2^-53 on FFT.
+    """
+    if t.n < _PROOF_MIN_N:
+        return t.n * lambda1(t).lambda1_upper
+    row = _toeplitz_row(t)
+    if row is not None:
+        return t.n * _lambda1(t, row).lambda1_upper
+    return _proven_bound(t)
+
+
+def _proven_bound(t: Tournament) -> float:
+    """n * sqrt(mu) rounded up, for a mu with sigma1^2 < mu proven.
+
+    theta, a Lanczos estimate of sigma1^2 = lambda_max(G) (``_lanczos_top``),
+    gives mu = theta (1 + 1e-9), and ``_verified_psd`` proves mu I - G
+    positive definite.  The mu proven is d + n - 1 exactly, for d the float
+    put on the diagonal of -G, so the matrix factored holds mu I - G
+    without rounding.  A failed proof doubles the margin; mu never passes
+    n(n-1), which always proves, since sigma1^2 <= tr(G)/2 = n(n-1)/2 (the
+    moduli pair up).  A NaN estimate raises InternalInvariantError.
+    """
+    n = t.n
+    g = gram(t)
+    theta = _lanczos_top(g)
+    if math.isnan(theta):
+        raise InternalInvariantError(f"Lanczos estimate of sigma1^2 is NaN (n={n})")
+    s = np.negative(g)
+    del g  # before the factor: one n x n array beside it
+    trace = n * (n - 1)  # tr(G)
+    margin = 1e-9
+    while True:
+        mu = min(max(theta, n - 1) * (1 + margin), trace)  # sigma1^2 >= tr(G)/n
+        d = mu - (n - 1)
+        np.fill_diagonal(s, d)
+        if _verified_psd(s):
+            break
+        if mu == trace:
+            raise InternalInvariantError(f"Cholesky failed to prove sigma1^2 < n(n-1) (n={n})")
+        margin *= 2
+    exact = Fraction(d) + (n - 1)
+    bound = math.nextafter(n * math.sqrt(float(exact)), math.inf)
+    while Fraction(bound) ** 2 < n * n * exact:
+        bound = math.nextafter(bound, math.inf)
+    return bound
 
 
 def _build_report(

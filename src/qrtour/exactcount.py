@@ -217,8 +217,9 @@ def power_trace(t: Tournament, k: int) -> int:
     E = 0, and S mod 2**64 otherwise.  When a factor is too large to be
     exact, F = 0 and E = bound.  Primes join the residue by the Chinese
     remainder theorem while M <= high - low: each reduces the exact powers
-    to signed residues and finishes L and R by float64 products of them,
-    each reduced at once.
+    to signed residues, in arrays the first prime allocates and the rest
+    reuse, and finishes L and R by float64 products of them, each reduced
+    at once.
     """
     k = _check_count("exponent", k)
     n = t.n
@@ -249,6 +250,7 @@ def power_trace(t: Tournament, k: int) -> int:
     else:
         estimate, radius, residue, modulus = 0, bound, 0, 1
     low, high = max(0, estimate - radius), min(bound, estimate + radius)
+    buffers = None
     index = 0
     while modulus <= high - low:
         p = _prime(bits, index)
@@ -257,7 +259,8 @@ def power_trace(t: Tournament, k: int) -> int:
         def product(x, y):  # x may be a transposed view, y never is
             return _mod(multiply(x, y), p, np.empty_like(y))
 
-        residues = {j: _mod(x, p, np.empty_like(x)) for j, x in exact.items()}
+        buffers = buffers or {j: np.empty_like(x) for j, x in exact.items()}
+        residues = {j: _mod(x, p, buffers[j]) for j, x in exact.items()}
         factors = [_halving(j, residues, product) for j in (lo, hi)]
         r = _dot_mod(*factors, p)
         del residues, factors

@@ -10,13 +10,16 @@ tournament that is circulant as labelled (the rotational and Paley
 families among them) or skew-circulant (the transitive family) skips that
 solve: the DFT diagonalises a circulant A, a skew-circulant A sits inside
 the circulant of twice its size, and one FFT of a first row gives every
-modulus.
+modulus.  ``_verified_psd`` proves a symmetric matrix positive definite by
+one float Cholesky, with no eigensolve; the disc reports prove their
+spectral bound with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,8 +87,12 @@ def lambda1(t: Tournament) -> SpectralSummary:
     at 0 (no NaN, none moved off its true value), is within n * margin, the
     slack; rounding, below (n + 3) * eps/2 * n(n-1), is left to p(n) = n.
     """
+    return _lambda1(t, _toeplitz_row(t))
+
+
+def _lambda1(t: Tournament, row: tuple[np.ndarray, bool] | None) -> SpectralSummary:
+    """``lambda1`` on the Toeplitz probe's answer ``row``, for a caller that has it."""
     n = t.n
-    row = _toeplitz_row(t)
     if row is None:
         # descending; maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
         eigs = np.maximum(np.linalg.eigvalsh(gram(t))[::-1], 0.0)
@@ -156,6 +163,86 @@ def _fft_moduli(n: int, a: np.ndarray, skew: bool) -> tuple[np.ndarray, float, f
     moduli = np.sort(sigma)[::-1]
     slack = (eps * (2 + eps) + 2 * n * u) * n * (n - 1)
     return moduli, math.nextafter(float(moduli[0]) + delta, math.inf), slack
+
+
+def _lanczos_top(g: np.ndarray) -> float:
+    """An estimate of the largest eigenvalue of the symmetric n x n ``g``.
+
+    Lanczos (three-term recurrence, no reorthogonalization) from the fixed
+    start cos(0), cos(1), ..., cos(n-1); not the all-ones vector, which G
+    sends to 0 on every regular tournament (G 1 = -A s, s the scores).
+    Every 6 steps the top eigenvalue of the tridiagonal T_k is taken, and
+    the run stops once it moves by at most 1e-13 relative, after n steps,
+    or at a breakdown: a negligible beta, where the Krylov space is
+    invariant.  Only an estimate, to be proven by ``_verified_psd``; NaN
+    once the recurrence meets a non-finite value.
+    """
+    n = len(g)
+    v = np.cos(np.arange(n, dtype=np.float64))
+    v /= np.linalg.norm(v)
+    prev = np.zeros(n)
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta, top = 0.0, -math.inf
+    for k in range(1, n + 1):
+        w = g @ v
+        w -= beta * prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        if not math.isfinite(beta):  # a NaN or inf alpha leaves one in w
+            return math.nan
+        alphas.append(alpha)
+        breakdown = beta <= 1e-12 * abs(alpha)
+        if breakdown or k % 6 == 0 or k == n:
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            ritz = float(np.linalg.eigvalsh(tri)[-1])
+            if breakdown or k == n or abs(ritz - top) <= 1e-13 * ritz:
+                return ritz
+            top = ritz
+        betas.append(beta)
+        prev, v = v, w / beta
+    return top  # n = 0
+
+
+def _verified_psd(s: np.ndarray) -> bool:
+    """True only when the symmetric float64 matrix ``s``, exactly as stored,
+    is proven positive definite by one float Cholesky.
+
+    Rump, "Verification of positive definiteness", BIT 46 (2006): when a
+    float Cholesky of a symmetric float S' runs to completion, its factor R
+    has R^T R = S' + E with |E| <= gamma_(n+1) |R^T| |R|, gamma_m = m u /
+    (1 - m u), u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3; any summation order, and room for the
+    reciprocal that scales each column), and the diagonal of that bound
+    gives ||E||_2 <= sum_ij r_ij^2 gamma_(n+1) <= alpha tr(S'), alpha =
+    gamma_(n+1) / (1 - gamma_(n+1)).  R^T R is positive definite when every
+    r_ii is positive and finite (checked here: numpy's Cholesky returns NaN
+    pivots without raising), and then so is S' + cI, for c at least alpha
+    tr(S') plus 2n(2n + max_i s_ii) 2^-1022, a generous term for products
+    that underflow, gradually or flushed to zero.  c is computed in
+    Fraction from tr(s) rounded up, and S' is s with c taken off its
+    diagonal, rounded down; so s >= S' + cI is positive definite.  ``s`` is
+    shifted in place and restored, so it must be writable; the factor is
+    the only n x n array this allocates.
+    """
+    n = len(s)
+    diag = s.diagonal().copy()
+    trace = math.nextafter(math.fsum(diag), math.inf)
+    if not 0 < trace < math.inf:  # positive definite needs a positive trace; NaN fails
+        return False
+    gamma = Fraction(n + 1, 2**53 - (n + 1))
+    c = gamma / (1 - gamma) * Fraction(trace) + 2 * n * (2 * n + Fraction(diag.max())) / 2**1022
+    shift = math.nextafter(float(c), math.inf)  # at least c: float() rounds to nearest
+    np.fill_diagonal(s, np.nextafter(diag - shift, -np.inf))
+    try:
+        r = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(s, diag)
+    pivots = np.diagonal(r)
+    return bool(np.all((pivots > 0) & (pivots < np.inf)))
 
 
 @dataclass(frozen=True)

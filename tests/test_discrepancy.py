@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,8 @@ from qrtour import (
     disc_localsearch,
     disc_sample,
     edge_sign,
+    gram,
+    lambda1,
     paley_tournament,
     random_tournament,
     reverse,
@@ -27,8 +31,9 @@ from qrtour import (
     transitive_tournament,
     witness_vectors,
 )
-from qrtour import core, discrepancy
-from qrtour.core import out_words
+from qrtour import core, discrepancy, spectral
+from qrtour.core import out_words, sign_array
+from tournament_builders import doubly_regular, random_skew_circulant
 
 SEEDS = [0, 2, 19, 71]
 
@@ -670,6 +675,111 @@ class TestSpectralBound:
         for seed in SEEDS:
             t = random_tournament(12, seed)
             assert disc_exhaustive(t).value <= spectral_upper_bound(t) + 1e-6
+
+
+# Input that is not Toeplitz, from n = 200 up: the proven route.  The GF(q)
+# tournaments have lambda1 = sqrt(q) (q = 243 and 343).
+PROOF_INPUTS = [
+    pytest.param(random_tournament(n, seed), id=f"random-{n}-{seed}")
+    for n in (200, 333, 601)
+    for seed in range(3)
+] + [pytest.param(doubly_regular(p, r)[0], id=f"q-{p**r}") for p, r in ((3, 5), (7, 3))]
+
+
+def _lambda1_squared(t):
+    return float(np.linalg.eigvalsh(gram(t))[-1])
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends each result to ``calls``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(real(*a)) or calls[-1])
+
+
+class TestProvenBound:
+    # Bounds at n >= 200 are checked against n * lambda1 with a tolerance,
+    # never pinned: GEMV summation order may move the estimate's last bits.
+
+    @pytest.mark.parametrize("t", PROOF_INPUTS)
+    def test_brackets_n_lambda1_without_an_eigensolve(self, monkeypatch, t):
+        cap = t.n * math.sqrt(_lambda1_squared(t))
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        assert cap <= spectral_upper_bound(t) <= cap * (1 + 1e-8)
+        assert max(sizes) < t.n  # Lanczos tridiagonals only
+
+    @pytest.mark.parametrize("t", PROOF_INPUTS)
+    def test_verified_psd_decides_around_lambda1_squared(self, t):
+        top = _lambda1_squared(t)
+        s = np.negative(gram(t))
+        for scale, proven in ((1 - 1e-9, False), (1 + 1e-8, True)):
+            np.fill_diagonal(s, top * scale - (t.n - 1))  # s = mu I - G
+            before = s.copy()
+            assert spectral._verified_psd(s) is proven
+            assert np.array_equal(s, before)  # the shifted diagonal is restored
+
+    @pytest.mark.parametrize("entry", [(100, 100), (150, 100)], ids=["diagonal", "off-diagonal"])
+    def test_verified_psd_refuses_nan(self, entry):
+        # numpy's Cholesky returns NaN pivots without raising
+        s = np.eye(300)
+        s[entry] = s[entry[::-1]] = np.nan
+        assert spectral._verified_psd(s) is False
+        s[entry] = s[entry[::-1]] = 0.5
+        assert spectral._verified_psd(s) is True
+
+    def test_an_underestimate_retries_to_a_sound_bound(self, monkeypatch):
+        t = random_tournament(200, 0)
+        cap = t.n * math.sqrt(_lambda1_squared(t))
+        lanczos = discrepancy._lanczos_top
+        monkeypatch.setattr(discrepancy, "_lanczos_top", lambda g: 0.99 * lanczos(g))
+        proofs = []
+        _counting(monkeypatch, discrepancy, "_verified_psd", proofs)
+        assert cap <= spectral_upper_bound(t) <= cap * 1.02
+        assert len(proofs) > 1 and proofs[-1] and not any(proofs[:-1])
+
+    def test_a_nan_estimate_raises(self, monkeypatch):
+        monkeypatch.setattr(discrepancy, "_lanczos_top", lambda g: math.nan)
+        with pytest.raises(InternalInvariantError, match="NaN"):
+            spectral_upper_bound(random_tournament(200, 0))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            random_tournament(150, 1),
+            random_tournament(199, 0),
+            paley_tournament(211),
+            rotational_tournament(255),
+            transitive_tournament(400),
+            reverse(transitive_tournament(201)),
+            random_skew_circulant(230, 1)[0],
+        ],
+        ids=["random-150", "random-199", "paley-211", "rotational-255", "transitive-400",
+             "reversed-transitive-201", "skew-circulant-230"],
+    )
+    def test_keeps_lambda1_upper_below_200_and_on_toeplitz_input(self, monkeypatch, t):
+        expected = t.n * lambda1(t).lambda1_upper
+        probes = []
+        for module in (discrepancy, spectral):
+            _counting(monkeypatch, module, "_toeplitz_row", probes)
+        assert spectral_upper_bound(t) == expected
+        assert len(probes) == 1  # one Toeplitz probe per bound
+
+    def test_factor_is_the_one_array_beside_g(self, monkeypatch):
+        # gram peaks at 12 n^2 bytes; -G and the factor take 16 n^2, once G is dropped
+        t = random_tournament(601, 0)
+        sign_array(t)
+        proofs = []
+        _counting(monkeypatch, discrepancy, "_verified_psd", proofs)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            spectral_upper_bound(t)
+            assert tracemalloc.get_traced_memory()[1] - held < 17 * t.n**2
+        finally:
+            tracemalloc.stop()
+        assert proofs == [True]
 
 
 def test_report_refuses_a_value_its_witness_does_not_give():
