@@ -192,8 +192,9 @@ def sign_array(t: Tournament) -> np.ndarray:
 
     Entry (u, v) is +1 if u -> v, -1 if v -> u, 0 on the diagonal; the
     matrix is skew-symmetric.  Consumers widen it before any arithmetic that
-    could overflow int8.  Cached for the one tournament in use: calls that
-    alternate between two would rebuild it on every switch, and none here do.
+    could overflow int8.  Cached for the one tournament in use, apart from
+    ``out_words`` and ``_toeplitz_row``'s caches: calls that alternate between
+    two would rebuild it on every switch, and none here do.
     n^2 bytes, filled in place: besides it, only the n(n-1)/2 row signs and
     one square tile of the lower triangle are held.
     """
@@ -270,9 +271,12 @@ def _circulant(n: int, arc: np.ndarray) -> Tournament:
     return Tournament(n, b"".join(view[1 : n - u] for u in range(n)))
 
 
+@functools.lru_cache(maxsize=1)
 def _toeplitz_row(t: Tournament) -> tuple[np.ndarray, bool] | None:
     """``(a, skew)`` when an FFT diagonalises t as labelled, else None: a is
-    row 0 of ``sign_array(t)`` (int8), built from row 0's bits alone.
+    row 0 of ``sign_array(t)``, read-only int8, built from row 0's bits alone.
+    Cached for the one tournament in use, as ``sign_array`` is, so spectra,
+    traces and the disc bound share one probe: t and a are held until another.
 
     t is Toeplitz when u -> v (u < v) iff arc[v - u] is 1, for a uint8 arc
     of length n with arc[0] = 0: then row u of the bit string is row 0's
@@ -304,7 +308,9 @@ def _toeplitz_row(t: Tournament) -> tuple[np.ndarray, bool] | None:
                 return None
             del bits[:size]
             done += size // 8
-    return np.insert(np.frombuffer(head, dtype=np.int8) * 2 - 1, 0, 0), skew
+    a = np.insert(np.frombuffer(head, dtype=np.int8) * 2 - 1, 0, 0)
+    a.setflags(write=False)
+    return a, skew
 
 
 def rotational_tournament(n: int) -> Tournament:

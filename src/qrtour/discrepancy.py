@@ -22,7 +22,7 @@ from .core import (
     sign_array,
 )
 from .errors import InternalInvariantError, ResourceLimitError
-from .spectral import _lambda1, _lanczos_top, _verified_psd, gram, lambda1
+from .spectral import _lanczos_top, _verified_psd, gram, lambda1
 
 EXHAUSTIVE_MAX_N = 24  # the mask-order sweep is 2^n * n work
 _BLOCK_BITS = 12  # low vertices tabulated per block: a 2^12 x n int8 table
@@ -81,21 +81,17 @@ def witness_vectors(t: Tournament, ys: Iterable[int]) -> tuple[tuple[int, ...], 
 def spectral_upper_bound(t: Tournament) -> float:
     """An upper bound on n * |lambda1|, and so on every disc_given(X, Y).
 
-    One Toeplitz probe (``core._toeplitz_row``, inside ``lambda1`` below
-    _PROOF_MIN_N) picks the route.  From n = _PROOF_MIN_N up, input that is
-    not Toeplitz gets a proof: n * sqrt(mu) rounded up, with sigma1^2 < mu
-    checked by one Cholesky (``_proven_bound``).  Below that n, and on
-    Toeplitz input at any n, it is n * lambda1_upper from ``eigvalsh`` or
-    the FFT, which rests on the argued error constants that ``lambda1`` and
-    ``_fft_moduli`` state; the product rounds to nearest, not up, inside the
-    margin ``lambda1_upper`` carries, about n * 2^-53 relative on eigvalsh
-    (n >= 2) and 64 * 2^-53 on FFT.
+    From n = _PROOF_MIN_N up, input that is not Toeplitz (``core._toeplitz_row``,
+    cached, so ``lambda1`` reuses its answer) gets a proof: n * sqrt(mu)
+    rounded up, with sigma1^2 < mu checked by one Cholesky (``_proven_bound``).
+    Below that n, and on Toeplitz input at any n, it is n * lambda1_upper
+    from ``eigvalsh`` or the FFT, which rests on the argued error constants
+    that ``lambda1`` and ``_fft_moduli`` state; the product rounds to
+    nearest, not up, inside the margin ``lambda1_upper`` carries, about
+    n * 2^-53 relative on eigvalsh (n >= 2) and 64 * 2^-53 on FFT.
     """
-    if t.n < _PROOF_MIN_N:
+    if t.n < _PROOF_MIN_N or _toeplitz_row(t) is not None:
         return t.n * lambda1(t).lambda1_upper
-    row = _toeplitz_row(t)
-    if row is not None:
-        return t.n * _lambda1(t, row).lambda1_upper
     return _proven_bound(t)
 
 

@@ -71,7 +71,7 @@ def lambda1(t: Tournament) -> SpectralSummary:
     """Every eigenvalue modulus of A, and |lambda_1| with its upper bound.
 
     A Toeplitz tournament that is circulant or skew-circulant as labelled
-    (``core._toeplitz_row``) takes one FFT of length n or 2n (``_fft_moduli``);
+    (``core._toeplitz_row``, cached) takes one FFT of length n or 2n (``_fft_moduli``);
     every other one takes one ``eigvalsh`` call on the Gram matrix.  Each
     route hands over its moduli, upper bound and slack, and one check serves
     both: |sum sigma^_j^2 - n(n-1)| <= slack, n(n-1) = tr(G), written so that
@@ -87,12 +87,8 @@ def lambda1(t: Tournament) -> SpectralSummary:
     at 0 (no NaN, none moved off its true value), is within n * margin, the
     slack; rounding, below (n + 3) * eps/2 * n(n-1), is left to p(n) = n.
     """
-    return _lambda1(t, _toeplitz_row(t))
-
-
-def _lambda1(t: Tournament, row: tuple[np.ndarray, bool] | None) -> SpectralSummary:
-    """``lambda1`` on the Toeplitz probe's answer ``row``, for a caller that has it."""
     n = t.n
+    row = _toeplitz_row(t)
     if row is None:
         # descending; maximum(x, 0.0) turns -0.0 into +0.0, as clip does; maximum(0.0, x) keeps it
         eigs = np.maximum(np.linalg.eigvalsh(gram(t))[::-1], 0.0)

@@ -21,12 +21,16 @@ from qrtour import (
     disc_localsearch,
     edge_sign,
     encode,
+    even_cycles_trace,
     generate,
+    lambda1,
     paley_tournament,
+    power_trace,
     random_tournament,
     relabel,
     reverse,
     rotational_tournament,
+    spectral_upper_bound,
     transitive_tournament,
     witness_vectors,
 )
@@ -692,8 +696,9 @@ class TestCoreMemory:
 
 
 class TestCoreCaches:
-    """``sign_array`` and ``out_words`` each keep the tournament in use, and
-    a caller working on one tournament builds each array once."""
+    """``sign_array``, ``out_words`` and the Toeplitz probe each keep the
+    tournament in use, and a caller working on one tournament builds each
+    once."""
 
     @staticmethod
     def traffic(cached):
@@ -705,7 +710,20 @@ class TestCoreCaches:
         disc_localsearch(t1, 2, 0)
         ref = weakref.ref(t1)
         witness_vectors(t2, [0])
+        lambda1(t2)  # the probe's cache switches too
         del t1
+        assert ref() is None
+
+    def test_each_cache_switches_on_its_own(self):
+        # witness_vectors switches the arrays' caches, not the probe's: that
+        # one holds t1 (its packed bits and the n-byte row) until cleared
+        t1, t2 = random_tournament(60, 1), random_tournament(60, 2)
+        disc_localsearch(t1, 2, 0)
+        ref = weakref.ref(t1)
+        witness_vectors(t2, [0])
+        del t1
+        assert ref() is not None
+        core._toeplitz_row.cache_clear()
         assert ref() is None
 
     def test_one_build_per_report(self):
@@ -715,6 +733,21 @@ class TestCoreCaches:
         disc_localsearch(t, 2, 0)
         assert self.traffic(sign_array) == (2, 1)
         assert self.traffic(core.out_words) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "t", [rotational_tournament(255), transitive_tournament(201)],
+        ids=["rotational-255", "transitive-201"],
+    )
+    def test_one_probe_per_tournament(self, t):
+        # traces, spectrum and disc bound, from n = 200 up, share one probe
+        core._toeplitz_row.cache_clear()
+        power_trace(t, 8)
+        even_cycles_trace(t, 4)
+        lambda1(t)
+        spectral_upper_bound(t)
+        assert core._toeplitz_row.cache_info().misses == 1
+        a, _ = core._toeplitz_row(t)
+        assert not a.flags.writeable
 
     def test_one_build_for_repeated_queries(self):
         t = random_tournament(60, 4)
@@ -829,6 +862,7 @@ class TestCirculantArc:
 
     def test_random_input_is_rejected_from_row_0(self, monkeypatch):
         t = random_tournament(2001, 1)
+        core._toeplitz_row.cache_clear()
         counts = []
         unpackbits = np.unpackbits
 
@@ -840,16 +874,22 @@ class TestCirculantArc:
         assert core._toeplitz_row(t) is None
         assert counts == [250]  # the bytes of row 0's 2000 bits
 
-    def test_compares_rows_without_copying_the_bits(self):
-        t = rotational_tournament(2001)
+    @pytest.mark.parametrize("n", [301, 1001, 2001, 4001])
+    def test_compares_rows_without_copying_the_bits(self, n):
+        # about 12.5 n bytes, plus the few KB that np.packbits (numpy 2.4)
+        # allocates on every call whatever its input
+        t = rotational_tournament(n)
+        core._toeplitz_row.cache_clear()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
             core._toeplitz_row(t)
-            assert tracemalloc.get_traced_memory()[1] - held < 16 * t.n
+            peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
+        assert peak < 13 * n + 8192
+        assert n < 2001 or peak < 16 * n
 
 
 class TestDoublyRegular:

@@ -738,10 +738,36 @@ class TestProvenBound:
         assert cap <= spectral_upper_bound(t) <= cap * 1.02
         assert len(proofs) > 1 and proofs[-1] and not any(proofs[:-1])
 
+    def test_a_proof_that_never_passes_raises(self, monkeypatch):
+        # a Cholesky that refuses every matrix doubles the margin until mu
+        # reaches n(n-1), which always proves, and then gives up
+        t = random_tournament(200, 0)
+        diagonals = []  # the d of each mu I - G tried
+
+        def refuse(s):
+            diagonals.append(s[0, 0])
+            return False
+
+        monkeypatch.setattr(discrepancy, "_verified_psd", refuse)
+        with pytest.raises(InternalInvariantError, match="Cholesky failed to prove"):
+            spectral_upper_bound(t)
+        assert len(diagonals) > 1 and diagonals[-1] == (t.n - 1) ** 2  # mu = n(n-1)
+
     def test_a_nan_estimate_raises(self, monkeypatch):
-        monkeypatch.setattr(discrepancy, "_lanczos_top", lambda g: math.nan)
+        # one NaN pair off the diagonal of G: the real Lanczos run meets it
+        g = gram(random_tournament(200, 0)).copy()
+        g[3, 150] = g[150, 3] = math.nan
+        monkeypatch.setattr(discrepancy, "gram", lambda t: g)
+        estimates = []
+        _counting(monkeypatch, discrepancy, "_lanczos_top", estimates)
         with pytest.raises(InternalInvariantError, match="NaN"):
             spectral_upper_bound(random_tournament(200, 0))
+        assert len(estimates) == 1 and math.isnan(estimates[0])
+
+    def test_lanczos_starts_off_the_all_ones_vector(self):
+        # 256 I - J sends the all-ones vector to exactly 0 (its entries are
+        # multiples of 1/16), which would stop the run at the eigenvalue 0
+        assert spectral._lanczos_top(256 * np.eye(256) - 1) == pytest.approx(256, rel=1e-12)
 
     @pytest.mark.parametrize(
         "t",
@@ -757,13 +783,11 @@ class TestProvenBound:
         ids=["random-150", "random-199", "paley-211", "rotational-255", "transitive-400",
              "reversed-transitive-201", "skew-circulant-230"],
     )
-    def test_keeps_lambda1_upper_below_200_and_on_toeplitz_input(self, monkeypatch, t):
+    def test_keeps_lambda1_upper_below_200_and_on_toeplitz_input(self, t):
         expected = t.n * lambda1(t).lambda1_upper
-        probes = []
-        for module in (discrepancy, spectral):
-            _counting(monkeypatch, module, "_toeplitz_row", probes)
+        core._toeplitz_row.cache_clear()
         assert spectral_upper_bound(t) == expected
-        assert len(probes) == 1  # one Toeplitz probe per bound
+        assert core._toeplitz_row.cache_info().misses == 1  # one Toeplitz probe per bound
 
     def test_factor_is_the_one_array_beside_g(self, monkeypatch):
         # gram peaks at 12 n^2 bytes; -G and the factor take 16 n^2, once G is dropped

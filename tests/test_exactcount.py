@@ -282,6 +282,7 @@ class TestMatPowTrace:
         # refuses it as the Gram builder refuses a wrong diagonal
         t = transitive_tournament(31) if family == "transitive" else rotational_tournament(31)
         a, skew = _toeplitz_row(t)
+        a = a.copy()  # the probe's cached row is read-only
         a[5] = -a[5]
         monkeypatch.setattr(exactcount, "_toeplitz_row", lambda _: (a, skew))
         with pytest.raises(InternalInvariantError, match="Gram diagonal"):
